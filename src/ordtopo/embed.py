@@ -40,7 +40,6 @@ from .ordinal import (
     ordinal_to_text,
     parse_ordinal,
 )
-from . import topology
 from .topology import (
     EMPTY,
     BandSet,
@@ -61,17 +60,18 @@ from .topology import (
     union,
 )
 from .logic import (
-    And,
-    Bot,
-    Box,
-    Dia,
-    Implies,
-    Not,
-    Or,
+    OP_AND,
+    OP_BOT,
+    OP_BOX,
+    OP_IMP,
+    OP_NOT,
+    OP_OR,
+    OP_TOP,
+    OP_VAR,
     PolySpace,
-    Top,
+    Program,
     UnboundVariable,
-    Var,
+    compile_formula,
     endpoint_pool,
     eval_kripke,
     eval_topo,
@@ -81,8 +81,7 @@ from .jtree import (
     JFrame,
     JMapReport,
     _frame_dia,
-    _valuations,
-    frame_rank,
+    find_valuation,
     hereditary_roots,
     is_jtree,
     jframe_from_json,
@@ -90,6 +89,7 @@ from .jtree import (
     jmap_check,
     make_jframe,
     planes,
+    rank_mismatch,
     root_of,
     subframe,
 )
@@ -743,16 +743,6 @@ def countermodel_valuation(cm: Countermodel, t_val: Dict) -> Dict[int, BandSet]:
 # --- verification ------------------------------------------------------------------
 
 
-def _atoms(phi, acc: set):
-    if isinstance(phi, Var):
-        acc.add(phi.index)
-    elif isinstance(phi, (Box, Dia, Not)):
-        _atoms(phi.body, acc)
-    elif isinstance(phi, (And, Or, Implies)):
-        _atoms(phi.left, acc)
-        _atoms(phi.right, acc)
-
-
 class PointwiseUnsupported(EmbedError):
     pass
 
@@ -790,8 +780,8 @@ def _segment_offsets(m: int) -> List[Ordinal]:
     raise PointwiseUnsupported("approach step above w^2")
 
 
-def _universe_eval(phi, cm: Countermodel, t_val: Dict) -> bool:
-    """Pointwise evaluation of phi at theta, for theta <= w^3.
+class _Pointwise:
+    """Truth of the slots of a compiled formula at single ordinals.
 
     Works directly with membership predicates instead of band sets, so
     the genuinely periodic fibers are no obstacle.  A limit x = g + w^e*c
@@ -800,11 +790,51 @@ def _universe_eval(phi, cm: Countermodel, t_val: Dict) -> bool:
     those segments is eventually periodic for every set the construction
     produces, so a hit anywhere in the tail window decides cofinality.
     Levels >= 2 raise PointwiseUnsupported (they only arise together with
-    theta > w^3, where this evaluator is never called)."""
-    space = cm.space()
-    memo: Dict[Tuple[int, Ordinal], bool] = {}
+    theta > w^3, where this evaluator is never called).  The memo, keyed
+    by (slot, x), lives as long as the object.
+    """
 
-    def in_derived(body, x: Ordinal, lam: int) -> bool:
+    def __init__(self, prog: Program, cm: Countermodel, t_val: Dict):
+        for a in prog.atoms:
+            if a not in t_val:
+                raise UnboundVariable(f"p{a}")
+        self.code = prog.code
+        self.mods = prog.mods
+        self.supports = [t_val[a] for a in prog.atoms]
+        self.fmap = cm.fmap
+        self.space = cm.space()
+        self.memo: Dict[Tuple[int, Ordinal], bool] = {}
+
+    def sat(self, slot: int, x: Ordinal) -> bool:
+        key = (slot, x)
+        if key not in self.memo:
+            self.memo[key] = self._sat(slot, x)
+        return self.memo[key]
+
+    def _sat(self, slot: int, x: Ordinal) -> bool:
+        op, a, b = self.code[slot]
+        if op == OP_VAR:
+            return self.fmap.apply(x) in self.supports[a]
+        if op == OP_TOP:
+            return True
+        if op == OP_BOT:
+            return False
+        if op == OP_NOT:
+            return not self.sat(a, x)
+        if op == OP_AND:
+            return self.sat(a, x) and self.sat(b, x)
+        if op == OP_OR:
+            return self.sat(a, x) or self.sat(b, x)
+        if op == OP_IMP:
+            return not self.sat(a, x) or self.sat(b, x)
+        # <k>A holds at x iff A accumulates there, [k]A iff ~A does not
+        box = op == OP_BOX
+        lam = self.space.level_at(self.mods[b])
+        return self.accumulates(a, box, x, lam) != box
+
+    def accumulates(self, slot: int, negated: bool, x: Ordinal, lam: int) -> bool:
+        """Whether the set of slot (its complement if negated) accumulates
+        at x in the level-lam topology."""
         if lam != 1:
             raise PointwiseUnsupported(f"pointwise derived set at level {lam}")
         if x <= ONE or x.is_successor():
@@ -817,42 +847,18 @@ def _universe_eval(phi, cm: Countermodel, t_val: Dict) -> bool:
         offsets = _segment_offsets(e_.to_int() - 1)
         for n in range(_SEG_WINDOW, _SEG_WINDOW - _SEG_TAIL, -1):
             y0 = add(base, multiply(step, _nat(n)))
-            if any(sat(body, add(y0, d)) for d in offsets
-                   if ONE <= add(y0, d) < x):
-                return True
+            for d in offsets:
+                y = add(y0, d)
+                if ONE <= y < x and self.sat(slot, y) != negated:
+                    return True
         return False
 
-    def sat(f, x: Ordinal) -> bool:
-        key = (id(f), x)
-        if key in memo:
-            return memo[key]
-        memo[key] = got = _sat(f, x)
-        return got
 
-    def _sat(f, x: Ordinal) -> bool:
-        if isinstance(f, Var):
-            if f.index not in t_val:
-                raise UnboundVariable(f"p{f.index}")
-            return cm.fmap.apply(x) in t_val[f.index]
-        if isinstance(f, Top):
-            return True
-        if isinstance(f, Bot):
-            return False
-        if isinstance(f, Not):
-            return not sat(f.body, x)
-        if isinstance(f, And):
-            return sat(f.left, x) and sat(f.right, x)
-        if isinstance(f, Or):
-            return sat(f.left, x) or sat(f.right, x)
-        if isinstance(f, Implies):
-            return not sat(f.left, x) or sat(f.right, x)
-        if isinstance(f, Dia):
-            return in_derived(f.body, x, space.level_at(f.index))
-        if isinstance(f, Box):
-            return not in_derived(Not(f.body), x, space.level_at(f.index))
-        raise TypeError(f"unknown node {f!r}")
-
-    return sat(phi, cm.theta)
+def _universe_eval(phi, cm: Countermodel, t_val: Dict) -> bool:
+    """Pointwise evaluation of phi at theta, for theta <= w^3 (see
+    _Pointwise)."""
+    prog = compile_formula(phi)
+    return _Pointwise(prog, cm, t_val).sat(len(prog.code) - 1, cm.theta)
 
 
 def _partial_map_check(rep: JMapReport, cm: Countermodel, budget: int,
@@ -897,15 +903,8 @@ def _partial_map_check(rep: JMapReport, cm: Countermodel, budget: int,
             else f"A={sorted(map(repr, bad))}")
 
     pts = sorted(set(endpoint_pool(theta)) | set(cm.witnesses.values()))
-    bad_rank = None
-    for x in pts:
-        rho = topology.rank(x, lam_top)
-        want = frame_rank(t, cm.fmap.apply(x), nn - 1)
-        if not (rho.is_finite() and rho.to_int() == want):
-            bad_rank = (x, want)
-            break
-    rep.add("(b) (j1) rank preservation", "SAMPLED", bad_rank is None,
-            "" if bad_rank is None else f"x={bad_rank[0]}")
+    bad = rank_mismatch(cm.fmap, t, pts, lam_top)
+    rep.add("(b) (j1) rank preservation", "SAMPLED", bad is None, bad or "")
 
     for k in range(nn - 1):
         lam_k = space.level_at(_nat(k))
@@ -941,15 +940,11 @@ def verify_countermodel(cm: Countermodel, phi, budget: int = 4096,
     rep = JMapReport()
     root = root_of(cm.tree)
 
-    acc: set = set()
-    _atoms(phi, acc)
-    candidates = [t_val] if t_val is not None else _valuations(
-        sorted(acc), cm.tree.nodes)
-    found = None
-    for v in candidates:
-        if root in eval_kripke(phi, cm.tree, v):
-            found = v
-            break
+    if t_val is not None:
+        found = t_val if root in eval_kripke(phi, cm.tree, t_val) else None
+    else:
+        hit = find_valuation(compile_formula(phi), cm.tree, [root])
+        found = None if hit is None else hit[0]
     rep.add("(a) satisfied at the root", "EXACT", found is not None,
             "" if found is not None else "no valuation found")
 
@@ -965,9 +960,15 @@ def verify_countermodel(cm: Countermodel, phi, budget: int = 4096,
     else:
         _partial_map_check(rep, cm, budget, seed)
 
-    wit_bad = [v for v, w in cm.witnesses.items() if cm.fmap.apply(w) != v]
-    rep.add("(b) witness table", "EXACT", not wit_bad,
-            f"{len(cm.witnesses)} nodes")
+    wit_ok, detail = True, f"{len(cm.witnesses)} nodes"
+    for v, w in cm.witnesses.items():
+        try:
+            wit_ok = cm.fmap.apply(w) == v
+        except ValueError:
+            wit_ok, detail = False, f"witness {w} is outside the map's domain"
+        if not wit_ok:
+            break
+    rep.add("(b) witness table", "EXACT", wit_ok, detail)
 
     if found is None:
         rep.add("(c) semantic check", "SKIPPED", True, "no Kripke valuation")

@@ -15,6 +15,7 @@ model of a formula.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -22,7 +23,16 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .ordinal import Ordinal, ZERO
 from . import topology
-from .logic import Formula, Box, Dia, Not, And, Or, Implies, Var, eval_kripke, _indices
+from .logic import (
+    Formula,
+    Program,
+    compile_formula,
+    frame_succ,
+    mask_nodes,
+    node_bits,
+    node_mask,
+    run_program,
+)
 from .topology import derived_set, intersect, is_empty, is_open, sets_equal
 
 
@@ -281,16 +291,6 @@ def root_of(f: JFrame):
 # --- bounded model search ----------------------------------------------------------
 
 
-def _vars(phi: Formula, acc: set):
-    if isinstance(phi, Var):
-        acc.add(phi.index)
-    elif isinstance(phi, (Box, Dia, Not)):
-        _vars(phi.body, acc)
-    elif isinstance(phi, (And, Or, Implies)):
-        _vars(phi.left, acc)
-        _vars(phi.right, acc)
-
-
 def _partitions(items):
     if not items:
         yield []
@@ -344,19 +344,72 @@ def _jtree_rels(nodes, n_mods: int):
                 yield (r0,) + tuple(frozenset(r) for r in rest)
 
 
-def _valuations(atoms, nodes):
-    if not atoms:
-        yield {}
-        return
-    if len(atoms) * len(nodes) <= 12:
-        opts = [frozenset(c)
-                for r in range(len(nodes) + 1)
-                for c in itertools.combinations(nodes, r)]
-    else:
-        # tractable slice: empty, singleton, and full supports
-        opts = [frozenset()] + [frozenset({x}) for x in nodes] + [frozenset(nodes)]
-    for combo in itertools.product(opts, repeat=len(atoms)):
-        yield dict(zip(atoms, combo))
+def _supports(n_atoms: int, n: int) -> List[int]:
+    """The node masks each atom runs through, in search order: every subset
+    by size, then lexicographically; only the empty, singleton and full
+    sets when atoms x nodes > 12."""
+    if n_atoms * n <= 12:
+        return [sum(1 << i for i in c)
+                for r in range(n + 1) for c in itertools.combinations(range(n), r)]
+    return [0] + [1 << i for i in range(n)] + [(1 << n) - 1]
+
+
+def find_valuation(prog: Program, frame, target=None
+                   ) -> Optional[Tuple[Dict[int, FrozenSet], FrozenSet]]:
+    """The first valuation under which prog's formula holds at some node of
+    target (default: anywhere in frame), with the nodes where it holds.
+
+    Valuations are tried in a fixed order: the atoms, ascending, count
+    like the digits of an odometer, the last one fastest, each through
+    _supports.  None means that no valuation in that order works, which
+    is "unsatisfiable on this frame" only when atoms x nodes <= 12.  Each
+    step reruns only the slots that read the atom that changed or a later
+    one, and a prefix under which a top-level conjunct misses target is
+    not extended, so the first hit is the one the full enumeration finds.
+    """
+    nodes = tuple(frame.nodes)
+    bit = node_bits(nodes)
+    full = (1 << len(nodes)) - 1
+    want = full if target is None else node_mask(target, bit)
+    succ = frame_succ(prog, frame, bit)
+    code, starts = prog.code, prog.starts
+    n_atoms = len(prog.atoms)
+    opts = _supports(n_atoms, len(nodes))
+    vals = [0] * len(code)
+    masks = [0] * n_atoms
+    run_program(code, 0, starts[0], vals, masks, succ, full)
+    # conjuncts by the last atom position they read, -1 (first) for none
+    conj: List[List[int]] = [[] for _ in range(n_atoms + 1)]
+    for s in prog.conjuncts():
+        conj[bisect.bisect_right(starts, s)].append(s)
+    bound = [full] * (n_atoms + 1)     # bound[k + 1]: conjuncts up to atom k
+    for s in conj[0]:
+        bound[0] &= vals[s]
+    if not bound[0] & want:
+        return None
+    pick = [0] * n_atoms
+    k = 0
+    while k < n_atoms:
+        if pick[k] == len(opts):
+            if k == 0:
+                return None
+            pick[k] = 0
+            k -= 1
+            pick[k] += 1
+            continue
+        masks[k] = opts[pick[k]]
+        run_program(code, starts[k], starts[k + 1], vals, masks, succ, full)
+        got = bound[k]
+        for s in conj[k + 1]:
+            got &= vals[s]
+        if got & want:
+            bound[k + 1] = got
+            k += 1
+        else:
+            pick[k] += 1
+    got = bound[n_atoms]
+    return ({a: mask_nodes(m, nodes) for a, m in zip(prog.atoms, masks)},
+            mask_nodes(got, nodes))
 
 
 @dataclass(frozen=True)
@@ -369,37 +422,32 @@ class SearchResult:
 def find_jtree_model(phi: Formula, max_nodes: int) -> Optional[SearchResult]:
     """Bounded search for a treelike model of phi.
 
-    Returns a frame rooted at a node satisfying phi under the found
-    valuation, or None (which means unknown, not unsatisfiable).  phi must
-    use condensed modality indices 0..n-1.
+    Tries the connected treelike frames on 1..max_nodes nodes in a fixed
+    order and, on each, the valuations in find_valuation's order; returns
+    the generated subframe at the least node satisfying phi under the
+    first valuation that works.  None means unknown, not unsatisfiable:
+    besides the node bound, when atoms x nodes > 12 only the empty,
+    singleton and full supports are tried.  phi must use condensed
+    modality indices 0..n-1.
     """
-    mods: set = set()
-    _indices(phi, mods)
-    if any(not o.is_finite() for o in mods):
+    prog = compile_formula(phi)
+    if any(not o.is_finite() for o in prog.mods):
         raise FrameError("modality indices must be condensed naturals")
-    n_mods = 1 + max((o.to_int() for o in mods), default=-1)
-    atoms_acc: set = set()
-    _vars(phi, atoms_acc)
-    atoms = sorted(atoms_acc)
+    n_mods = 1 + max((o.to_int() for o in prog.mods), default=-1)
     for n in range(1, max_nodes + 1):
         nodes = tuple(range(n))
         for rels in _jtree_rels(nodes, n_mods):
             frame = JFrame(nodes, rels)
-            for v in _valuations(atoms, nodes):
-                got = eval_kripke(phi, frame, v)
-                if not got:
-                    continue
-                w = min(got)
-                sub = generated_subframe(frame, w)
-                try:
-                    treelike = is_jtree(sub)
-                except InvalidFrame:
-                    treelike = False
-                if treelike:
-                    kept = set(sub.nodes)
-                    v_sub = {i: frozenset(s & kept) for i, s in v.items()}
-                    return SearchResult(sub, w, v_sub)
-                return SearchResult(frame, w, v)
+            hit = find_valuation(prog, frame)
+            if hit is None:
+                continue
+            v, got = hit
+            w = min(got)
+            sub = generated_subframe(frame, w)
+            if not is_jtree(sub):
+                raise FrameError(f"generated subframe at {w} is not treelike")
+            kept = set(sub.nodes)
+            return SearchResult(sub, w, {i: s & kept for i, s in v.items()})
     return None
 
 
@@ -439,6 +487,22 @@ def frame_rank(f: JFrame, x, k: int) -> int:
         return memo[y]
 
     return rho(x)
+
+
+def rank_mismatch(fmap, t: JFrame, pts, lam: int) -> Optional[str]:
+    """Why the first failing point of pts fails rank preservation: its rank
+    at level lam differs from the rank of its image under the top relation
+    of t, or it lies outside fmap's domain.  None when every point passes."""
+    for x in pts:
+        try:
+            node = fmap.apply(x)
+        except ValueError:
+            return f"x={x} is outside the map's domain"
+        rho = topology.rank(x, lam)
+        want = frame_rank(t, node, len(t.rels) - 1)
+        if not (rho.is_finite() and rho.to_int() == want):
+            return f"x={x} maps to rank {want}"
+    return None
 
 
 @dataclass
@@ -515,17 +579,9 @@ def jmap_check(fmap, space, t: JFrame, sigma=None, budget: int = 4096,
 
     # rank preservation spot check (a consequence of (j1), clearer diagnostics)
     from .logic import endpoint_pool
-    from .topology import rank as point_rank
 
-    bad_rank = None
-    for x in endpoint_pool(theta):
-        rho = point_rank(x, lam_top)
-        want = frame_rank(t, fmap.apply(x), nn - 1)
-        if not (rho.is_finite() and rho.to_int() == want):
-            bad_rank = (x, want)
-            break
-    rep.add("(j1) rank preservation", "SAMPLED", bad_rank is None,
-            "" if bad_rank is None else f"x={bad_rank[0]} maps to rank {bad_rank[1]}")
+    bad = rank_mismatch(fmap, t, endpoint_pool(theta), lam_top)
+    rep.add("(j1) rank preservation", "SAMPLED", bad is None, bad or "")
 
     # (j2): images of generator bands are open at every level
     from .ordinal import ONE, add

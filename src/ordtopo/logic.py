@@ -9,6 +9,7 @@ condense() renumbers the finitely many modality indices of a formula to
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
@@ -374,46 +375,203 @@ def eval_topo(phi: Formula, space: PolySpace, v: Dict[int, BandSet]) -> BandSet:
     return go(phi)
 
 
-# --- Kripke semantics --------------------------------------------------------------
+# --- Kripke semantics on node bitmasks ----------------------------------------------
+#
+# A formula is compiled once into a flat postfix program whose slots hold
+# node sets as int bitmasks: node i of the frame is bit 1 << i.  Each
+# instruction (op, x, y) fills one slot from earlier ones:
+#
+#   OP_VAR           the mask of atom position x
+#   OP_TOP, OP_BOT   all nodes, no nodes
+#   OP_NOT           slot x;  OP_AND, OP_OR, OP_IMP: slots x and y
+#   OP_DIA, OP_BOX   slot x through the relation at modality position y:
+#                    <k>A = {a : succ_k(a) & A != 0},
+#                    [k]A = {a : succ_k(a) & ~A == 0}
+
+OP_VAR, OP_TOP, OP_BOT, OP_NOT, OP_AND, OP_OR, OP_IMP, OP_DIA, OP_BOX = range(9)
+
+_OPCODE = {Var: OP_VAR, Top: OP_TOP, Bot: OP_BOT, Not: OP_NOT, And: OP_AND,
+           Or: OP_OR, Implies: OP_IMP, Dia: OP_DIA, Box: OP_BOX}
+
+
+@dataclass(frozen=True)
+class Program:
+    """A formula compiled for bitmask evaluation; its last slot is the formula.
+
+    Every distinct subformula has one slot.  Slots are grouped by the last
+    atom position they read: the atom-free ones come first, and group k
+    (the slots that read atom k and no later atom) is
+    code[starts[k]:starts[k + 1]], with starts[len(atoms)] == len(code).
+    """
+    code: Tuple[Tuple[int, int, int], ...]
+    atoms: Tuple[int, ...]          # variable indices, ascending
+    mods: Tuple[Ordinal, ...]       # modality indices, ascending
+    starts: Tuple[int, ...]
+
+    def conjuncts(self) -> List[int]:
+        """The slots of the formula's top-level conjuncts."""
+        out, todo = [], [len(self.code) - 1]
+        while todo:
+            slot = todo.pop()
+            op, x, y = self.code[slot]
+            if op == OP_AND:
+                todo += (x, y)
+            else:
+                out.append(slot)
+        return out
+
+
+def _emit(f: Formula, raw: list, slot_of: dict) -> int:
+    """Append f's instructions to raw in postfix order; return f's slot.
+    Here OP_VAR carries the variable index and OP_DIA/OP_BOX the modality
+    index itself; compile_formula turns both into positions."""
+    op = _OPCODE.get(type(f))
+    if op == OP_VAR:
+        key = (OP_VAR, f.index, 0)
+    elif op in (OP_TOP, OP_BOT):
+        key = (op, 0, 0)
+    elif op == OP_NOT:
+        key = (OP_NOT, _emit(f.body, raw, slot_of), 0)
+    elif op in (OP_DIA, OP_BOX):
+        key = (op, _emit(f.body, raw, slot_of), f.index)
+    elif op is not None:
+        key = (op, _emit(f.left, raw, slot_of), _emit(f.right, raw, slot_of))
+    else:
+        raise LogicError(f"unknown node {f!r}")
+    slot = slot_of.get(key)
+    if slot is None:
+        slot = slot_of[key] = len(raw)
+        raw.append(key)
+    return slot
+
+
+def compile_formula(phi: Formula) -> Program:
+    """phi as a Program; equal subformulas are found by hashing each
+    instruction once, keyed by the slots it reads."""
+    raw: list = []
+    _emit(phi, raw, {})
+    atoms = tuple(sorted({x for op, x, _ in raw if op == OP_VAR}))
+    mods = tuple(sorted({y for op, _, y in raw if op in (OP_DIA, OP_BOX)}))
+    atom_pos = {a: k for k, a in enumerate(atoms)}
+    mod_pos = {m: k for k, m in enumerate(mods)}
+    group = []                      # last atom position read, -1 for none
+    for op, x, y in raw:
+        if op == OP_VAR:
+            group.append(atom_pos[x])
+        elif op in (OP_TOP, OP_BOT):
+            group.append(-1)
+        elif op in (OP_AND, OP_OR, OP_IMP):
+            group.append(max(group[x], group[y]))
+        else:
+            group.append(group[x])
+    # a stable sort keeps every slot after the slots it reads
+    order = sorted(range(len(raw)), key=group.__getitem__)
+    new = {old: i for i, old in enumerate(order)}
+    code = []
+    for old in order:
+        op, x, y = raw[old]
+        if op == OP_VAR:
+            code.append((OP_VAR, atom_pos[x], 0))
+        elif op in (OP_DIA, OP_BOX):
+            code.append((op, new[x], mod_pos[y]))
+        elif op == OP_NOT:
+            code.append((OP_NOT, new[x], 0))
+        elif op in (OP_AND, OP_OR, OP_IMP):
+            code.append((op, new[x], new[y]))
+        else:
+            code.append((op, 0, 0))
+    counts = [0] * (len(atoms) + 1)
+    for g in group:
+        counts[g + 1] += 1
+    starts = list(itertools.accumulate(counts))
+    return Program(tuple(code), atoms, mods, tuple(starts))
+
+
+def node_bits(nodes) -> Dict:
+    """Node -> its bit, by position in the node sequence."""
+    return {x: 1 << i for i, x in enumerate(nodes)}
+
+
+def node_mask(nodes, bit: Dict) -> int:
+    out = 0
+    for x in nodes:
+        if x not in bit:
+            raise LogicError(f"node {x!r} is not in the frame")
+        out |= bit[x]
+    return out
+
+
+def mask_nodes(mask: int, nodes) -> FrozenSet:
+    return frozenset(x for i, x in enumerate(nodes) if mask >> i & 1)
+
+
+def frame_succ(prog: Program, frame, bit: Dict) -> List[List[Tuple[int, int]]]:
+    """For each modality position of prog, the (node bit, successor mask)
+    pairs of the nodes that have successors in that relation of frame."""
+    out = []
+    for idx in prog.mods:
+        if not idx.is_finite() or idx.to_int() >= len(frame.rels):
+            raise IndexOutOfRange(f"modality index {idx} (condense first?)")
+        succ: Dict = {}
+        for a, b in frame.rels[idx.to_int()]:
+            if a not in bit or b not in bit:
+                raise LogicError(f"edge ({a!r}, {b!r}) leaves the frame")
+            succ[bit[a]] = succ.get(bit[a], 0) | bit[b]
+        out.append(list(succ.items()))
+    return out
+
+
+def run_program(code, start: int, stop: int, vals: List[int], atoms: List[int],
+                succ, full: int) -> None:
+    """Fill vals[start:stop]; the slots before start must be filled.
+
+    atoms[k] is the mask of atom position k, succ is frame_succ's table
+    and full the mask of all nodes.
+    """
+    for i in range(start, stop):
+        op, x, y = code[i]
+        if op == OP_AND:
+            vals[i] = vals[x] & vals[y]
+        elif op == OP_NOT:
+            vals[i] = full ^ vals[x]
+        elif op == OP_DIA:
+            a, out = vals[x], 0
+            for b, s in succ[y]:
+                if s & a:
+                    out |= b
+            vals[i] = out
+        elif op == OP_BOX:
+            a, out = full ^ vals[x], full
+            for b, s in succ[y]:
+                if s & a:
+                    out ^= b
+            vals[i] = out
+        elif op == OP_IMP:
+            vals[i] = (full ^ vals[x]) | vals[y]
+        elif op == OP_OR:
+            vals[i] = vals[x] | vals[y]
+        elif op == OP_VAR:
+            vals[i] = atoms[x]
+        elif op == OP_TOP:
+            vals[i] = full
+        else:
+            vals[i] = 0
 
 
 def eval_kripke(phi: Formula, frame, v: Dict[int, FrozenSet]) -> FrozenSet:
-    """frame needs .nodes and .rels (sequence of sets of (a, b) pairs)."""
-    nodes = frozenset(frame.nodes)
-
-    def rel(idx: Ordinal):
-        if not idx.is_finite() or idx.to_int() >= len(frame.rels):
-            raise IndexOutOfRange(f"modality index {idx} (condense first?)")
-        return frame.rels[idx.to_int()]
-
-    def go(f: Formula) -> FrozenSet:
-        if isinstance(f, Var):
-            if f.index not in v:
-                raise UnboundVariable(f"p{f.index}")
-            return frozenset(v[f.index])
-        if isinstance(f, Top):
-            return nodes
-        if isinstance(f, Bot):
-            return frozenset()
-        if isinstance(f, Not):
-            return nodes - go(f.body)
-        if isinstance(f, And):
-            return go(f.left) & go(f.right)
-        if isinstance(f, Or):
-            return go(f.left) | go(f.right)
-        if isinstance(f, Implies):
-            return (nodes - go(f.left)) | go(f.right)
-        if isinstance(f, Dia):
-            body = go(f.body)
-            return frozenset(a for a, b in rel(f.index) if b in body)
-        if isinstance(f, Box):
-            body = go(f.body)
-            return frozenset(
-                x for x in nodes
-                if all(b in body for a, b in rel(f.index) if a == x))
-        raise LogicError(f"unknown node {f!r}")
-
-    return go(phi)
+    """The nodes where phi holds; frame needs .nodes and .rels (a sequence
+    of sets of (a, b) pairs over the nodes)."""
+    prog = compile_formula(phi)
+    for a in prog.atoms:
+        if a not in v:
+            raise UnboundVariable(f"p{a}")
+    nodes = tuple(frame.nodes)
+    bit = node_bits(nodes)
+    atoms = [node_mask(v[a], bit) for a in prog.atoms]
+    succ = frame_succ(prog, frame, bit)
+    vals = [0] * len(prog.code)
+    run_program(prog.code, 0, len(vals), vals, atoms, succ, (1 << len(nodes)) - 1)
+    return mask_nodes(vals[-1], nodes)
 
 
 # --- axiom schema testing ------------------------------------------------------------

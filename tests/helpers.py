@@ -302,6 +302,32 @@ def all_trees(max_nodes):
     return out
 
 
+def kripke_oracle(phi, frame, v):
+    """The nodes of frame where phi holds under v, from the set definitions
+    <k>A = {a : some b with a R_k b is in A} and [k]A = ~<k>~A."""
+    from ordtopo.logic import And, Bot, Box, Dia, Implies, Not, Or, Top, Var
+
+    nodes = frozenset(frame.nodes)
+
+    def sem(f):
+        if isinstance(f, Var):
+            return frozenset(v[f.index])
+        if isinstance(f, (Top, Bot)):
+            return nodes if isinstance(f, Top) else frozenset()
+        if isinstance(f, Not):
+            return nodes - sem(f.body)
+        if isinstance(f, (And, Or, Implies)):
+            a, b = sem(f.left), sem(f.right)
+            return a & b if isinstance(f, And) else \
+                a | b if isinstance(f, Or) else (nodes - a) | b
+        rel = frame.rels[f.index.to_int()]
+        body = sem(f.body) if isinstance(f, Dia) else nodes - sem(f.body)
+        dia = frozenset(a for a in nodes if any((a, b) in rel for b in body))
+        return dia if isinstance(f, Dia) else nodes - dia
+
+    return sem(phi)
+
+
 @st.composite
 def ordinals(draw, max_depth=3, max_terms=3, max_coeff=5):
     if max_depth == 0:

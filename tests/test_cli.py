@@ -124,6 +124,19 @@ def test_kripke(capsys, tmp_path):
     assert json.loads(out)["nodes"] == ["a", "r"]
 
 
+def test_kripke_rejects_nodes_outside_the_frame(capsys, tmp_path):
+    ff = tmp_path / "frame.json"
+    ff.write_text(json.dumps(jframe_to_json(make_jframe(["r", "a"], [[("r", "a")]]))))
+    vf = tmp_path / "val.json"
+    vf.write_text(json.dumps({"0": ["a", "z"]}))
+    code, out, err = run(capsys, "kripke", "p0", "--frame", str(ff),
+                         "--val", str(vf), "--json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "'z'" in err
+    assert "Traceback" not in err
+
+
 # --- embed / verify ----------------------------------------------------------------
 
 

@@ -27,7 +27,13 @@ from ordtopo.embed import (
     verify_countermodel,
 )
 from ordtopo.jtree import JFrame, jmap_check, make_jframe, root_of
-from ordtopo.logic import PolySpace, endpoint_pool, eval_topo, parse_formula
+from ordtopo.logic import (
+    PolySpace,
+    endpoint_pool,
+    eval_topo,
+    parse_formula,
+    tree_formula,
+)
 from ordtopo.ordinal import (
     ONE,
     OMEGA,
@@ -488,6 +494,39 @@ def test_verify_detects_swapped_branch():
     assert not rep.ok
     assert any(name.startswith("(b)") and not ok
                for name, _, ok, _ in rep.checks)
+
+
+def test_verify_stage_a_valuation_on_the_five_chain():
+    # stage (a) picks p_i -> {i}; stage (c) evaluates phi under its pullback
+    chain = frame(range(5), [(i, j) for i in range(5) for j in range(5) if i < j])
+    phi = tree_formula(chain)
+    cm = embed(chain, (1,))
+    rep = verify_countermodel(cm, phi)
+    assert rep.ok, str(rep)
+    pulled = countermodel_valuation(cm, {i: {i} for i in range(5)})
+    want = bandset_to_text(eval_topo(phi, cm.space(), pulled))
+    assert ("(c) theta satisfies phi", "EXACT", True, want) in rep.checks
+
+
+@pytest.mark.parametrize("tree", [
+    frame("ra", [("r", "a")]),                 # every fiber a band set
+    frame("rab", [("r", "a"), ("r", "b")]),    # fibers of a, b are not
+])
+def test_verify_theta_beyond_the_map_fails_a_check(tree):
+    obj = countermodel_to_json(embed(tree, (1,)))
+    obj["theta"] += "+1"
+    rep = verify_countermodel(countermodel_from_json(obj), f("<0>T"))
+    assert not rep.ok
+    assert ("(b) (j1) rank preservation", "SAMPLED", False,
+            "x=w+1 is outside the map's domain") in rep.checks
+
+
+def test_verify_witness_beyond_the_map_fails_a_check():
+    obj = countermodel_to_json(embed(frame("ra", [("r", "a")]), (1,)))
+    obj["witnesses"] = [[v, "w^2" if v == "a" else w] for v, w in obj["witnesses"]]
+    rep = verify_countermodel(countermodel_from_json(obj), f("<0>T"))
+    assert ("(b) witness table", "EXACT", False,
+            "witness w^2 is outside the map's domain") in rep.checks
 
 
 def test_verify_unsatisfied_formula_reported():

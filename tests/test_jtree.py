@@ -7,14 +7,18 @@ import helpers
 from ordtopo.logic import (
     _random_formula,
     _schema_instances,
+    compile_formula,
+    condense,
     eval_kripke,
     parse_formula,
     PolySpace,
+    tree_formula,
 )
 from ordtopo.jtree import (
     InvalidFrame,
     JFrame,
     find_jtree_model,
+    find_valuation,
     frame_rank,
     generated_subframe,
     hereditary_roots,
@@ -229,6 +233,80 @@ def test_generated_subframe_roots_witness():
     res = find_jtree_model(f("<1>T"), 4)
     assert res is not None
     assert root_of(res.frame) == res.node
+
+
+# The first model in the search order: (frame nodes, relations, node,
+# valuation).  These are what enumerating every frame and every valuation
+# in order finds; the incremental, pruned search must find the same.
+SEARCH_GOLDENS = {
+    "<0><1>T": ((0, 1, 2), [[(0, 1), (0, 2)], [(1, 2)]], 0, {}),
+    "<1><0>T": ((0, 1, 2), [[(0, 2), (1, 2)], [(0, 1)]], 0, {}),
+    "<1>T & ~<0>p0": ((0, 1), [[], [(0, 1)]], 0, {0: []}),
+    "<0>p0 & <0>~p0": ((0, 1, 2), [[(0, 1), (0, 2)]], 0, {0: [1]}),
+    "<0>T & [0][0]F": ((0, 1), [[(0, 1)]], 0, {}),
+    "<1>p0 & [0]~p0": ((0, 1), [[], [(0, 1)]], 0, {0: [1]}),
+}
+# tree_formula of each tree of helpers.all_trees(4): the node each p_i
+# names in the model found (the frame is the tree itself, up to labels)
+TREE_GOLDENS = [
+    ([[]], [0]),
+    ([[(0, 1)]], [0, 1]),
+    ([[(0, 1), (0, 2)]], [0, 1, 2]),
+    ([[(0, 1), (0, 2), (1, 2)]], [0, 1, 2]),
+    ([[(0, 1), (0, 2), (0, 3)]], [0, 1, 2, 3]),
+    ([[(0, 1), (0, 2), (0, 3), (1, 3)]], [0, 1, 2, 3]),
+    ([[(0, 1), (0, 2), (0, 3), (1, 3)]], [0, 2, 1, 3]),
+    ([[(0, 1), (0, 2), (0, 3), (1, 3)]], [0, 1, 3, 2]),
+    ([[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]], [0, 1, 2, 3]),
+    ([[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]], [0, 1, 2, 3]),
+]
+# false on every finite J-frame, one per frame condition
+J_UNSAT = ["<0>T & [0]F", "<0>p0 & [0]~p0", "[0]([0]p0 -> p0) & ~[0]p0",
+           "<0>(p0 & <0>p1) & [0]~p1", "<0>p0 & <1>[0]~p0", "<0><1>p0 & [0]~p0"]
+
+
+def found(res):
+    return (res.frame.nodes, [sorted(r) for r in res.frame.rels], res.node,
+            {i: sorted(s) for i, s in res.valuation.items()})
+
+
+def test_search_goldens():
+    for text, want in SEARCH_GOLDENS.items():
+        assert found(find_jtree_model(f(text), 5)) == want, text
+    trees = helpers.all_trees(4)
+    assert len(trees) == len(TREE_GOLDENS)
+    for (kf, _), (rels, names) in zip(trees, TREE_GOLDENS):
+        want = (tuple(range(len(names))), rels, 0,
+                {i: [x] for i, x in enumerate(names)})
+        assert found(find_jtree_model(tree_formula(kf), 5)) == want, rels
+    for text in J_UNSAT:
+        assert find_jtree_model(condense(f(text))[0], 5) is None, text
+
+
+def test_find_valuation_order_on_the_five_chain():
+    # 5 atoms x 5 nodes > 12: each atom runs through the empty set, the
+    # singletons and the full set; verify's stage (a) asks for the root
+    chain = make_jframe(range(5), [[(i, j) for i in range(5)
+                                    for j in range(5) if i < j]])
+    prog = compile_formula(tree_formula(chain))
+    v, holds = find_valuation(prog, chain, [0])
+    assert v == {i: {i} for i in range(5)}
+    assert holds == {0}
+    assert find_valuation(compile_formula(f("p0 & ~p0")), chain) is None
+    # the first valuation in order wins: with p0 empty, the formula holds
+    # at every node that has a successor
+    v, holds = find_valuation(compile_formula(f("~p0 & <0>T")), chain)
+    assert v == {0: set()} and holds == {0, 1, 2, 3}
+    # a hit at any node of the target counts, not just at the least one
+    v, holds = find_valuation(compile_formula(f("p0 & [0]F")), chain)
+    assert v == {0: {4}} and holds == {4}
+    # with 3 atoms on 5 nodes p0 may be full but not {0, 1}
+    full = compile_formula(f("p0 & [0]p0 & p1 & p2"))
+    assert find_valuation(full, chain, [0])[0] == {0: set(range(5)), 1: {0}, 2: {0}}
+    pair = "p0 & <0>p0 & ~<0><0>p0 & p1"
+    assert find_valuation(compile_formula(f(pair)), chain, [0])[0] == \
+        {0: {0, 1}, 1: {0}}
+    assert find_valuation(compile_formula(f(pair + " & p2")), chain, [0]) is None
 
 
 # --- J-trees validate the provability axioms ---------------------------------------

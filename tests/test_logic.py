@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from helpers import KFrame
@@ -13,12 +15,22 @@ from ordtopo.logic import (
     FormulaSyntaxError,
     Implies,
     IndexOutOfRange,
+    LogicError,
     Not,
+    OP_AND,
+    OP_DIA,
+    OP_NOT,
+    OP_OR,
+    OP_VAR,
+    Or,
     PolySpace,
     Top,
     UnboundVariable,
     Var,
+    BOT,
+    TOP,
     check_axioms,
+    compile_formula,
     condense,
     eval_kripke,
     eval_topo,
@@ -28,6 +40,7 @@ from ordtopo.logic import (
     parse_formula,
     tree_formula,
 )
+from ordtopo.jtree import JFrame, _jtree_rels
 from ordtopo.topology import (
     EMPTY,
     complement_within,
@@ -95,6 +108,73 @@ def test_eval_kripke_goldens():
     frame = KFrame(("a", "b", "c"),
                    (frozenset({("a", "b")}), frozenset({("b", "c")})))
     assert eval_kripke(f("<0><1>T"), frame, {}) == {"a"}
+
+
+def test_eval_kripke_errors():
+    chain = KFrame(("a", "b"), (frozenset({("a", "b")}),))
+    with pytest.raises(UnboundVariable):
+        eval_kripke(f("<0>p1"), chain, {0: frozenset()})
+    with pytest.raises(IndexOutOfRange):
+        eval_kripke(f("<1>T"), chain, {})
+    # a node outside the frame has no bit; it is an error, not an answer
+    with pytest.raises(LogicError):
+        eval_kripke(f("p0"), chain, {0: frozenset({"z"})})
+    stray = KFrame(("a",), (frozenset({("a", "z")}),))
+    with pytest.raises(LogicError):
+        eval_kripke(f("<0>T"), stray, {})
+
+
+def test_compile_shares_subformulas_and_groups_by_last_atom():
+    prog = compile_formula(f("(p1 & <0>p0) | ~p1 | <0>p0"))
+    assert prog.atoms == (0, 1)
+    assert prog.mods == (ZERO,)
+    # p0 and <0>p0 read atom 0 only; the rest reads p1
+    assert prog.code == ((OP_VAR, 0, 0), (OP_DIA, 0, 0), (OP_VAR, 1, 0),
+                         (OP_AND, 2, 1), (OP_NOT, 2, 0), (OP_OR, 3, 4),
+                         (OP_OR, 5, 1))
+    assert prog.starts == (0, 2, 7)
+    assert compile_formula(f("T & ~T")).starts == (3,)
+    # T, p0, p0 & T, p1, ~p1, (p0 & T) & ~p1
+    assert sorted(compile_formula(f("(p0 & T) & ~p1")).conjuncts()) == [0, 1, 4]
+
+
+# every connected treelike frame on 1-4 nodes with 1 or 2 relations
+JFRAMES = [(n, rels) for k in (1, 2) for n in range(1, 5)
+           for rels in _jtree_rels(tuple(range(n)), k)]
+
+
+def _formulas(n_mods):
+    index = st.integers(0, n_mods - 1).map(Ordinal.from_int)
+    return st.recursive(
+        st.one_of(st.integers(0, 2).map(Var), st.just(TOP), st.just(BOT)),
+        lambda sub: st.one_of(
+            st.builds(Not, sub), st.builds(And, sub, sub), st.builds(Or, sub, sub),
+            st.builds(Implies, sub, sub), st.builds(Box, index, sub),
+            st.builds(Dia, index, sub)),
+        max_leaves=12)
+
+
+FORMULAS = {k: _formulas(k) for k in (1, 2)}
+
+
+@st.composite
+def kripke_cases(draw):
+    n, rels = draw(st.sampled_from(JFRAMES))
+    names = list(range(10, 10 + n)) if draw(st.booleans()) else \
+        [f"n{i}" for i in range(n)]
+    order = draw(st.permutations(range(n)))  # node order fixes the bit order
+    ren = dict(zip(range(n), names))
+    frame = JFrame(tuple(names[i] for i in order),
+                   tuple(frozenset((ren[a], ren[b]) for a, b in r) for r in rels))
+    v = {i: frozenset(draw(st.sets(st.sampled_from(names)))) for i in range(3)}
+    return draw(FORMULAS[len(rels)]), frame, v
+
+
+@settings(max_examples=300, deadline=None)
+@given(kripke_cases())
+def test_eval_kripke_matches_set_definitions(case):
+    phi, frame, v = case
+    assert eval_kripke(phi, frame, v) == helpers.kripke_oracle(phi, frame, v)
 
 
 def test_box_duality_and_monotonicity():

@@ -17,16 +17,13 @@ from .ordinal import (
     OMEGA,
     Ordinal,
     OrdinalError,
-    OrdinalSyntaxError,
-    add,
+    Scanner,
     big_l,
     e,
     e_iter,
     ell,
     ell_iter,
     left_subtract,
-    multiply,
-    omega_pow,
     ordinal_to_text,
     parse_ordinal,
     pounds,
@@ -59,117 +56,16 @@ from .embed import (
 )
 
 
-# --- the ordinal expression grammar --------------------------------------------------
-#
-#   sum  := prod ('+' prod)*
-#   prod := atom ('*' atom)*
-#   atom := func '(' sum (',' sum)* ')' | 'w' ('^' atom)? | nat | '(' sum ')'
-#
-# with func one of e, l, L, pounds, eiter, liter, sub.
+def _eiter(n: Ordinal, a: Ordinal) -> Ordinal:
+    if not n.is_finite():
+        raise OrdinalError("eiter needs a finite iteration count")
+    return e_iter(n.to_int(), a)
 
 
-class _ExprParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def error(self, msg: str):
-        raise OrdinalSyntaxError(msg, self.pos)
-
-    def peek(self) -> str:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            self.error(f"expected {ch!r}")
-        self.pos += 1
-
-    def ident(self) -> str:
-        self.peek()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isalpha():
-            self.pos += 1
-        return self.text[start:self.pos]
-
-    def nat(self) -> int:
-        self.peek()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            self.error("expected a natural number")
-        return int(self.text[start:self.pos])
-
-    def args(self, n: int) -> List[Ordinal]:
-        self.expect("(")
-        out = [self.sum()]
-        while self.peek() == ",":
-            self.pos += 1
-            out.append(self.sum())
-        self.expect(")")
-        if len(out) != n:
-            self.error(f"expected {n} argument(s), got {len(out)}")
-        return out
-
-    def atom(self) -> Ordinal:
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
-            v = self.sum()
-            self.expect(")")
-            return v
-        if ch.isdigit():
-            return Ordinal.from_int(self.nat())
-        if not ch.isalpha():
-            self.error("expected a number, 'w', a function, or '('")
-        name = self.ident()
-        if name == "w":
-            if self.peek() == "^":
-                self.pos += 1
-                return omega_pow(self.atom())
-            return OMEGA
-        if name == "e":
-            return e(self.args(1)[0])
-        if name == "l":
-            return ell(self.args(1)[0])
-        if name == "L":
-            return big_l(self.args(1)[0])
-        if name == "pounds":
-            return pounds(self.args(1)[0])
-        if name == "eiter":
-            n, a = self.args(2)
-            if not n.is_finite():
-                self.error("eiter needs a finite iteration count")
-            return e_iter(n.to_int(), a)
-        if name == "liter":
-            x, a = self.args(2)
-            return ell_iter(x, a)
-        if name == "sub":
-            a, b = self.args(2)
-            return left_subtract(a, b)
-        self.error(f"unknown function {name!r}")
-
-    def prod(self) -> Ordinal:
-        v = self.atom()
-        while self.peek() == "*":
-            self.pos += 1
-            v = multiply(v, self.atom())
-        return v
-
-    def sum(self) -> Ordinal:
-        v = self.prod()
-        while self.peek() == "+":
-            self.pos += 1
-            v = add(v, self.prod())
-        return v
-
-    def parse(self) -> Ordinal:
-        v = self.sum()
-        if self.peek():
-            self.error("trailing input")
-        return v
+# The functions of the `ord` subcommand: name -> (arity, function).
+ORD_FUNCTIONS = {"e": (1, e), "l": (1, ell), "L": (1, big_l), "pounds": (1, pounds),
+                 "eiter": (2, _eiter), "liter": (2, ell_iter),
+                 "sub": (2, left_subtract)}
 
 
 def _emit(args, record: dict, text: str) -> None:
@@ -201,7 +97,8 @@ def _write_out(args, record: dict) -> None:
 
 
 def cmd_ord(args) -> int:
-    value = _ExprParser(args.expr).parse()
+    s = Scanner(args.expr, ORD_FUNCTIONS)
+    value = s.done(s.ordinal())
     _emit(args, {"value": ordinal_to_text(value)}, ordinal_to_text(value))
     return 0
 

@@ -35,7 +35,6 @@ from .ordinal import (
     ell_iter,
     left_subtract,
     multiply,
-    normalize,
     omega_pow,
     ordinal_to_text,
     parse_ordinal,
@@ -43,20 +42,21 @@ from .ordinal import (
 from .topology import (
     EMPTY,
     BandSet,
-    _geq_set,
-    _merge_bound,
     bandset,
     bandset_to_text,
     complement_within,
     derived_set,
+    geq_set,
     intersect,
     interval,
     is_empty,
     is_open,
     make_band,
     member,
+    merge_bound,
     parse_bandset,
     sets_equal,
+    trim_last,
     union,
 )
 from .logic import (
@@ -80,8 +80,8 @@ from .jtree import (
     InvalidFrame,
     JFrame,
     JMapReport,
-    _frame_dia,
     find_valuation,
+    frame_dia,
     hereditary_roots,
     is_jtree,
     jframe_from_json,
@@ -186,10 +186,10 @@ class EllIter:
         out = EMPTY
         for b in s.bands:
             cons = {d + k: (c, dd) for k, c, dd in b.cons}
-            cons[d] = _merge_bound(cons.get(d, (None, None)), (None, b.hi))
+            cons[d] = merge_bound(cons.get(d, (None, None)), (None, b.hi))
             part = bandset([make_band(ONE, self.theta, cons)])
             if not b.lo.is_zero():
-                part = intersect(part, _geq_set(d, b.lo, self.theta))
+                part = intersect(part, geq_set(d, b.lo, self.theta))
             if b.member(ONE):
                 # the floor: points whose l^delta collapses to 0 land on 1
                 part = union(
@@ -226,7 +226,7 @@ class OtypUpMap:
                 # successor gammas: exactly the points with l x = xi
                 succ = intersect(
                     bandset([make_band(lo, hi, {1: (None, self.xi)})]),
-                    _geq_set(1, self.xi, self.theta),
+                    geq_set(1, self.xi, self.theta),
                 )
                 out = union(out, succ)
             # limit gammas: l x = xi + l gamma, deeper logarithms agree
@@ -366,7 +366,7 @@ def product(kappas, lam: Ordinal) -> ProductStructure:
     xi = add(big_l(kappas[-1]), ONE)
     w = omega_pow(xi)
     theta = multiply(w, lam)
-    x_up = _geq_set(1, xi, theta)
+    x_up = geq_set(1, xi, theta)
     x_down = complement_within(x_up, ONE, theta)
     pi1 = OtypUpMap(xi, theta)
     pi0 = Pi0Map(cells, xi, theta, x_down)
@@ -759,15 +759,6 @@ _SEG_TAIL = 12
 _SEG_COEFF = 6
 
 
-def _drop_tail(x: Ordinal) -> Ordinal:
-    """x minus one copy of its last CNF term: g + w^e*c -> g + w^e*(c-1)."""
-    e_, c = x.terms[-1]
-    rest = x.terms[:-1]
-    if c > 1:
-        rest = rest + ((e_, c - 1),)
-    return normalize(rest)
-
-
 def _segment_offsets(m: int) -> List[Ordinal]:
     """Sample points inside a half-open segment of length w^m."""
     if m == 0:
@@ -842,7 +833,7 @@ class _Pointwise:
         e_, _c = x.terms[-1]
         if not e_.is_finite() or e_.to_int() > 3:
             raise PointwiseUnsupported("limit point above w^3")
-        base = _drop_tail(x)
+        base = trim_last(x)
         step = omega_pow(left_subtract(ONE, e_))
         offsets = _segment_offsets(e_.to_int() - 1)
         for n in range(_SEG_WINDOW, _SEG_WINDOW - _SEG_TAIL, -1):
@@ -889,7 +880,7 @@ def _partial_map_check(rep: JMapReport, cm: Countermodel, budget: int,
     bad = None
     for a in pool:
         try:
-            lhs = cm.fmap.preimage(_frame_dia(t, a, nn - 1))
+            lhs = cm.fmap.preimage(frame_dia(t, a, nn - 1))
             rhs = derived_set(cm.fmap.preimage(a), lam_top, theta)
         except NotRepresentable:
             skipped += 1

@@ -21,19 +21,29 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from .ordinal import Ordinal, ZERO
+from .ordinal import ONE, Ordinal, ZERO, add
 from . import topology
 from .logic import (
     Formula,
     Program,
     compile_formula,
+    endpoint_pool,
     frame_succ,
     mask_nodes,
     node_bits,
     node_mask,
     run_program,
 )
-from .topology import derived_set, intersect, is_empty, is_open, sets_equal
+from .topology import (
+    bandset,
+    derived_set,
+    intersect,
+    interval,
+    is_empty,
+    is_open,
+    make_band,
+    sets_equal,
+)
 
 
 class FrameError(Exception):
@@ -454,7 +464,7 @@ def find_jtree_model(phi: Formula, max_nodes: int) -> Optional[SearchResult]:
 # --- map condition checking ----------------------------------------------------------
 
 
-def _frame_dia(f: JFrame, a, k: int) -> FrozenSet:
+def frame_dia(f: JFrame, a, k: int) -> FrozenSet:
     return frozenset(x for x, y in f.rels[k] if y in a)
 
 
@@ -477,29 +487,29 @@ def _sigma_open(f: JFrame, u, k: int) -> bool:
     return all(b in u for r in f.rels[k:] for a, b in r if a in u)
 
 
-def frame_rank(f: JFrame, x, k: int) -> int:
+def frame_ranks(f: JFrame, k: int) -> Dict:
+    """Each node's rank under R_k: the length of the longest R_k-path from
+    it.  R_k must be a strict order, as in every J-frame; then a node's
+    successors have fewer successors than it has, so they are ranked first."""
     succ = _succ_table(f.rels[k])
-    memo: Dict = {}
-
-    def rho(y):
-        if y not in memo:
-            memo[y] = max((rho(z) + 1 for z in succ.get(y, ())), default=0)
-        return memo[y]
-
-    return rho(x)
+    rank: Dict = {}
+    for y in sorted(f.nodes, key=lambda y: len(succ.get(y, ()))):
+        rank[y] = 1 + max((rank[z] for z in succ.get(y, ())), default=-1)
+    return rank
 
 
 def rank_mismatch(fmap, t: JFrame, pts, lam: int) -> Optional[str]:
     """Why the first failing point of pts fails rank preservation: its rank
     at level lam differs from the rank of its image under the top relation
     of t, or it lies outside fmap's domain.  None when every point passes."""
+    ranks = frame_ranks(t, len(t.rels) - 1)
     for x in pts:
         try:
             node = fmap.apply(x)
         except ValueError:
             return f"x={x} is outside the map's domain"
         rho = topology.rank(x, lam)
-        want = frame_rank(t, node, len(t.rels) - 1)
+        want = ranks.get(node, 0)
         if not (rho.is_finite() and rho.to_int() == want):
             return f"x={x} maps to rank {want}"
     return None
@@ -569,7 +579,7 @@ def jmap_check(fmap, space, t: JFrame, sigma=None, budget: int = 4096,
                 for _ in range(budget)]
     bad = None
     for a in pool:
-        lhs = fmap.preimage(_frame_dia(t, a, nn - 1))
+        lhs = fmap.preimage(frame_dia(t, a, nn - 1))
         rhs = derived_set(fmap.preimage(a), lam_top, theta)
         if not sets_equal(lhs, rhs, theta):
             bad = a
@@ -578,15 +588,10 @@ def jmap_check(fmap, space, t: JFrame, sigma=None, budget: int = 4096,
             f"{len(pool)} subsets" if bad is None else f"A={sorted(map(repr, bad))}")
 
     # rank preservation spot check (a consequence of (j1), clearer diagnostics)
-    from .logic import endpoint_pool
-
     bad = rank_mismatch(fmap, t, endpoint_pool(theta), lam_top)
     rep.add("(j1) rank preservation", "SAMPLED", bad is None, bad or "")
 
     # (j2): images of generator bands are open at every level
-    from .ordinal import ONE, add
-    from .topology import bandset, interval, make_band
-
     pts = endpoint_pool(theta)
     step = max(1, len(pts) // 6)
 
@@ -602,12 +607,13 @@ def jmap_check(fmap, space, t: JFrame, sigma=None, budget: int = 4096,
                         out.append(bandset([make_band(ONE, theta, {ks: (a_, b_)})]))
         return out
 
+    fiber = {x: fmap.preimage([x]) for x in nodes}
     bad_open = None
     for k in range(nn):
         lam_k = space.level_at(Ordinal.from_int(k))
         for u in _gens(lam_k):
             img = frozenset(x for x in nodes
-                            if not is_empty(intersect(fmap.preimage([x]), u)))
+                            if not is_empty(intersect(fiber[x], u)))
             if not _sigma_open(t, img, k):
                 bad_open = (k, u)
                 break
@@ -625,7 +631,7 @@ def jmap_check(fmap, space, t: JFrame, sigma=None, budget: int = 4096,
             ok3 = (is_open(fmap.preimage(below), lam_k, theta)
                    and is_open(fmap.preimage(below | {x}), lam_k, theta))
             rep.add(f"(j3) root {x!r} at level {k}", "EXACT", ok3)
-            fib = fmap.preimage([x])
+            fib = fiber[x]
             ok4 = is_empty(intersect(derived_set(fib, lam_k, theta), fib))
             rep.add(f"(j4) fiber of {x!r} discrete at level {k}", "EXACT", ok4)
     return rep

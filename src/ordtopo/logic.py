@@ -18,12 +18,13 @@ from .ordinal import (
     ONE,
     OMEGA,
     Ordinal,
+    OrdinalError,
+    Scanner,
     ZERO,
     add,
     multiply,
     omega_pow,
     ordinal_to_text,
-    parse_ordinal,
 )
 from . import topology
 from .topology import BandSet, EMPTY, bandset, interval, make_band
@@ -139,116 +140,66 @@ def disj(parts: List[Formula]) -> Formula:
 
 
 # --- parsing / printing ---------------------------------------------------------
-#
-#   formula := or ('->' formula)?          (right associative)
-#   or      := and ('|' and)*
-#   and     := unary ('&' unary)*
-#   unary   := '~' unary | '[' ord ']' unary | '<' ord '>' unary | atom
-#   atom    := 'p'<digits> | 'T' | 'F' | '(' formula ')'
 
 
-class _FParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+class _FParser(Scanner):
+    """The formula grammar (README.md, "Text formats"); modality indices
+    are read in place by the ordinal grammar."""
 
-    def error(self, msg):
+    def fail(self, msg):
         raise FormulaSyntaxError(msg, self.pos)
 
-    def skip(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def eat(self, s: str):
-        self.skip()
-        if not self.text.startswith(s, self.pos):
-            self.error(f"expected {s!r}")
-        self.pos += len(s)
-
     def formula(self) -> Formula:
-        left = self.disjunct()
-        self.skip()
-        if self.text.startswith("->", self.pos):
-            self.pos += 2
-            return Implies(left, self.formula())
-        return left
+        parts = [self.disjunct()]
+        while self.eat("->"):
+            parts.append(self.disjunct())
+        out = parts.pop()
+        for left in reversed(parts):
+            out = Implies(left, out)
+        return out
 
     def disjunct(self) -> Formula:
         out = self.conjunct()
-        while self.peek() == "|":
-            self.pos += 1
+        while self.eat("|"):
             out = Or(out, self.conjunct())
         return out
 
     def conjunct(self) -> Formula:
         out = self.unary()
-        while self.peek() == "&":
-            self.pos += 1
+        while self.eat("&"):
             out = And(out, self.unary())
         return out
 
-    def _ordinal_until(self, close: str) -> Ordinal:
-        end = self.text.find(close, self.pos)
-        if end < 0:
-            self.error(f"expected {close!r}")
-        chunk = self.text[self.pos:end]
+    def index(self, close: str) -> Ordinal:
         try:
-            o = parse_ordinal(chunk)
-        except Exception as exc:
-            self.error(f"bad ordinal index {chunk!r}: {exc}")
-        self.pos = end + 1
-        return o
+            idx = self.ordinal()
+        except OrdinalError as exc:  # DepthExceeded from omega_pow
+            self.fail(f"bad ordinal index: {exc}")
+        self.expect(close)
+        return idx
 
     def unary(self) -> Formula:
         c = self.peek()
-        if c == "~":
-            self.pos += 1
-            return Not(self.unary())
-        if c == "[":
-            self.pos += 1
-            idx = self._ordinal_until("]")
-            return Box(idx, self.unary())
-        if c == "<":
-            self.pos += 1
-            idx = self._ordinal_until(">")
-            return Dia(idx, self.unary())
-        return self.atom()
-
-    def atom(self) -> Formula:
-        c = self.peek()
-        if c == "(":
-            self.pos += 1
-            out = self.formula()
-            self.eat(")")
-            return out
-        if c == "T":
-            self.pos += 1
-            return TOP
-        if c == "F":
-            self.pos += 1
-            return BOT
         if c == "p":
-            self.pos += 1
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            if self.pos == start:
-                self.error("expected variable digits after 'p'")
-            return Var(int(self.text[start:self.pos]))
-        self.error(f"unexpected {c!r}")
+            self.pos += 1  # the digits follow without space
+            return Var(self.nat())
+        if not c or c not in "~[<(TF":
+            self.fail(f"unexpected {c!r}")
+        self.skip(1)
+        if c == "~":
+            return Not(self.inside(self.unary))
+        if c == "[":
+            return Box(self.index("]"), self.inside(self.unary))
+        if c == "<":
+            return Dia(self.index(">"), self.inside(self.unary))
+        if c == "(":
+            return self.inside(self.formula, ")")
+        return TOP if c == "T" else BOT
 
 
 def parse_formula(text: str) -> Formula:
     p = _FParser(text)
-    out = p.formula()
-    p.skip()
-    if p.pos != len(text):
-        p.error("trailing input")
-    return out
+    return p.done(p.formula())
 
 
 # precedence: -> (1) < | (2) < & (3) < unary/atoms (4)
@@ -343,36 +294,39 @@ class PolySpace:
 
 
 def eval_topo(phi: Formula, space: PolySpace, v: Dict[int, BandSet]) -> BandSet:
+    """The band set where phi holds; each distinct subformula is
+    evaluated once, in the order of phi's compiled program."""
+    prog = compile_formula(phi)
+    for a in prog.atoms:
+        if a not in v:
+            raise UnboundVariable(f"p{a}")
+    levels = [space.level_at(m) for m in prog.mods]
     theta = space.theta
-    full = interval(ONE, theta)
-
-    def go(f: Formula) -> BandSet:
-        if isinstance(f, Var):
-            if f.index not in v:
-                raise UnboundVariable(f"p{f.index}")
-            return v[f.index]
-        if isinstance(f, Top):
-            return full
-        if isinstance(f, Bot):
-            return EMPTY
-        if isinstance(f, Not):
-            return topology.complement_within(go(f.body), ONE, theta)
-        if isinstance(f, And):
-            return topology.intersect(go(f.left), go(f.right))
-        if isinstance(f, Or):
-            return topology.union(go(f.left), go(f.right))
-        if isinstance(f, Implies):
-            return topology.union(
-                topology.complement_within(go(f.left), ONE, theta), go(f.right))
-        if isinstance(f, Dia):
-            return topology.derived_set(go(f.body), space.level_at(f.index), theta)
-        if isinstance(f, Box):
-            inner = topology.complement_within(go(f.body), ONE, theta)
-            d = topology.derived_set(inner, space.level_at(f.index), theta)
-            return topology.complement_within(d, ONE, theta)
-        raise LogicError(f"unknown node {f!r}")
-
-    return go(phi)
+    vals: List[BandSet] = []
+    for op, x, y in prog.code:
+        if op == OP_VAR:
+            out = v[prog.atoms[x]]
+        elif op == OP_TOP:
+            out = interval(ONE, theta)
+        elif op == OP_BOT:
+            out = EMPTY
+        elif op == OP_NOT:
+            out = topology.complement_within(vals[x], ONE, theta)
+        elif op == OP_AND:
+            out = topology.intersect(vals[x], vals[y])
+        elif op == OP_OR:
+            out = topology.union(vals[x], vals[y])
+        elif op == OP_IMP:
+            out = topology.union(
+                topology.complement_within(vals[x], ONE, theta), vals[y])
+        elif op == OP_DIA:
+            out = topology.derived_set(vals[x], levels[y], theta)
+        else:
+            inner = topology.complement_within(vals[x], ONE, theta)
+            d = topology.derived_set(inner, levels[y], theta)
+            out = topology.complement_within(d, ONE, theta)
+        vals.append(out)
+    return vals[-1]
 
 
 # --- Kripke semantics on node bitmasks ----------------------------------------------

@@ -8,11 +8,12 @@ structural equality is ordinal equality.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import total_ordering
-from typing import Iterable, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-# Nesting cap for fuzzing safety; omega_pow and the parser enforce it.
+# CNF nesting cap for fuzzing safety; omega_pow enforces it.
 DEPTH_CAP = 64
 
 
@@ -326,82 +327,139 @@ def char_seq(params: CharSeqParams, iota: Ordinal) -> Ordinal:
 
 # --- textual syntax ---------------------------------------------------------
 #
-#   sum     := product ('+' product)*
-#   product := atom ('*' nat)?
-#   atom    := nat | 'w' ('^' atom)? | '(' sum ')'
+# The one ordinal grammar, read by Scanner.ordinal:
 #
+#   sum  := prod ('+' prod)*
+#   prod := atom ('*' atom)*
+#   atom := nat | 'w' ('^' atom)? | '(' sum ')' | func '(' sum (',' sum)* ')'
+#
+# The func form exists only with a function table (the CLI's `ord`
+# subcommand); parse_ordinal has none.  Formulas (logic) and band sets
+# (topology) embed this grammar and read it in place with the same Scanner.
 # Parsing normalizes, printing emits canonical CNF.  Exponents that are not
 # a plain natural or 'w' are printed parenthesized so the round trip is exact.
 
+# How deep '(', '^' exponents and formula prefixes may nest.  Above what
+# any text the package prints needs (a CNF of depth DEPTH_CAP prints with
+# 2 * DEPTH_CAP - 3 levels), and low enough that reading a text, at most
+# five Python frames a level, and walking the formula it yields stay
+# under Python's default recursion limit of 1000.
+MAX_NESTING = 128
 
-class _Parser:
-    def __init__(self, text: str):
+_LETTERS = re.compile(r"[A-Za-z]*")
+
+
+class Scanner:
+    """A cursor over text: whitespace, tokens, naturals and ordinals.
+
+    The cursor always rests after whitespace.  funcs maps a function name
+    to (arity, function of that many ordinals).  Grammars that embed
+    ordinals subclass Scanner and override fail() to raise their own
+    syntax error.
+    """
+
+    def __init__(self, text: str, funcs: Optional[Dict] = None):
         self.text = text
         self.pos = 0
+        self.depth = 0
+        self.funcs = funcs or {}
+        self.skip(0)
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def fail(self, msg: str):
+        raise OrdinalSyntaxError(msg, self.pos)
+
+    def skip(self, n: int):
+        """Move n characters on, then past whitespace."""
+        pos, text = self.pos + n, self.text
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+        self.pos = pos
 
     def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        """The next character, "" at the end."""
+        return self.text[self.pos:self.pos + 1]
 
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            raise OrdinalSyntaxError(f"expected {ch!r}", self.pos)
-        self.pos += 1
+    def eat(self, token: str) -> bool:
+        """Consume token if it comes next."""
+        if self.text.startswith(token, self.pos):
+            self.skip(len(token))
+            return True
+        return False
+
+    def expect(self, token: str):
+        if not self.eat(token):
+            self.fail(f"expected {token!r}")
 
     def nat(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise OrdinalSyntaxError("expected a natural number", start)
-        return int(self.text[start:self.pos])
+        start, end, text = self.pos, self.pos, self.text
+        while end < len(text) and "0" <= text[end] <= "9":
+            end += 1
+        if end == start:
+            self.fail("expected a natural number")
+        self.skip(end - start)
+        return int(text[start:end])
 
-    def atom(self) -> Ordinal:
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
-            v = self.sum()
-            self.expect(")")
-            return v
-        if ch == "w":
-            self.pos += 1
-            if self.peek() == "^":
-                self.pos += 1
-                return omega_pow(self.atom())
-            return OMEGA
-        if ch.isdigit():
-            return Ordinal.from_int(self.nat())
-        raise OrdinalSyntaxError("expected '0'-'9', 'w' or '('", self.pos)
+    def inside(self, read: Callable, close: str = ""):
+        """read() one nesting level deeper, then expect close (if any)."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.fail(f"nesting deeper than {MAX_NESTING}")
+        out = read()
+        self.depth -= 1
+        if close:
+            self.expect(close)
+        return out
 
-    def product(self) -> Ordinal:
-        v = self.atom()
-        if self.peek() == "*":
-            self.pos += 1
-            v = multiply(v, Ordinal.from_int(self.nat()))
-        return v
+    def done(self, value):
+        """value, provided only whitespace is left."""
+        if self.peek():
+            self.fail("trailing input")
+        return value
 
-    def sum(self) -> Ordinal:
+    def ordinal(self) -> Ordinal:
         v = self.product()
-        while self.peek() == "+":
-            self.pos += 1
+        while self.eat("+"):
             v = add(v, self.product())
         return v
 
-    def parse(self) -> Ordinal:
-        v = self.sum()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise OrdinalSyntaxError("trailing input", self.pos)
+    def product(self) -> Ordinal:
+        v = self.atom()
+        while self.eat("*"):
+            v = multiply(v, self.atom())
         return v
+
+    def atom(self) -> Ordinal:
+        ch = self.peek()
+        if "0" <= ch <= "9":
+            return Ordinal.from_int(self.nat())
+        if ch == "w":
+            self.skip(1)
+            return omega_pow(self.inside(self.atom)) if self.eat("^") else OMEGA
+        if ch == "(":
+            self.skip(1)
+            return self.inside(self.ordinal, ")")
+        name = _LETTERS.match(self.text, self.pos).group()
+        if name not in self.funcs:
+            self.fail(f"unknown name {name!r}" if name else
+                      "expected a number, 'w' or '('")
+        self.skip(len(name))
+        arity, fn = self.funcs[name]
+        self.expect("(")
+        args = self.inside(self.args, ")")
+        if len(args) != arity:
+            self.fail(f"expected {arity} argument(s), got {len(args)}")
+        return fn(*args)
+
+    def args(self) -> List[Ordinal]:
+        out = [self.ordinal()]
+        while self.eat(","):
+            out.append(self.ordinal())
+        return out
 
 
 def parse_ordinal(text: str) -> Ordinal:
-    return _Parser(text).parse()
+    s = Scanner(text)
+    return s.done(s.ordinal())
 
 
 def ordinal_to_text(a: Ordinal) -> str:

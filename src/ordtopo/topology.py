@@ -17,16 +17,17 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
 from .ordinal import (
+    DEPTH_CAP,
     Ordinal,
     OMEGA,
     ONE,
+    Scanner,
     ZERO,
     add,
     ell,
     ell_iter,
     omega_pow,
     ordinal_to_text,
-    parse_ordinal,
 )
 
 
@@ -61,9 +62,13 @@ def _min_sol(lo: Ordinal, hi: Optional[Ordinal], cons: Dict[int, Bound]) -> Opti
 
     If lo itself fails, every larger candidate is lo + z with z > 0 and
     l^k(lo + z) = l^k(z), so the least fix is lo + w^w0 where w0 is the least
-    feasible value of l(v) for the level-shifted system.
+    feasible value of l(v) for the level-shifted system.  Every ordinal
+    has CNF depth at most DEPTH_CAP, so l^k is 0 for k >= DEPTH_CAP: a
+    constraint there holds everywhere or, with a lower bound, nowhere.
     """
     if hi is not None and lo > hi:
+        return None
+    if any(k >= DEPTH_CAP and c is not None for k, (c, _) in cons.items()):
         return None
     if _sat(lo, cons):
         return lo
@@ -112,7 +117,7 @@ class BandSet:
 EMPTY = BandSet(())
 
 
-def _merge_bound(a: Bound, b: Bound) -> Bound:
+def merge_bound(a: Bound, b: Bound) -> Bound:
     lows = [x for x in (a[0], b[0]) if x is not None]
     ups = [x for x in (a[1], b[1]) if x is not None]
     return (max(lows) if lows else None, min(ups) if ups else None)
@@ -124,7 +129,7 @@ def make_band(lo: Ordinal, hi: Ordinal, cons: Dict[int, Bound] = None) -> Option
     for k, bound in (cons or {}).items():
         if k < 0:
             raise UnsupportedLevel(f"level {k}")
-        merged[k] = _merge_bound(merged.get(k, (None, None)), bound)
+        merged[k] = merge_bound(merged.get(k, (None, None)), bound)
     # fold level-0 constraints into the interval
     if 0 in merged:
         c, d = merged.pop(0)
@@ -197,7 +202,7 @@ def union(s: BandSet, t: BandSet) -> BandSet:
 def _band_intersect(a: Band, b: Band) -> Optional[Band]:
     cons = a.cons_dict()
     for k, bound in b.cons_dict().items():
-        cons[k] = _merge_bound(cons.get(k, (None, None)), bound)
+        cons[k] = merge_bound(cons.get(k, (None, None)), bound)
     return make_band(max(a.lo, b.lo), min(a.hi, b.hi), cons)
 
 
@@ -205,7 +210,7 @@ def intersect(s: BandSet, t: BandSet) -> BandSet:
     return bandset(_band_intersect(a, b) for a in s.bands for b in t.bands)
 
 
-def _trim_last(t: Ordinal) -> Ordinal:
+def trim_last(t: Ordinal) -> Ordinal:
     """Drop one copy of the last CNF term: mu + w^r*c -> mu + w^r*(c-1)."""
     e_, c = t.terms[-1]
     rest = t.terms[:-1]
@@ -220,18 +225,18 @@ def _strict_cons(k: int, t: Ordinal) -> list:
         return []
     if t.is_successor():
         return [{k: (None, _pred(t))}]
-    tau = _trim_last(t)
+    tau = trim_last(t)
     out = [{k: (None, tau)}]
     for deep in _strict_cons(k + 1, ell(t)):
         d = dict(deep)
-        d[k] = _merge_bound(d.get(k, (None, None)), (tau, t))
+        d[k] = merge_bound(d.get(k, (None, None)), (tau, t))
         out.append(d)
     return out
 
 
 def _pred(t: Ordinal) -> Ordinal:
     assert t.is_successor()
-    return _trim_last(t)
+    return trim_last(t)
 
 
 def _below(a: Ordinal, dom_lo: Ordinal) -> BandSet:
@@ -240,7 +245,7 @@ def _below(a: Ordinal, dom_lo: Ordinal) -> BandSet:
         return EMPTY
     if a.is_successor():
         return interval(dom_lo, _pred(a))
-    nu = _trim_last(a)
+    nu = trim_last(a)
     parts = [make_band(dom_lo, nu)] if nu >= dom_lo else []
     for d in _strict_cons(1, ell(a)):
         parts.append(make_band(max(dom_lo, add(nu, ONE)), a, d))
@@ -351,7 +356,7 @@ def is_open(s: BandSet, lam: int, theta: Ordinal) -> bool:
     return is_empty(intersect(s, derived_set(comp, lam, theta)))
 
 
-def _geq_set(k: int, mu: Ordinal, theta: Ordinal) -> BandSet:
+def geq_set(k: int, mu: Ordinal, theta: Ordinal) -> BandSet:
     """{x in [1, theta]: l^k(x) >= mu} as a BandSet."""
     if mu.is_zero():
         return interval(ONE, theta)
@@ -375,7 +380,7 @@ def _limit_band(b: Band, lam: int, theta: Ordinal) -> BandSet:
     cons = {k: (c, d) for k, c, d in a.cons if k < lam}
     tail = intersect(
         bandset([make_band(add(a.lo, OMEGA), a.hi, cons)]),
-        _geq_set(lam, add(m, OMEGA), theta),
+        geq_set(lam, add(m, OMEGA), theta),
     )
     return intersect(tail, bandset([b]))
 
@@ -405,7 +410,7 @@ def separating_nbhd(x: Ordinal, lam: int, theta: Ordinal) -> BandSet:
     def sep_lower(t: Ordinal) -> Optional[Ordinal]:
         if t.is_zero():
             return None
-        return _trim_last(t)
+        return trim_last(t)
 
     c0 = sep_lower(x)
     lo = add(c0, ONE) if c0 is not None else ONE
@@ -418,10 +423,6 @@ def separating_nbhd(x: Ordinal, lam: int, theta: Ordinal) -> BandSet:
 
 
 # --- textual syntax ---------------------------------------------------------
-#
-#   bandset := band (';' band)*
-#   band    := '[' ord ',' ord ']' ('&' 'l' ('^' nat)? 'in' '(' low ',' ord ']')*
-#   low     := '-1' | ord ;  upper bound may be 'inf'
 
 
 def band_to_text(b: Band) -> str:
@@ -439,52 +440,38 @@ def bandset_to_text(s: BandSet) -> str:
     return "; ".join(band_to_text(b) for b in s.bands)
 
 
-def _parse_band(text: str) -> Optional[Band]:
-    chunks = [c.strip() for c in text.split("&")]
-    head = chunks[0]
-    if not (head.startswith("[") and head.endswith("]")):
-        raise TopologyError(f"expected [lo,hi], got {head!r}")
-    lo_txt, hi_txt = _split_bounds(head[1:-1])
-    cons: Dict[int, Bound] = {}
-    for chunk in chunks[1:]:
-        if not chunk.startswith("l"):
-            raise TopologyError(f"expected l^k constraint, got {chunk!r}")
-        rest = chunk[1:].strip()
-        k = 1
-        if rest.startswith("^"):
-            rest = rest[1:]
-            num = ""
-            while rest and rest[0].isdigit():
-                num += rest[0]
-                rest = rest[1:]
-            k = int(num)
-        rest = rest.strip()
-        if not rest.startswith("in"):
-            raise TopologyError(f"expected 'in' in {chunk!r}")
-        rest = rest[2:].strip()
-        if not (rest.startswith("(") and rest.endswith("]")):
-            raise TopologyError(f"expected (c,d] in {chunk!r}")
-        c_txt, d_txt = _split_bounds(rest[1:-1])
-        c = None if c_txt.strip() == "-1" else parse_ordinal(c_txt)
-        d = None if d_txt.strip() == "inf" else parse_ordinal(d_txt)
-        cons[k] = _merge_bound(cons.get(k, (None, None)), (c, d))
-    return make_band(parse_ordinal(lo_txt), parse_ordinal(hi_txt), cons)
+class _BandScanner(Scanner):
+    """The band-set grammar (README.md, "Text formats"); bounds are read
+    in place by the ordinal grammar."""
 
+    def fail(self, msg: str):
+        raise TopologyError(f"{msg} at position {self.pos}")
 
-def _split_bounds(text: str) -> Tuple[str, str]:
-    depth = 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            return text[:i], text[i + 1:]
-    raise TopologyError(f"expected ',' in {text!r}")
+    def band(self) -> Optional[Band]:
+        self.expect("[")
+        lo = self.ordinal()
+        self.expect(",")
+        hi = self.ordinal()
+        self.expect("]")
+        cons: Dict[int, Bound] = {}
+        while self.eat("&"):
+            self.expect("l")
+            k = self.nat() if self.eat("^") else 1
+            self.expect("in")
+            self.expect("(")
+            c = None if self.eat("-1") else self.ordinal()
+            self.expect(",")
+            d = None if self.eat("inf") else self.ordinal()
+            self.expect("]")
+            cons[k] = merge_bound(cons.get(k, (None, None)), (c, d))
+        return make_band(lo, hi, cons)
 
 
 def parse_bandset(text: str) -> BandSet:
-    text = text.strip()
-    if text == "empty" or not text:
-        return EMPTY
-    return bandset(_parse_band(chunk) for chunk in text.split(";"))
+    s = _BandScanner(text)
+    bands = []
+    if s.peek() and not s.eat("empty"):
+        bands.append(s.band())
+        while s.eat(";"):
+            bands.append(s.band())
+    return s.done(bandset(bands))

@@ -249,17 +249,17 @@ def random_bandset_u(rng: random.Random, universe, max_bands=3, max_level=3):
 def ell_preimage(a, theta: Ordinal):
     """Preimage of a codomain BandSet under l: [1, theta] -> [0, L(theta)]."""
     from ordtopo.topology import (
-        EMPTY, _geq_set, _merge_bound, bandset, intersect, make_band, union,
+        EMPTY, geq_set, merge_bound, bandset, intersect, make_band, union,
     )
     from ordtopo.ordinal import ONE
 
     out = EMPTY
     for b in a.bands:
         cons = {k + 1: (c, d) for k, c, d in b.cons}
-        cons[1] = _merge_bound(cons.get(1, (None, None)), (None, b.hi))
+        cons[1] = merge_bound(cons.get(1, (None, None)), (None, b.hi))
         part = bandset([make_band(ONE, theta, cons)])
         if not b.lo.is_zero():
-            part = intersect(part, _geq_set(1, b.lo, theta))
+            part = intersect(part, geq_set(1, b.lo, theta))
         out = union(out, part)
     return out
 

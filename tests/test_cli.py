@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordtopo.cli import main
 from ordtopo.jtree import jframe_to_json, make_jframe
-from ordtopo.ordinal import parse_ordinal
+from ordtopo.ordinal import MAX_NESTING, parse_ordinal
 from ordtopo.topology import member, parse_bandset
 
 o = parse_ordinal
@@ -227,6 +231,70 @@ def test_search_sparse_indices(capsys, tmp_path):
     rec = json.loads(outf.read_text())
     assert rec["sigma"] == [3]
     assert rec["formula"] == "<0>T"
+
+
+# --- text surfaces -----------------------------------------------------------------
+
+SURFACES = {
+    "ord": ["ord", "--"],
+    "band": ["band", "--"],
+    "eval": ["eval", "--theta", "w", "--levels", "1", "--"],
+}
+TOKENS = ["0", "1", "2", "12", "w", "^", "+", "*", "(", ")", ",", " ", "e", "l",
+          "L", "pounds", "eiter", "liter", "sub", "[", "]", "&", ";", "in", "-1",
+          "inf", "empty", "~", "<", ">", "|", "->", "T", "F", "p", "p0", "p1"]
+
+
+def run_quiet(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(SURFACES)),
+       st.lists(st.sampled_from(TOKENS), max_size=16).map("".join))
+def test_text_surfaces_exit_contract(cmd, text):
+    code, _, err = run_quiet(SURFACES[cmd] + [text])
+    assert code in (0, 2)
+    assert "Traceback" not in err
+    assert (code == 2) == err.startswith("error:")
+
+
+def deep(n):
+    return {"ord": ["(" * n + "1" + ")" * n, "w^" * n + "1"],
+            "band": ["[1," + "(" * n + "w" + ")" * n + "]",
+                     "[1,w] & l^2 in (-1," + "w^" * n + "0]"],
+            "eval": ["~" * n + "T", "(" * n + "T" + ")" * n, "<0>" * n + "T"]}
+
+
+@pytest.mark.parametrize("n", [10, 100, 3000])
+def test_deep_nesting_exit_contract(n):
+    for cmd, texts in deep(n).items():
+        for text in texts:
+            code, _, err = run_quiet(SURFACES[cmd] + [text])
+            assert code in (0, 2) and "Traceback" not in err
+            if n == 3000:
+                assert code == 2 and err.startswith("error:")
+                assert "nesting deeper than" in err
+
+
+def test_nesting_cap_on_the_command_line():
+    text = "(" * MAX_NESTING + "1" + ")" * MAX_NESTING
+    assert run_quiet(["ord", text])[:2] == (0, "1\n")
+    code, _, err = run_quiet(["ord", "(" + text + ")"])
+    assert code == 2 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv,want", [
+    (["band", "[1,w] & l^3000 in (1,2]"], "empty"),
+    (["band", "[1,w]", "--derive", "3000"], "empty"),
+    (["eval", "<0>T", "--theta", "w^w", "--levels", "3000"], "empty"),
+])
+def test_levels_past_the_depth_cap(argv, want):
+    code, out, err = run_quiet(argv)
+    assert (code, out.strip(), err) == (0, want, "")
 
 
 # --- plumbing ----------------------------------------------------------------------

@@ -19,7 +19,7 @@ from ordtopo.jtree import (
     JFrame,
     find_jtree_model,
     find_valuation,
-    frame_rank,
+    frame_ranks,
     generated_subframe,
     hereditary_roots,
     is_jtree,
@@ -399,9 +399,7 @@ def test_jmap_check_broken_map():
 
 def test_frame_rank():
     t = frame("rab", [("r", "a"), ("r", "b"), ("a", "b")])
-    assert frame_rank(t, "b", 0) == 0
-    assert frame_rank(t, "a", 0) == 1
-    assert frame_rank(t, "r", 0) == 2
+    assert frame_ranks(t, 0) == {"b": 0, "a": 1, "r": 2}
 
 
 # --- serialization -------------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import helpers
 from helpers import KFrame
-from ordtopo.ordinal import OMEGA, ONE, Ordinal, ZERO, parse_ordinal
+from ordtopo.ordinal import MAX_NESTING, OMEGA, ONE, Ordinal, ZERO, parse_ordinal
 from ordtopo.logic import (
     And,
     Bot,
@@ -66,6 +66,33 @@ def test_parse_goldens():
         f("p0 &")
     with pytest.raises(FormulaSyntaxError):
         f("<w*> p0")
+    assert f("<w*w> p0") == Dia(o("w^2"), Var(0))
+    assert f("[ w ]p1->p0->F") == Implies(Box(OMEGA, Var(1)), Implies(Var(0), BOT))
+    with pytest.raises(FormulaSyntaxError):
+        f("<" + "w^" * 70 + "1> p0")  # past the CNF depth cap
+    with pytest.raises(FormulaSyntaxError):
+        f("p 0")
+
+
+def test_nesting_cap():
+    """Formulas nested up to MAX_NESTING read, compile, print, condense
+    and evaluate; one level more is a syntax error."""
+    sp = PolySpace(OMEGA, (ONE,))
+    n = MAX_NESTING // 2
+    for text in ["(" * MAX_NESTING + "p0" + ")" * MAX_NESTING,
+                 "~" * MAX_NESTING + "p0",
+                 "(~" * n + "p0" + ")" * n,
+                 "([0]" * n + "p0" + ")" * n,
+                 "(p0 & " * MAX_NESTING + "p0" + ")" * MAX_NESTING]:
+        phi = f(text)
+        assert f(formula_to_text(phi)) == phi
+        compile_formula(phi)
+        condense(phi)
+        eval_topo(phi, sp, {0: interval(ONE, OMEGA)})
+        with pytest.raises(FormulaSyntaxError):
+            f("~" + text)
+    with pytest.raises(FormulaSyntaxError):
+        f("~" * 5000 + "p0")
 
 
 def test_print_round_trip():

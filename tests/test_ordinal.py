@@ -7,10 +7,13 @@ import helpers
 from helpers import ordinals, positive_ordinals
 from ordtopo.ordinal import (
     CharSeqParams,
+    DEPTH_CAP,
     DepthExceeded,
+    MAX_NESTING,
     OMEGA,
     ONE,
     Ordinal,
+    OrdinalSyntaxError,
     OutOfRange,
     Underflow,
     ZERO,
@@ -153,6 +156,22 @@ def test_parse_print_goldens():
     assert ordinal_to_text(ZERO) == "0"
     assert ordinal_to_text(o("w^w^2")) == "w^(w^2)"
     assert o("w^w^2") == omega_pow(o("w^2"))
+    assert o("w*w") == o("w^2")  # products of any atoms
+    assert o("(w+1)*(w+1)") == o("w^2+w+1")
+    assert o("w * 2 * 3") == o("w*6")
+
+
+def test_nesting_cap():
+    deep = "(" * MAX_NESTING + "1" + ")" * MAX_NESTING
+    assert o(deep) == ONE
+    for text in ["(" + deep + ")", "w^" * 3000 + "1", "(" * 3000 + "1" + ")" * 3000]:
+        with pytest.raises(OrdinalSyntaxError):
+            o(text)
+    # the deepest CNF there is still reads back from its text
+    a = ONE
+    while a.depth < DEPTH_CAP:
+        a = omega_pow(add(a, ONE))
+    assert o(ordinal_to_text(a)) == a
 
 
 # --- oracle cross-checks ----------------------------------------------------

@@ -3,12 +3,13 @@ import random
 import pytest
 
 import helpers
-from ordtopo.ordinal import OMEGA, ONE, Ordinal, ZERO, ell_iter, parse_ordinal
+from ordtopo.ordinal import DEPTH_CAP, OMEGA, ONE, Ordinal, ZERO, ell_iter, parse_ordinal
 from ordtopo.topology import (
     EMPTY,
     Band,
     BandSet,
     NonStabilizing,
+    TopologyError,
     UnsupportedLevel,
     band_to_text,
     bandset,
@@ -156,10 +157,24 @@ def test_band_text_round_trip():
         assert parse_bandset(bandset_to_text(s)) == s
     assert bandset_to_text(EMPTY) == "empty"
     assert parse_bandset("empty") == EMPTY
+    assert bs("[1,w] & l ^ 2 in (-1, 3]") == bs("[1,w] & l^2 in (-1,3]")
+    assert bs(" [ 1 , w*w ] ; [2,3]") == bs("[1,w^2]")
+    for bad in ["[1,w", "[1,w] &", "[1,w] & l^ in (-1,0]", "[1,w] & l in (0,-1]",
+                "[1,w];", "empty; [1,w]", "[1,x]"]:
+        with pytest.raises(TopologyError):
+            parse_bandset(bad)
     rng = random.Random(11)
     for _ in range(50):
         s = helpers.random_bandset_u(rng, helpers.finite_universe())
         assert parse_bandset(bandset_to_text(s)) == s
+
+
+def test_constraint_levels_past_the_depth_cap():
+    # l^k is 0 on every ordinal once k >= DEPTH_CAP
+    assert is_empty(bs("[1,w] & l^3000 in (1,2]"))
+    assert member(OMEGA, bs("[1,w^w] & l^3000 in (-1,0]"))
+    assert is_empty(derived_set(interval(ONE, WW), 3000, WW))
+    assert is_empty(derived_set(interval(ONE, WW), DEPTH_CAP, WW))
 
 
 # --- properties ---------------------------------------------------------------

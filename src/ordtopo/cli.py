@@ -131,8 +131,7 @@ def cmd_eval(args) -> int:
 
 def cmd_kripke(args) -> int:
     phi = parse_formula(args.formula)
-    obj = _load_json(args.frame)
-    t = jframe_from_json(obj.get("frame", obj))
+    t = jframe_from_json(_load_json(args.frame))
     v = {}
     if args.val:
         v = {int(k): frozenset(ns) for k, ns in _load_json(args.val).items()}
@@ -143,8 +142,7 @@ def cmd_kripke(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    obj = _load_json(args.tree)
-    t = jframe_from_json(obj.get("frame", obj))
+    t = jframe_from_json(_load_json(args.tree))
     sigma = tuple(int(ch) for ch in args.sigma.split(",")) if args.sigma else ()
     cm = embed(t, sigma)
     _write_out(args, countermodel_to_json(cm))

@@ -11,14 +11,15 @@ they exist).
 
 Fibers of branching trees are genuinely periodic (every other block,
 say) and fall outside the band algebra; preimage calls on such sets
-raise NotRepresentable, and verify_countermodel falls back to a partial
-check plus a pointwise sampled evaluation.
+raise NotRepresentable.  verify_countermodel runs one map check,
+jtree.jmap_check, on every model; it finds the missing fibers from fmap,
+not from the stored algebra, and reports the (j1)-(j4) rows that need
+them as SKIPPED or EXACT-WHERE-DEFINED.  Stage (c) then falls back to a
+pointwise sampled evaluation.
 """
 
 from __future__ import annotations
 
-import itertools
-import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -42,6 +43,7 @@ from .ordinal import (
 from .topology import (
     EMPTY,
     BandSet,
+    NotRepresentable,
     bandset,
     bandset_to_text,
     complement_within,
@@ -49,8 +51,6 @@ from .topology import (
     geq_set,
     intersect,
     interval,
-    is_empty,
-    is_open,
     make_band,
     member,
     merge_bound,
@@ -72,7 +72,6 @@ from .logic import (
     Program,
     UnboundVariable,
     compile_formula,
-    endpoint_pool,
     eval_kripke,
     eval_topo,
 )
@@ -81,15 +80,12 @@ from .jtree import (
     JFrame,
     JMapReport,
     find_valuation,
-    frame_dia,
-    hereditary_roots,
     is_jtree,
     jframe_from_json,
     jframe_to_json,
     jmap_check,
     make_jframe,
     planes,
-    rank_mismatch,
     root_of,
     subframe,
 )
@@ -109,10 +105,6 @@ class NotAJTree(EmbedError):
 
 class UnsupportedSigma(EmbedError):
     pass
-
-
-class NotRepresentable(EmbedError):
-    """The requested preimage is not a finite union of bands."""
 
 
 # --- ordinal helpers ---------------------------------------------------------------
@@ -852,72 +844,6 @@ def _universe_eval(phi, cm: Countermodel, t_val: Dict) -> bool:
     return _Pointwise(prog, cm, t_val).sat(len(prog.code) - 1, cm.theta)
 
 
-def _partial_map_check(rep: JMapReport, cm: Countermodel, budget: int,
-                       seed: int):
-    """Fallback when some fibers are outside the band algebra: check what
-    can be checked exactly, sample the rest, and record the gaps."""
-    t, theta = cm.tree, cm.theta
-    space = cm.space()
-    nn = len(t.rels)
-    missing = sorted((v for v in t.nodes if cm.algebra[v] is None), key=repr)
-    rep.add("(b) fiber representability", "SKIPPED", True,
-            f"no band fibers for {missing}")
-    if nn == 0:
-        return
-    lam_top = space.level_at(_nat(nn - 1))
-    nodes = tuple(t.nodes)
-
-    if 2 ** len(nodes) <= budget:
-        mode = "EXACT-WHERE-DEFINED"
-        pool = [frozenset(c) for r in range(len(nodes) + 1)
-                for c in itertools.combinations(nodes, r)]
-    else:
-        mode = "SAMPLED"
-        rng = random.Random(seed)
-        pool = [frozenset(x for x in nodes if rng.random() < 0.5)
-                for _ in range(budget)]
-    checked = skipped = 0
-    bad = None
-    for a in pool:
-        try:
-            lhs = cm.fmap.preimage(frame_dia(t, a, nn - 1))
-            rhs = derived_set(cm.fmap.preimage(a), lam_top, theta)
-        except NotRepresentable:
-            skipped += 1
-            continue
-        checked += 1
-        if not sets_equal(lhs, rhs, theta):
-            bad = a
-            break
-    rep.add("(b) (j1) d-map law on representable subsets", mode, bad is None,
-            f"{checked} checked, {skipped} skipped" if bad is None
-            else f"A={sorted(map(repr, bad))}")
-
-    pts = sorted(set(endpoint_pool(theta)) | set(cm.witnesses.values()))
-    bad = rank_mismatch(cm.fmap, t, pts, lam_top)
-    rep.add("(b) (j1) rank preservation", "SAMPLED", bad is None, bad or "")
-
-    for k in range(nn - 1):
-        lam_k = space.level_at(_nat(k))
-        for x in sorted(hereditary_roots(t, k), key=repr):
-            below = frozenset(y for r in t.rels[k:] for a, y in r if a == x)
-            try:
-                ok3 = (is_open(cm.fmap.preimage(below), lam_k, theta)
-                       and is_open(cm.fmap.preimage(below | {x}), lam_k, theta))
-                rep.add(f"(b) (j3) root {x!r} at level {k}", "EXACT", ok3)
-            except NotRepresentable as exc:
-                rep.add(f"(b) (j3) root {x!r} at level {k}", "SKIPPED", True,
-                        str(exc))
-            fib = cm.algebra[x]
-            if fib is None:
-                rep.add(f"(b) (j4) fiber of {x!r} at level {k}", "SKIPPED",
-                        True, "fiber not representable")
-            else:
-                ok4 = is_empty(intersect(derived_set(fib, lam_k, theta), fib))
-                rep.add(f"(b) (j4) fiber of {x!r} discrete at level {k}",
-                        "EXACT", ok4)
-
-
 W3 = parse_ordinal("w^3")
 
 
@@ -925,9 +851,10 @@ def verify_countermodel(cm: Countermodel, phi, budget: int = 4096,
                         t_val: Optional[Dict] = None,
                         seed: int = 0) -> JMapReport:
     """Three-stage check: (a) phi holds at the tree root under some (or the
-    given) valuation; (b) the map conditions, exactly when every fiber is
-    a band set and partially otherwise; (c) theta satisfies phi under the
-    pulled-back valuation, exactly when it is representable."""
+    given) valuation; (b) the stored root fiber, jmap_check's map
+    conditions (sampling the witness points too) and the witness table;
+    (c) theta satisfies phi under the pulled-back valuation, exactly when
+    it is representable.  Only the root-fiber row reads cm.algebra."""
     rep = JMapReport()
     root = root_of(cm.tree)
 
@@ -943,13 +870,10 @@ def verify_countermodel(cm: Countermodel, phi, budget: int = 4096,
                and sets_equal(cm.algebra[root],
                               interval(cm.theta, cm.theta), cm.theta))
     rep.add("(b) root fiber is {theta}", "EXACT", ok_root)
-    if all(cm.algebra[v] is not None for v in cm.tree.nodes):
-        sub = jmap_check(cm.fmap, cm.space(), cm.tree, budget=budget,
-                         seed=seed)
-        for name, mode, ok, detail in sub.checks:
-            rep.add("(b) " + name, mode, ok, detail)
-    else:
-        _partial_map_check(rep, cm, budget, seed)
+    sub = jmap_check(cm.fmap, cm.space(), cm.tree, budget=budget, seed=seed,
+                     points=cm.witnesses.values())
+    for name, mode, ok, detail in sub.checks:
+        rep.add("(b) " + name, mode, ok, detail)
 
     wit_ok, detail = True, f"{len(cm.witnesses)} nodes"
     for v, w in cm.witnesses.items():

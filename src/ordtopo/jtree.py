@@ -35,6 +35,7 @@ from .logic import (
     run_program,
 )
 from .topology import (
+    NotRepresentable,
     bandset,
     derived_set,
     intersect,
@@ -83,11 +84,18 @@ def make_jframe(nodes, rels) -> JFrame:
 
 
 def jframe_from_json(obj) -> JFrame:
+    """A frame from {"nodes": [...], "rels": [[[a, b], ...], ...]} or from a
+    record holding one under "frame", as `search` writes; other shapes and
+    node ids that are JSON arrays or objects raise InvalidFrame."""
+    if isinstance(obj, dict) and "frame" in obj:
+        obj = obj["frame"]
+    if not isinstance(obj, dict) or "nodes" not in obj or "rels" not in obj:
+        raise InvalidFrame("a frame must be a JSON object with 'nodes' and 'rels'")
     try:
-        nodes, rels = obj["nodes"], obj["rels"]
-    except (KeyError, TypeError) as exc:
-        raise InvalidFrame(f"frame object needs 'nodes' and 'rels': {exc!r}")
-    return make_jframe(nodes, [[(a, b) for a, b in r] for r in rels])
+        return make_jframe(obj["nodes"],
+                           [[(a, b) for a, b in r] for r in obj["rels"]])
+    except (TypeError, ValueError) as exc:
+        raise InvalidFrame(f"malformed frame object: {exc}")
 
 
 def jframe_to_json(f: JFrame) -> dict:
@@ -515,6 +523,22 @@ def rank_mismatch(fmap, t: JFrame, pts, lam: int) -> Optional[str]:
     return None
 
 
+def _generator_bands(pts, lam: int, theta: Ordinal) -> List:
+    """Sample generator bands of the level-lam topology on [1, theta], with
+    endpoints spread over pts."""
+    step = max(1, len(pts) // 6)
+    out = [interval(ONE, theta)]
+    for ks in range(lam):
+        for i in range(0, len(pts), step):
+            for j in range(i + 1, len(pts), step):
+                a, b = pts[i], pts[j]
+                if ks == 0:
+                    out.append(interval(add(a, ONE), b))
+                else:
+                    out.append(bandset([make_band(ONE, theta, {ks: (a, b)})]))
+    return out
+
+
 @dataclass
 class JMapReport:
     checks: List[Tuple[str, str, bool, str]] = field(default_factory=list)
@@ -534,21 +558,26 @@ class JMapReport:
         return "\n".join(lines)
 
 
-def jmap_check(fmap, space, t: JFrame, sigma=None, budget: int = 4096,
-               seed: int = 0) -> JMapReport:
+def jmap_check(fmap, space, t: JFrame, budget: int = 4096, seed: int = 0,
+               points: Iterable[Ordinal] = ()) -> JMapReport:
     """Check the map conditions (j1)-(j4) for fmap: [1, theta] -> t.
 
-    fmap must provide apply(x: Ordinal) -> node and
-    preimage(nodes) -> BandSet.  (j1) is the derived-set transfer law at
-    the top level, checked on every subset of the nodes when 2^|T| fits
-    the budget (EXACT) and on a random sample otherwise (SAMPLED); (j2)
-    is image-openness spot-checked on generator bands (SAMPLED); (j3) and
-    (j4) are exact band computations at the hereditary roots.
+    One check serves every model.  fmap must provide apply(x: Ordinal) ->
+    node and preimage(nodes) -> BandSet.  (j1) is the derived-set transfer
+    law at the top level, on every subset of the nodes when 2^|T| fits the
+    budget (EXACT) and on a random sample otherwise (SAMPLED); rank
+    preservation is sampled on endpoint_pool(theta) and the given points;
+    (j2) is image-openness spot-checked on generator bands (SAMPLED); (j3)
+    and (j4) are exact band computations at the hereditary roots.
+
+    Which fibers are band sets is asked of fmap.  Where preimage([x])
+    raises NotRepresentable, a SKIPPED "fiber representability" row names
+    x, (j1) runs where defined (EXACT-WHERE-DEFINED, counting the subsets
+    skipped), (j2) is left out, and the (j3)/(j4) rows that need a missing
+    preimage are SKIPPED.
     """
     if not is_jtree(t):
         raise InvalidFrame("target is not a treelike frame")
-    if sigma is not None and tuple(sigma) != tuple(space.levels):
-        raise InvalidFrame("sigma disagrees with the space levels")
     nn = len(t.rels)
     if len(space.levels) < nn:
         raise InvalidFrame("space has fewer levels than the frame has relations")
@@ -557,81 +586,96 @@ def jmap_check(fmap, space, t: JFrame, sigma=None, budget: int = 4096,
     theta = space.theta
     rep = JMapReport()
     nodes = tuple(t.nodes)
+    fiber = {}
+    for x in nodes:
+        try:
+            fiber[x] = fmap.preimage([x])
+        except NotRepresentable:
+            fiber[x] = None
+    missing = sorted((x for x in nodes if fiber[x] is None), key=repr)
+    if missing:
+        rep.add("fiber representability", "SKIPPED", True,
+                f"no band fibers for {missing}")
 
     if nn == 0:
-        fib = fmap.preimage(nodes)
-        lam = 1 if not space.levels else space.level_at(ZERO)
-        ok = is_empty(derived_set(fib, lam, theta))
-        rep.add("(j1) d-map law", "EXACT", ok, "" if ok else "domain not discrete")
+        if not missing:
+            lam = 1 if not space.levels else space.level_at(ZERO)
+            ok = is_empty(derived_set(fmap.preimage(nodes), lam, theta))
+            rep.add("(j1) d-map law", "EXACT", ok,
+                    "" if ok else "domain not discrete")
         return rep
 
     lam_top = space.level_at(Ordinal.from_int(nn - 1))
 
     # (j1): f^{-1}(dA) = d f^{-1}(A) at the top level, over subsets A
-    if 2 ** len(nodes) <= budget:
-        mode = "EXACT"
+    exact = 2 ** len(nodes) <= budget
+    if exact:
         pool = [frozenset(c) for r in range(len(nodes) + 1)
                 for c in itertools.combinations(nodes, r)]
     else:
-        mode = "SAMPLED"
         rng = random.Random(seed)
         pool = [frozenset(x for x in nodes if rng.random() < 0.5)
                 for _ in range(budget)]
-    bad = None
+    bad, skipped = None, 0
     for a in pool:
-        lhs = fmap.preimage(frame_dia(t, a, nn - 1))
-        rhs = derived_set(fmap.preimage(a), lam_top, theta)
+        try:
+            lhs = fmap.preimage(frame_dia(t, a, nn - 1))
+            rhs = derived_set(fmap.preimage(a), lam_top, theta)
+        except NotRepresentable:
+            skipped += 1
+            continue
         if not sets_equal(lhs, rhs, theta):
             bad = a
             break
-    rep.add("(j1) d-map law", mode, bad is None,
-            f"{len(pool)} subsets" if bad is None else f"A={sorted(map(repr, bad))}")
+    name, mode, detail = "(j1) d-map law", "EXACT", f"{len(pool)} subsets"
+    if missing or skipped:
+        name += " on representable subsets"
+        mode = "EXACT-WHERE-DEFINED"
+        detail = f"{len(pool) - skipped} checked, {skipped} skipped"
+    if bad is not None:
+        detail = f"A={sorted(map(repr, bad))}"
+    rep.add(name, mode if exact else "SAMPLED", bad is None, detail)
 
     # rank preservation spot check (a consequence of (j1), clearer diagnostics)
-    bad = rank_mismatch(fmap, t, endpoint_pool(theta), lam_top)
+    pts = endpoint_pool(theta)
+    bad = rank_mismatch(fmap, t, sorted(set(pts).union(points)), lam_top)
     rep.add("(j1) rank preservation", "SAMPLED", bad is None, bad or "")
 
     # (j2): images of generator bands are open at every level
-    pts = endpoint_pool(theta)
-    step = max(1, len(pts) // 6)
-
-    def _gens(lam: int):
-        out = [interval(ONE, theta)]
-        for ks in range(lam):
-            for i in range(0, len(pts), step):
-                for j in range(i + 1, len(pts), step):
-                    a_, b_ = pts[i], pts[j]
-                    if ks == 0:
-                        out.append(interval(add(a_, ONE), b_))
-                    else:
-                        out.append(bandset([make_band(ONE, theta, {ks: (a_, b_)})]))
-        return out
-
-    fiber = {x: fmap.preimage([x]) for x in nodes}
-    bad_open = None
-    for k in range(nn):
-        lam_k = space.level_at(Ordinal.from_int(k))
-        for u in _gens(lam_k):
-            img = frozenset(x for x in nodes
-                            if not is_empty(intersect(fiber[x], u)))
-            if not _sigma_open(t, img, k):
-                bad_open = (k, u)
+    if not missing:
+        bad_open = None
+        for k in range(nn):
+            lam_k = space.level_at(Ordinal.from_int(k))
+            for u in _generator_bands(pts, lam_k, theta):
+                img = frozenset(x for x in nodes
+                                if not is_empty(intersect(fiber[x], u)))
+                if not _sigma_open(t, img, k):
+                    bad_open = (k, u)
+                    break
+            if bad_open:
                 break
-        if bad_open:
-            break
-    rep.add("(j2) openness", "SAMPLED", bad_open is None,
-            "" if bad_open is None else
-            f"level {bad_open[0]}, image of {topology.bandset_to_text(bad_open[1])}")
+        rep.add("(j2) openness", "SAMPLED", bad_open is None,
+                "" if bad_open is None else
+                f"level {bad_open[0]}, image of {topology.bandset_to_text(bad_open[1])}")
 
     # (j3)/(j4): hereditary-root conditions at each lower level
     for k in range(nn - 1):
         lam_k = space.level_at(Ordinal.from_int(k))
         for x in sorted(hereditary_roots(t, k), key=repr):
             below = frozenset(y for r in t.rels[k:] for a, y in r if a == x)
-            ok3 = (is_open(fmap.preimage(below), lam_k, theta)
-                   and is_open(fmap.preimage(below | {x}), lam_k, theta))
-            rep.add(f"(j3) root {x!r} at level {k}", "EXACT", ok3)
+            name = f"(j3) root {x!r} at level {k}"
+            try:
+                ok3 = (is_open(fmap.preimage(below), lam_k, theta)
+                       and is_open(fmap.preimage(below | {x}), lam_k, theta))
+            except NotRepresentable as exc:
+                rep.add(name, "SKIPPED", True, str(exc))
+            else:
+                rep.add(name, "EXACT", ok3)
             fib = fiber[x]
+            if fib is None:
+                rep.add(f"(j4) fiber of {x!r} at level {k}", "SKIPPED", True,
+                        "fiber not representable")
+                continue
             ok4 = is_empty(intersect(derived_set(fib, lam_k, theta), fib))
             rep.add(f"(j4) fiber of {x!r} discrete at level {k}", "EXACT", ok4)
     return rep

@@ -202,73 +202,68 @@ def parse_formula(text: str) -> Formula:
     return p.done(p.formula())
 
 
-# precedence: -> (1) < | (2) < & (3) < unary/atoms (4)
-
-
-def _print(phi: Formula, level: int) -> str:
-    if isinstance(phi, Var):
-        return f"p{phi.index}"
-    if isinstance(phi, Top):
-        return "T"
-    if isinstance(phi, Bot):
-        return "F"
-    if isinstance(phi, Not):
-        return "~" + _print(phi.body, 4)
-    if isinstance(phi, Box):
-        return f"[{ordinal_to_text(phi.index)}]" + _print(phi.body, 4)
-    if isinstance(phi, Dia):
-        return f"<{ordinal_to_text(phi.index)}>" + _print(phi.body, 4)
-    if isinstance(phi, And):
-        s = f"{_print(phi.left, 3)} & {_print(phi.right, 4)}"
-        need = 3
-    elif isinstance(phi, Or):
-        s = f"{_print(phi.left, 2)} | {_print(phi.right, 3)}"
-        need = 2
-    elif isinstance(phi, Implies):
-        s = f"{_print(phi.left, 2)} -> {_print(phi.right, 1)}"
-        need = 1
-    else:
-        raise LogicError(f"unknown node {phi!r}")
-    return f"({s})" if need < level else s
+# Binary connectives: text, own precedence and the levels of the two sides;
+# -> (1) < | (2) < & (3) < unary/atoms (4), so & and | group to the left and
+# -> to the right.
+_INFIX = {And: (" & ", 3, 3, 4), Or: (" | ", 2, 2, 3), Implies: (" -> ", 1, 2, 1)}
 
 
 def formula_to_text(phi: Formula) -> str:
-    return _print(phi, 1)
-
-
-# --- condensation ---------------------------------------------------------------
-
-
-def _indices(phi: Formula, acc: set):
-    if isinstance(phi, (Box, Dia)):
-        acc.add(phi.index)
-        _indices(phi.body, acc)
-    elif isinstance(phi, Not):
-        _indices(phi.body, acc)
-    elif isinstance(phi, (And, Or, Implies)):
-        _indices(phi.left, acc)
-        _indices(phi.right, acc)
-
-
-def _remap(phi: Formula, table: Dict[Ordinal, Ordinal]) -> Formula:
-    if isinstance(phi, Box):
-        return Box(table[phi.index], _remap(phi.body, table))
-    if isinstance(phi, Dia):
-        return Dia(table[phi.index], _remap(phi.body, table))
-    if isinstance(phi, Not):
-        return Not(_remap(phi.body, table))
-    if isinstance(phi, (And, Or, Implies)):
-        return type(phi)(_remap(phi.left, table), _remap(phi.right, table))
-    return phi
+    """phi in the formula grammar, with the fewest parentheses; the walk
+    keeps its own stack, so long chains print like short ones."""
+    out: List[str] = []
+    todo: list = [(phi, 1)]       # (formula, level of its context) or text
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        f, level = item
+        kind = type(f)
+        if kind in _INFIX:
+            sym, need, left, right = _INFIX[kind]
+            if need < level:
+                out.append("(")
+                todo.append(")")
+            todo += [(f.right, right), sym, (f.left, left)]
+        elif kind is Var:
+            out.append(f"p{f.index}")
+        elif kind in (Top, Bot):
+            out.append("T" if kind is Top else "F")
+        elif kind is Not:
+            out.append("~")
+            todo.append((f.body, 4))
+        elif kind in (Box, Dia):
+            text = ordinal_to_text(f.index)
+            out.append(f"[{text}]" if kind is Box else f"<{text}>")
+            todo.append((f.body, 4))
+        else:
+            raise LogicError(f"unknown node {f!r}")
+    return "".join(out)
 
 
 def condense(phi: Formula) -> Tuple[Formula, Tuple[Ordinal, ...]]:
-    """Renumber modality indices to 0..n-1, returning the original sequence."""
-    acc: set = set()
-    _indices(phi, acc)
-    sigma = tuple(sorted(acc))
+    """Renumber modality indices to 0..n-1, returning the original sequence
+    (the mods of phi's compiled program); the result is rebuilt bottom-up
+    from phi's instructions."""
+    raw = _emit(phi)
+    sigma = tuple(sorted({y for op, _, y in raw if op in (OP_DIA, OP_BOX)}))
     table = {lam: Ordinal.from_int(k) for k, lam in enumerate(sigma)}
-    return _remap(phi, table), sigma
+    built: List[Formula] = []
+    for op, x, y in raw:
+        kind = _NODE[op]
+        if op == OP_VAR:
+            f = Var(x)
+        elif op in (OP_TOP, OP_BOT):
+            f = kind()
+        elif op == OP_NOT:
+            f = Not(built[x])
+        elif op in (OP_DIA, OP_BOX):
+            f = kind(table[y], built[x])
+        else:
+            f = kind(built[x], built[y])
+        built.append(f)
+    return built[-1], sigma
 
 
 # --- topological semantics --------------------------------------------------------
@@ -346,6 +341,7 @@ OP_VAR, OP_TOP, OP_BOT, OP_NOT, OP_AND, OP_OR, OP_IMP, OP_DIA, OP_BOX = range(9)
 
 _OPCODE = {Var: OP_VAR, Top: OP_TOP, Bot: OP_BOT, Not: OP_NOT, And: OP_AND,
            Or: OP_OR, Implies: OP_IMP, Dia: OP_DIA, Box: OP_BOX}
+_NODE = {op: kind for kind, op in _OPCODE.items()}
 
 
 @dataclass(frozen=True)
@@ -375,35 +371,52 @@ class Program:
         return out
 
 
-def _emit(f: Formula, raw: list, slot_of: dict) -> int:
-    """Append f's instructions to raw in postfix order; return f's slot.
+def _emit(phi: Formula) -> list:
+    """phi's instructions in postfix order, one per distinct subformula.
     Here OP_VAR carries the variable index and OP_DIA/OP_BOX the modality
-    index itself; compile_formula turns both into positions."""
-    op = _OPCODE.get(type(f))
-    if op == OP_VAR:
-        key = (OP_VAR, f.index, 0)
-    elif op in (OP_TOP, OP_BOT):
-        key = (op, 0, 0)
-    elif op == OP_NOT:
-        key = (OP_NOT, _emit(f.body, raw, slot_of), 0)
-    elif op in (OP_DIA, OP_BOX):
-        key = (op, _emit(f.body, raw, slot_of), f.index)
-    elif op is not None:
-        key = (op, _emit(f.left, raw, slot_of), _emit(f.right, raw, slot_of))
-    else:
-        raise LogicError(f"unknown node {f!r}")
-    slot = slot_of.get(key)
-    if slot is None:
-        slot = slot_of[key] = len(raw)
-        raw.append(key)
-    return slot
+    index itself; compile_formula turns both into positions.  The walk
+    keeps its own stack: a node is pushed once to expand it (its children
+    go on top, the left one to be done first) and once, below them, to
+    emit it after their slots are known."""
+    raw: list = []
+    slot_of: dict = {}
+    slots: List[int] = []       # the slots of the finished subformulas
+    todo: list = [(phi, False)]
+    while todo:
+        f, expanded = todo.pop()
+        op = _OPCODE.get(type(f))
+        if op is None:
+            raise LogicError(f"unknown node {f!r}")
+        if not expanded and op not in (OP_VAR, OP_TOP, OP_BOT):
+            todo.append((f, True))
+            if op in (OP_AND, OP_OR, OP_IMP):
+                todo += [(f.right, False), (f.left, False)]
+            else:
+                todo.append((f.body, False))
+            continue
+        if op == OP_VAR:
+            key = (OP_VAR, f.index, 0)
+        elif op in (OP_TOP, OP_BOT):
+            key = (op, 0, 0)
+        elif op == OP_NOT:
+            key = (OP_NOT, slots.pop(), 0)
+        elif op in (OP_DIA, OP_BOX):
+            key = (op, slots.pop(), f.index)
+        else:
+            right = slots.pop()
+            key = (op, slots.pop(), right)
+        slot = slot_of.get(key)
+        if slot is None:
+            slot = slot_of[key] = len(raw)
+            raw.append(key)
+        slots.append(slot)
+    return raw
 
 
 def compile_formula(phi: Formula) -> Program:
     """phi as a Program; equal subformulas are found by hashing each
     instruction once, keyed by the slots it reads."""
-    raw: list = []
-    _emit(phi, raw, {})
+    raw = _emit(phi)
     atoms = tuple(sorted({x for op, x, _ in raw if op == OP_VAR}))
     mods = tuple(sorted({y for op, _, y in raw if op in (OP_DIA, OP_BOX)}))
     atom_pos = {a: k for k, a in enumerate(atoms)}

@@ -43,6 +43,10 @@ class NonStabilizing(TopologyError):
     """Limit-stage derived-set iteration failed to stabilize in time."""
 
 
+class NotRepresentable(TopologyError):
+    """The requested preimage is not a finite union of bands."""
+
+
 # constraint bounds: None as lower means -1, None as upper means infinity
 Bound = Tuple[Optional[Ordinal], Optional[Ordinal]]
 

@@ -179,6 +179,37 @@ def test_verify_failure_exit_code(capsys, tmp_path):
     assert json.loads(out)["ok"] is False
 
 
+def embed_file(capsys, tmp_path, nodes, rels):
+    ff, cmf = tmp_path / "tree.json", tmp_path / "cm.json"
+    ff.write_text(json.dumps(jframe_to_json(make_jframe(nodes, [rels]))))
+    assert run(capsys, "embed", "--tree", str(ff), "--sigma", "1",
+               "--out", str(cmf))[0] == 0
+    return cmf
+
+
+def test_verify_without_the_root_fiber_fails(capsys, tmp_path):
+    cmf = embed_file(capsys, tmp_path, "ra", [("r", "a")])
+    obj = json.loads(cmf.read_text())
+    obj["algebra"] = [[v, s] for v, s in obj["algebra"] if v != "r"]
+    cmf.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", "<0>T", "--cm", str(cmf), "--json")
+    assert (code, err) == (1, "")
+    assert ["(b) root fiber is {theta}", "EXACT", False, ""] in \
+        json.loads(out)["checks"]
+
+
+@pytest.mark.parametrize("nodes,rels", [
+    ("ra", [("r", "a")]),                 # every fiber a band set
+    ("rab", [("r", "a"), ("r", "b")]),    # fibers of a, b are not
+])
+def test_verify_budget_too_small(capsys, tmp_path, nodes, rels):
+    cmf = embed_file(capsys, tmp_path, nodes, rels)
+    code, out, err = run(capsys, "verify", "<0>T", "--cm", str(cmf),
+                         "--budget", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
 def test_embed_rejects_non_tree(capsys, tmp_path):
     ff = tmp_path / "bad.json"
     t = make_jframe(["a", "b", "c"], [[("a", "c"), ("b", "c")]])
@@ -280,6 +311,22 @@ def test_deep_nesting_exit_contract(n):
                 assert "nesting deeper than" in err
 
 
+@pytest.mark.parametrize("op", ["&", "|", "->"])
+def test_flat_chain_exit_contract(tmp_path, op):
+    text = f" {op} ".join(["p0"] * 3000)
+    ff, bv, kv = (tmp_path / n for n in ("frame.json", "bands.json", "nodes.json"))
+    ff.write_text(json.dumps(jframe_to_json(make_jframe(["r", "a"], [[("r", "a")]]))))
+    bv.write_text(json.dumps({"0": "[1,w]"}))
+    kv.write_text(json.dumps({"0": ["a"]}))
+    found = tmp_path / "found.json"
+    for argv in (["eval", "--theta", "w", "--levels", "1", "--val", str(bv)],
+                 ["kripke", "--frame", str(ff), "--val", str(kv)],
+                 ["search", "--max-nodes", "1", "--out", str(found)]):
+        code, _, err = run_quiet(argv + ["--", text])
+        assert code in (0, 2) and "Traceback" not in err, argv[0]
+    assert json.loads(found.read_text())["formula"] == text
+
+
 def test_nesting_cap_on_the_command_line():
     text = "(" * MAX_NESTING + "1" + ")" * MAX_NESTING
     assert run_quiet(["ord", text])[:2] == (0, "1\n")
@@ -295,6 +342,23 @@ def test_nesting_cap_on_the_command_line():
 def test_levels_past_the_depth_cap(argv, want):
     code, out, err = run_quiet(argv)
     assert (code, out.strip(), err) == (0, want, "")
+
+
+@pytest.mark.parametrize("blob", [
+    [{"nodes": ["r"], "rels": []}],                # a top-level array
+    {"nodes": [["r"], ["a"]], "rels": [[[["r"], ["a"]]]]},   # list node ids
+    {"frame": {"nodes": [["r"]], "rels": [[]]}},
+])
+@pytest.mark.parametrize("argv", [
+    ["embed", "--sigma", "1", "--tree"],
+    ["kripke", "T", "--frame"],
+])
+def test_malformed_frame_files(tmp_path, blob, argv):
+    ff = tmp_path / "frame.json"
+    ff.write_text(json.dumps(blob))
+    code, out, err = run_quiet(argv + [str(ff)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 # --- plumbing ----------------------------------------------------------------------

@@ -473,6 +473,62 @@ def test_pointwise_eval_fan_goldens():
         assert _universe_eval(f(txt), cm, val) == want, txt
 
 
+MAP_CHECK_REPORTS = [
+    # every fiber is a band set: the full (j1)-(j4) rows
+    (frame("ra", [("r", "a")]), (1,), [
+        ("(a) satisfied at the root", "EXACT", True, ""),
+        ("(b) root fiber is {theta}", "EXACT", True, ""),
+        ("(b) (j1) d-map law", "EXACT", True, "4 subsets"),
+        ("(b) (j1) rank preservation", "SAMPLED", True, ""),
+        ("(b) (j2) openness", "SAMPLED", True, ""),
+        ("(b) witness table", "EXACT", True, "2 nodes"),
+        ("(c) theta satisfies phi", "EXACT", True, "[2,w] & l^1 in (0,inf]"),
+    ]),
+    # the fibers of a and b split a rank class: no (j2) row
+    (frame("rab", [("r", "a"), ("r", "b")]), (1,), [
+        ("(a) satisfied at the root", "EXACT", True, ""),
+        ("(b) root fiber is {theta}", "EXACT", True, ""),
+        ("(b) fiber representability", "SKIPPED", True,
+         "no band fibers for ['a', 'b']"),
+        ("(b) (j1) d-map law on representable subsets", "EXACT-WHERE-DEFINED",
+         True, "4 checked, 4 skipped"),
+        ("(b) (j1) rank preservation", "SAMPLED", True, ""),
+        ("(b) witness table", "EXACT", True, "3 nodes"),
+        ("(c) theta satisfies phi", "EXACT", True, "[2,w] & l^1 in (0,inf]"),
+    ]),
+    # (j3) and (j4) rows of the missing fibers are SKIPPED
+    (frame((0, 1, 2), [(0, 1), (0, 2)], [], []), (1, 2, 3), [
+        ("(a) satisfied at the root", "EXACT", True, ""),
+        ("(b) root fiber is {theta}", "EXACT", True, ""),
+        ("(b) fiber representability", "SKIPPED", True,
+         "no band fibers for [1, 2]"),
+        ("(b) (j1) d-map law on representable subsets", "EXACT-WHERE-DEFINED",
+         True, "4 checked, 4 skipped"),
+        ("(b) (j1) rank preservation", "SAMPLED", True, ""),
+        ("(b) (j3) root 0 at level 0", "EXACT", True, ""),
+        ("(b) (j4) fiber of 0 discrete at level 0", "EXACT", True, ""),
+        ("(b) (j3) root 0 at level 1", "EXACT", True, ""),
+        ("(b) (j4) fiber of 0 discrete at level 1", "EXACT", True, ""),
+        ("(b) (j3) root 1 at level 1", "SKIPPED", True,
+         "[1,1] is position-dependent on [1,2]"),
+        ("(b) (j4) fiber of 1 at level 1", "SKIPPED", True,
+         "fiber not representable"),
+        ("(b) (j3) root 2 at level 1", "SKIPPED", True,
+         "[2,2] is position-dependent on [1,2]"),
+        ("(b) (j4) fiber of 2 at level 1", "SKIPPED", True,
+         "fiber not representable"),
+        ("(b) witness table", "EXACT", True, "3 nodes"),
+        ("(c) theta satisfies phi", "EXACT", True, "[2,w] & l^1 in (0,inf]"),
+    ]),
+]
+
+
+@pytest.mark.parametrize("tree,sigma,want", MAP_CHECK_REPORTS)
+def test_verify_map_check_reports(tree, sigma, want):
+    rep = verify_countermodel(embed(tree, sigma), f("<0>T"))
+    assert rep.checks == want
+
+
 def test_verify_detects_swapped_branch():
     cm = embed(frame("ra", [("r", "a")]), (1,))
     flip = {"r": "a", "a": "r"}

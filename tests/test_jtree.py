@@ -414,3 +414,14 @@ def test_json_round_trip():
         jframe_from_json({"nodes": ["a"], "rels": [[["a", "b"]]]})
     with pytest.raises(InvalidFrame):
         jframe_from_json({"nodes": ["a"]})
+
+
+@pytest.mark.parametrize("obj", [
+    [{"nodes": ["a"], "rels": []}],
+    {"nodes": [["a"]], "rels": []},
+    {"nodes": ["a", "b"], "rels": [[[["a"], "b"]]]},
+    {"nodes": ["a"], "rels": 3},
+])
+def test_json_malformed_frames_rejected(obj):
+    with pytest.raises(InvalidFrame):
+        jframe_from_json(obj)

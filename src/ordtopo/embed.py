@@ -281,7 +281,7 @@ class _Cells:
             a, b = self.alpha(iota), self.beta(iota)
             if a <= u <= b:
                 return iota, a, b
-        raise AssertionError(f"offset {u} escaped the cell layout")
+        raise EmbedError(f"offset {u} escaped the cell layout")
 
 
 class Pi0Map:
@@ -395,9 +395,10 @@ def density_witness(prod: ProductStructure, i: int, u: Ordinal,
         beta = prod.cells.beta(iota)
         if off_lo < beta:
             x = add(base, beta)
-            assert v < x < u
+            if not v < x < u:
+                raise EmbedError(f"cell top {x} is outside ({v}, {u})")
             return x
-    raise AssertionError("no cell top found past the offset")
+    raise EmbedError("no cell top found past the offset")
 
 
 # --- map expressions: node-valued (preimage) -----------------------------------------
@@ -474,7 +475,7 @@ class GLEmbedMap:
         for i, c in enumerate(self.children):
             if rem <= self.prefix[i + 1]:
                 return c.apply(left_subtract(self.prefix[i], rem))
-        raise AssertionError(f"{x} escaped the block layout")
+        raise EmbedError(f"{x} escaped the block layout")
 
     def preimage(self, nodes) -> BandSet:
         want = set(nodes) & set(self.node_rank)
@@ -705,11 +706,13 @@ def embed(t, sigma) -> Countermodel:
 
     # theta stays below the fixed hyperexponential tower for the input size
     bound_height = len(t.nodes) * (max(sigma, default=0) + 1) + 2
-    if bound_height < DEPTH_CAP - 1:
-        assert theta < e_iter(bound_height, ONE)
+    if bound_height < DEPTH_CAP - 1 and not theta < e_iter(bound_height, ONE):
+        raise EmbedError(f"theta {theta} is past the tower of height {bound_height}")
     for v, w in wit.items():
-        assert ONE <= w <= theta and fmap.apply(w) == v, (v, w)
-    assert sets_equal(fmap.preimage([root]), interval(theta, theta), theta)
+        if not (ONE <= w <= theta and fmap.apply(w) == v):
+            raise EmbedError(f"witness {w} does not map to {v}")
+    if not sets_equal(fmap.preimage([root]), interval(theta, theta), theta):
+        raise EmbedError("the root fiber is not {theta}")
 
     algebra = {}
     for v in t.nodes:
@@ -852,7 +855,8 @@ def verify_countermodel(cm: Countermodel, phi, budget: int = 4096,
                         seed: int = 0) -> JMapReport:
     """Three-stage check: (a) phi holds at the tree root under some (or the
     given) valuation; (b) the stored root fiber, jmap_check's map
-    conditions (sampling the witness points too) and the witness table;
+    conditions (sampling the witness points too) and the witness table
+    (each witness lies in [1, theta] and maps to its node);
     (c) theta satisfies phi under the pulled-back valuation, exactly when
     it is representable.  Only the root-fiber row reads cm.algebra."""
     rep = JMapReport()
@@ -878,6 +882,8 @@ def verify_countermodel(cm: Countermodel, phi, budget: int = 4096,
     wit_ok, detail = True, f"{len(cm.witnesses)} nodes"
     for v, w in cm.witnesses.items():
         try:
+            if not ONE <= w <= cm.theta:  # EllIter.apply would floor 0 to 1
+                raise ValueError(w)
             wit_ok = cm.fmap.apply(w) == v
         except ValueError:
             wit_ok, detail = False, f"witness {w} is outside the map's domain"

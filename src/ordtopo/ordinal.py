@@ -4,13 +4,21 @@ An ordinal is represented as a finite sum  w^e1*c1 + ... + w^ek*ck  with
 strictly decreasing exponents (themselves ordinals) and positive integer
 coefficients.  The empty sum is 0.  The representation is unique, so
 structural equality is ordinal equality.
+
+Ordinals are hash-consed (Filliatre & Conchon, "Type-safe modular
+hash-consing", 2006): Ordinal(terms) returns the one live object with those
+terms, so equality is identity.  Each ordinal stores its key, a nested tuple
+of naturals whose tuple order is the ordinal order, and compares by it.
+The intern table holds its ordinals weakly, so an ordinal that nothing else
+holds leaves it: workloads that draw fresh ordinals all the time would
+otherwise keep every one they ever made.
 """
 
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass
-from functools import total_ordering
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 # CNF nesting cap for fuzzing safety; omega_pow enforces it.
@@ -47,18 +55,39 @@ class OrdinalSyntaxError(OrdinalError):
         self.pos = pos
 
 
-@total_ordering
 class Ordinal:
-    """Immutable CNF term.  Use normalize()/parse_ordinal() to build safely."""
+    """Immutable, interned CNF term.  Use normalize()/parse_ordinal() to
+    build safely.
 
-    __slots__ = ("terms", "depth", "_hash")
+    key = ((e1.key, c1), ..., (ek.key, ck)).  Tuples compare
+    lexicographically and a proper prefix is smaller, which is the CNF
+    order: by exponent, then by coefficient, term by term.
+    """
 
-    def __init__(self, terms: Tuple[Tuple["Ordinal", int], ...] = ()):
+    __slots__ = ("terms", "depth", "key", "_hash", "__weakref__")
+
+    def __new__(cls, terms: Tuple[Tuple["Ordinal", int], ...] = ()):
         # terms must already be in canonical order; normalize() is the
         # checked entry point for raw data.
+        key = tuple([(e.key, c) for e, c in terms])
+        ref = _INTERNED.get(key)
+        if ref is not None:
+            self = ref()
+            if self is not None:
+                return self
+        self = object.__new__(cls)
         self.terms = terms
-        self.depth = 0 if not terms else 1 + max(e.depth for e, _ in terms)
-        self._hash = None
+        self.key = key
+        self.depth = 0 if not terms else 1 + max([e.depth for e, _ in terms])
+        self._hash = hash(key)
+        ref = _Ref(self, _forget)
+        ref.key = key
+        _INTERNED[key] = ref
+        return self
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the intern table
+        return Ordinal, (self.terms,)
 
     @classmethod
     def from_int(cls, n: int) -> "Ordinal":
@@ -88,23 +117,38 @@ class Ordinal:
         return self.terms[0][1]
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, Ordinal):
+            return self is other
         if isinstance(other, int):
-            other = Ordinal.from_int(other)
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __lt__(self, other) -> bool:
-        if isinstance(other, int):
-            other = Ordinal.from_int(other)
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        return compare(self, other) < 0
+            return self is Ordinal.from_int(other)
+        return NotImplemented
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.terms)
         return self._hash
+
+    def __lt__(self, other) -> bool:
+        if isinstance(other, Ordinal):
+            return self.key < other.key
+        k = _key_of(other)
+        return NotImplemented if k is None else self.key < k
+
+    def __le__(self, other) -> bool:
+        if isinstance(other, Ordinal):
+            return self.key <= other.key
+        k = _key_of(other)
+        return NotImplemented if k is None else self.key <= k
+
+    def __gt__(self, other) -> bool:
+        if isinstance(other, Ordinal):
+            return self.key > other.key
+        k = _key_of(other)
+        return NotImplemented if k is None else self.key > k
+
+    def __ge__(self, other) -> bool:
+        if isinstance(other, Ordinal):
+            return self.key >= other.key
+        k = _key_of(other)
+        return NotImplemented if k is None else self.key >= k
 
     def __add__(self, other):
         if isinstance(other, int):
@@ -129,22 +173,33 @@ class Ordinal:
         return f"Ordinal<{ordinal_to_text(self)}>"
 
 
+class _Ref(weakref.ref):
+    __slots__ = ("key",)
+
+
+# key -> weak reference to the live Ordinal with that key
+_INTERNED: Dict[tuple, _Ref] = {}
+
+
+def _forget(ref: _Ref):
+    """Drop a dead ordinal's entry, unless a newer ordinal took its place."""
+    if _INTERNED.get(ref.key) is ref:
+        del _INTERNED[ref.key]
+
+
+def _key_of(other) -> Optional[tuple]:
+    """The key of an int operand; None for types Ordinal does not compare with."""
+    return Ordinal.from_int(other).key if isinstance(other, int) else None
+
+
 ZERO = Ordinal()
 ONE = Ordinal(((ZERO, 1),))
 OMEGA = Ordinal(((ONE, 1),))
 
 
 def compare(a: Ordinal, b: Ordinal) -> int:
-    """-1, 0, or 1; lexicographic on CNF terms."""
-    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
-        c = compare(ea, eb)
-        if c:
-            return c
-        if ca != cb:
-            return -1 if ca < cb else 1
-    if len(a.terms) != len(b.terms):
-        return -1 if len(a.terms) < len(b.terms) else 1
-    return 0
+    """-1, 0, or 1 as a <, = or > b."""
+    return (a.key > b.key) - (a.key < b.key)
 
 
 def add(a: Ordinal, b: Ordinal) -> Ordinal:
@@ -156,15 +211,13 @@ def add(a: Ordinal, b: Ordinal) -> Ordinal:
     out = []
     merged = False
     for e, c in a.terms:
-        cmp = compare(e, e0)
-        if cmp > 0:
-            out.append((e, c))
-        elif cmp == 0:
+        if e is e0:
             out.append((e0, c + c0))
             merged = True
             break
-        else:
+        if e.key < e0.key:
             break
+        out.append((e, c))
     if merged:
         out.extend(b.terms[1:])
     else:
@@ -184,10 +237,9 @@ def left_subtract(a: Ordinal, b: Ordinal) -> Ordinal:
     if i == len(b.terms):
         raise Underflow(f"{a} > {b}")
     (ea, ca), (eb, cb) = a.terms[i], b.terms[i]
-    cmp = compare(ea, eb)
-    if cmp < 0:
+    if ea < eb:
         return Ordinal(b.terms[i:])
-    if cmp == 0 and ca < cb:
+    if ea is eb and ca < cb:
         return Ordinal(((eb, cb - ca),) + b.terms[i + 1:])
     raise Underflow(f"{a} > {b}")
 
@@ -312,7 +364,7 @@ def char_seq(params: CharSeqParams, iota: Ordinal) -> Ordinal:
         # constant-0 sequence indexed by iota < w; the range check is
         # deliberately relaxed here since every entry is 0 anyway
         return ZERO
-    if compare(iota, params.varsigma) >= 0:
+    if iota >= params.varsigma:
         raise OutOfRange(f"{iota} >= {params.varsigma}")
     fin = 0
     quot_terms = []

@@ -103,7 +103,8 @@ class Band:
 
     def min(self) -> Ordinal:
         m = _min_sol(self.lo, self.hi, self.cons_dict())
-        assert m is not None  # bands are dropped when empty
+        if m is None:  # make_band drops empty bands
+            raise TopologyError(f"empty band {band_to_text(self)}")
         return m
 
     def __repr__(self):
@@ -239,7 +240,8 @@ def _strict_cons(k: int, t: Ordinal) -> list:
 
 
 def _pred(t: Ordinal) -> Ordinal:
-    assert t.is_successor()
+    if not t.is_successor():
+        raise TopologyError(f"{t} has no predecessor")
     return trim_last(t)
 
 

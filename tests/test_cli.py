@@ -179,10 +179,10 @@ def test_verify_failure_exit_code(capsys, tmp_path):
     assert json.loads(out)["ok"] is False
 
 
-def embed_file(capsys, tmp_path, nodes, rels):
+def embed_file(capsys, tmp_path, nodes, rels, sigma="1"):
     ff, cmf = tmp_path / "tree.json", tmp_path / "cm.json"
     ff.write_text(json.dumps(jframe_to_json(make_jframe(nodes, [rels]))))
-    assert run(capsys, "embed", "--tree", str(ff), "--sigma", "1",
+    assert run(capsys, "embed", "--tree", str(ff), "--sigma", sigma,
                "--out", str(cmf))[0] == 0
     return cmf
 
@@ -196,6 +196,19 @@ def test_verify_without_the_root_fiber_fails(capsys, tmp_path):
     assert (code, err) == (1, "")
     assert ["(b) root fiber is {theta}", "EXACT", False, ""] in \
         json.loads(out)["checks"]
+
+
+@pytest.mark.parametrize("point", ["0", "w^w+1"])  # theta is w^w
+def test_verify_witness_outside_one_to_theta_fails(capsys, tmp_path, point):
+    cmf = embed_file(capsys, tmp_path, "ra", [("r", "a")], sigma="2")
+    obj = json.loads(cmf.read_text())
+    assert obj["theta"] == "w^w"
+    obj["witnesses"] = [[v, point if v == "a" else w] for v, w in obj["witnesses"]]
+    cmf.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", "<0>T", "--cm", str(cmf), "--json")
+    assert (code, err) == (1, "")
+    assert ["(b) witness table", "EXACT", False,
+            f"witness {point} is outside the map's domain"] in json.loads(out)["checks"]
 
 
 @pytest.mark.parametrize("nodes,rels", [

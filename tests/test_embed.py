@@ -1,15 +1,18 @@
+import dataclasses
 import json
 import random
 
 import pytest
 
 import helpers
+from ordtopo import embed as embed_module
 from ordtopo.embed import (
     CaseIIMap,
     ComposeMap,
     ConstMap,
     Countermodel,
     EllIter,
+    EmbedError,
     EmptyTree,
     GLEmbedMap,
     NotAJTree,
@@ -44,6 +47,7 @@ from ordtopo.ordinal import (
     ell_iter,
     left_subtract,
     multiply,
+    omega_pow,
     parse_ordinal,
 )
 from ordtopo.topology import (
@@ -280,6 +284,15 @@ def test_density_witnesses():
                         x = density_witness(p, i, u, v)
                         assert v < x < u
                         assert p.pi0.apply(x) == p.markers[i - 1]
+
+
+def test_density_witness_outside_the_neighborhood_raises():
+    p = product([ONE], o("2"))
+    assert density_witness(p, 1, p.theta, ZERO) < p.theta
+    # blocks of w^2 no longer fit the cells laid out for blocks of w
+    bad = dataclasses.replace(p, w=omega_pow(o("2")))
+    with pytest.raises(EmbedError, match="outside"):
+        density_witness(bad, 1, p.theta, ZERO)
 
 
 # --- ordinal-valued map expressions -----------------------------------------------------
@@ -629,3 +642,15 @@ def test_serialization_rejects_garbage():
     with pytest.raises(EmbedError):
         from ordtopo.embed import _map_from_json
         _map_from_json({"map": "banana"})
+
+
+def test_embed_raises_on_a_broken_witness_table(monkeypatch):
+    real = embed_module._embed
+
+    def broken(t, sigma):
+        theta, fmap, wit = real(t, sigma)
+        return theta, fmap, {v: ZERO for v in wit}
+
+    monkeypatch.setattr(embed_module, "_embed", broken)
+    with pytest.raises(EmbedError, match="witness 0"):
+        embed(frame("ra", [("r", "a")]), (1,))

@@ -1,10 +1,15 @@
+import copy
+import gc
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from helpers import ordinals, positive_ordinals
+from ordtopo import ordinal as ordinal_module
 from ordtopo.ordinal import (
     CharSeqParams,
     DEPTH_CAP,
@@ -36,6 +41,7 @@ from ordtopo.ordinal import (
     parse_ordinal,
     pounds,
 )
+from ordtopo.topology import trim_last
 
 o = parse_ordinal
 
@@ -283,3 +289,68 @@ def test_pounds_additive_on_corpus(a, b):
 def test_pounds_monotone(a, b):
     if a <= b:
         assert pounds(a) <= pounds(b)
+
+
+# --- the interned core ------------------------------------------------------
+
+
+@settings(max_examples=300)
+@given(ordinals(max_depth=1, max_terms=4), ordinals(max_depth=1, max_terms=4),
+       st.integers(0, 6))
+def test_order_hash_and_compare_agree_with_the_poly_oracle(a, b, n):
+    # exponents stay finite, so the dense-polynomial oracle can read both
+    c = helpers.poly_cmp(helpers.poly_of(a), helpers.poly_of(b))
+    assert compare(a, b) == c
+    assert (a < b, a <= b, a > b, a >= b) == (c < 0, c <= 0, c > 0, c >= 0)
+    assert (a == b, a != b, a is b) == (c == 0, c != 0, c == 0)
+    assert hash(helpers.poly_to_ordinal(helpers.poly_of(a))) == hash(a)
+    if c == 0:
+        assert hash(a) == hash(b)
+    # an int operand compares as the finite ordinal
+    c = helpers.poly_cmp(helpers.poly_of(a), helpers.poly_of(Ordinal.from_int(n)))
+    assert (a < n, a <= n, a > n, a >= n, a == n) == \
+        (c < 0, c <= 0, c > 0, c >= 0, c == 0)
+    assert (n < a, n <= a, n > a, n >= a) == (c > 0, c >= 0, c < 0, c <= 0)
+
+
+@settings(max_examples=200)
+@given(ordinals())
+def test_every_route_to_a_value_gives_one_object(a):
+    assert parse_ordinal(ordinal_to_text(a)) is a
+    assert normalize(a.terms) is a
+    assert add(a, ZERO) is a and add(ZERO, a) is a
+    assert multiply(a, ONE) is a and multiply(ONE, a) is a
+    assert trim_last(add(a, ONE)) is a
+
+
+def test_equal_values_built_by_different_routes_are_identical():
+    assert Ordinal.from_int(3) is o("3") is add(ONE, o("2")) is multiply(o("3"), ONE)
+    assert omega_pow(ONE) is OMEGA is o("w") is trim_last(o("w*2"))
+    w2_1 = o("w^2+1")
+    assert add(omega_pow(o("2")), ONE) is w2_1
+    assert normalize([(o("2"), 1), (ZERO, 1)]) is w2_1
+    assert multiply(o("w+1"), OMEGA) is o("w^2")
+    assert trim_last(o("w^2+2")) is w2_1
+    assert o("(w+1)*(w+1)") is o("w^2+w+1")
+
+
+def test_copy_and_pickle_return_the_interned_object():
+    a = o("w^2+1")
+    copies = [copy.copy(a), copy.deepcopy(a), copy.deepcopy([a, ZERO])[0]]
+    copies += [pickle.loads(pickle.dumps(a, proto))
+               for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+    assert all(b is a for b in copies)
+    assert copy.deepcopy(ZERO) is ZERO
+    assert pickle.loads(pickle.dumps(ZERO)) is ZERO
+    assert ZERO.terms == () and ZERO.is_zero()
+
+
+def test_intern_table_lets_go_of_dropped_ordinals():
+    table = ordinal_module._INTERNED
+    gc.collect()
+    before = len(table)
+    fresh = [omega_pow(Ordinal.from_int(10 ** 6 + i)) for i in range(100)]
+    assert len(table) == before + 200
+    del fresh
+    gc.collect()
+    assert len(table) == before

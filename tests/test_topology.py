@@ -11,6 +11,7 @@ from ordtopo.topology import (
     NonStabilizing,
     TopologyError,
     UnsupportedLevel,
+    _pred,
     band_to_text,
     bandset,
     bandset_to_text,
@@ -282,3 +283,18 @@ def test_dmap_law_for_ell():
         lhs = helpers.ell_preimage(derived_set(a, 1, ltheta), theta)
         rhs = derived_set(helpers.ell_preimage(a, theta), 2, theta)
         assert sets_equal(lhs, rhs, theta), a
+
+
+# --- invariants raise, also under python -O -----------------------------------------
+
+
+def test_min_of_an_empty_band_raises():
+    # make_band drops empty bands, so only a hand-built one gets here
+    with pytest.raises(TopologyError):
+        Band(OMEGA, ONE, ()).min()
+
+
+def test_pred_of_a_limit_raises():
+    assert _pred(o("w+3")) == o("w+2")
+    with pytest.raises(TopologyError):
+        _pred(OMEGA)

@@ -188,8 +188,6 @@ def cmd_search(args) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--budget", type=int, default=4096)
     common.add_argument("--json", action="store_true")
 
     ap = argparse.ArgumentParser(prog="ordtopo", description=__doc__)
@@ -233,6 +231,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="check a countermodel against a formula")
     p.add_argument("formula")
     p.add_argument("--cm", required=True)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--budget", type=int, default=4096)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("search", parents=[common],

@@ -660,7 +660,6 @@ def _embed(t: JFrame, sigma: Tuple[int, ...]):
 @dataclass
 class Countermodel:
     theta: Ordinal
-    levels: Tuple[Ordinal, ...]
     fmap: object
     tree: JFrame
     sigma: Tuple[int, ...]
@@ -668,7 +667,7 @@ class Countermodel:
     algebra: Dict  # node -> fiber BandSet, or None where not representable
 
     def space(self) -> PolySpace:
-        return PolySpace(self.theta, self.levels)
+        return PolySpace(self.theta, tuple(map(_nat, self.sigma)))
 
 
 def _check_sigma(sigma, n_rels: int) -> Tuple[int, ...]:
@@ -678,7 +677,7 @@ def _check_sigma(sigma, n_rels: int) -> Tuple[int, ...]:
             if not s.is_finite():
                 raise UnsupportedSigma(f"limit modality level {s}")
             s = s.to_int()
-        if not isinstance(s, int) or s < 1:
+        if type(s) is not int or s < 1:
             raise UnsupportedSigma(f"level {s!r} must be a positive integer")
         out.append(s)
     if len(out) != n_rels:
@@ -720,8 +719,7 @@ def embed(t, sigma) -> Countermodel:
             algebra[v] = fmap.preimage([v])
         except NotRepresentable:
             algebra[v] = None
-    return Countermodel(theta, tuple(_nat(s) for s in sigma), fmap, t, sigma,
-                        wit, algebra)
+    return Countermodel(theta, fmap, t, sigma, wit, algebra)
 
 
 def countermodel_valuation(cm: Countermodel, t_val: Dict) -> Dict[int, BandSet]:
@@ -856,7 +854,7 @@ def verify_countermodel(cm: Countermodel, phi, budget: int = 4096,
     """Three-stage check: (a) phi holds at the tree root under some (or the
     given) valuation; (b) the stored root fiber, jmap_check's map
     conditions (sampling the witness points too) and the witness table
-    (each witness lies in [1, theta] and maps to its node);
+    (every node has a witness, which lies in [1, theta] and maps to it);
     (c) theta satisfies phi under the pulled-back valuation, exactly when
     it is representable.  Only the root-fiber row reads cm.algebra."""
     rep = JMapReport()
@@ -889,6 +887,9 @@ def verify_countermodel(cm: Countermodel, phi, budget: int = 4096,
             wit_ok, detail = False, f"witness {w} is outside the map's domain"
         if not wit_ok:
             break
+    lost = [v for v in cm.tree.nodes if v not in cm.witnesses]
+    if wit_ok and lost:
+        wit_ok, detail = False, f"no witness for node {lost[0]!r}"
     rep.add("(b) witness table", "EXACT", wit_ok, detail)
 
     if found is None:
@@ -951,7 +952,7 @@ def _map_from_json(obj):
 def countermodel_to_json(cm: Countermodel) -> dict:
     return {
         "theta": ordinal_to_text(cm.theta),
-        "levels": [ordinal_to_text(o) for o in cm.levels],
+        "levels": [str(s) for s in cm.sigma],
         "sigma": list(cm.sigma),
         "tree": jframe_to_json(cm.tree),
         "fmap": cm.fmap.to_json(),
@@ -968,12 +969,15 @@ def countermodel_from_json(obj) -> Countermodel:
     try:
         theta = parse_ordinal(obj["theta"])
         levels = tuple(parse_ordinal(o) for o in obj["levels"])
-        sigma = tuple(int(s) for s in obj["sigma"])
         tree = jframe_from_json(obj["tree"])
+        sigma = _check_sigma(obj["sigma"], len(tree.rels))
         fmap = _map_from_json(obj["fmap"])
         wit = {v: parse_ordinal(w) for v, w in obj["witnesses"]}
         algebra = {v: None if s is None else parse_bandset(s)
                    for v, s in obj["algebra"]}
     except (KeyError, TypeError, ValueError) as exc:
         raise EmbedError(f"malformed countermodel object: {exc!r}")
-    return Countermodel(theta, levels, fmap, tree, sigma, wit, algebra)
+    cm = Countermodel(theta, fmap, tree, sigma, wit, algebra)
+    if levels != cm.space().levels:
+        raise EmbedError(f"levels {obj['levels']} are not sigma {list(sigma)}")
+    return cm

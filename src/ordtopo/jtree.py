@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from .ordinal import ONE, Ordinal, ZERO, add
+from .ordinal import Ordinal, ZERO
 from . import topology
 from .logic import (
     Formula,
@@ -39,11 +39,11 @@ from .topology import (
     bandset,
     derived_set,
     intersect,
-    interval,
     is_empty,
     is_open,
-    make_band,
     sets_equal,
+    subset_of,
+    union,
 )
 
 
@@ -476,25 +476,6 @@ def frame_dia(f: JFrame, a, k: int) -> FrozenSet:
     return frozenset(x for x, y in f.rels[k] if y in a)
 
 
-def _min_nbhd(f: JFrame, x, k: int) -> FrozenSet:
-    """Least level-k open neighborhood: upward closure under R_k, R_{k+1}, ..."""
-    out = {x}
-    changed = True
-    while changed:
-        changed = False
-        for r in f.rels[k:]:
-            grow = {b for a, b in r if a in out and b not in out}
-            if grow:
-                out |= grow
-                changed = True
-    return frozenset(out)
-
-
-def _sigma_open(f: JFrame, u, k: int) -> bool:
-    u = set(u)
-    return all(b in u for r in f.rels[k:] for a, b in r if a in u)
-
-
 def frame_ranks(f: JFrame, k: int) -> Dict:
     """Each node's rank under R_k: the length of the longest R_k-path from
     it.  R_k must be a strict order, as in every J-frame; then a node's
@@ -521,22 +502,6 @@ def rank_mismatch(fmap, t: JFrame, pts, lam: int) -> Optional[str]:
         if not (rho.is_finite() and rho.to_int() == want):
             return f"x={x} maps to rank {want}"
     return None
-
-
-def _generator_bands(pts, lam: int, theta: Ordinal) -> List:
-    """Sample generator bands of the level-lam topology on [1, theta], with
-    endpoints spread over pts."""
-    step = max(1, len(pts) // 6)
-    out = [interval(ONE, theta)]
-    for ks in range(lam):
-        for i in range(0, len(pts), step):
-            for j in range(i + 1, len(pts), step):
-                a, b = pts[i], pts[j]
-                if ks == 0:
-                    out.append(interval(add(a, ONE), b))
-                else:
-                    out.append(bandset([make_band(ONE, theta, {ks: (a, b)})]))
-    return out
 
 
 @dataclass
@@ -567,14 +532,27 @@ def jmap_check(fmap, space, t: JFrame, budget: int = 4096, seed: int = 0,
     law at the top level, on every subset of the nodes when 2^|T| fits the
     budget (EXACT) and on a random sample otherwise (SAMPLED); rank
     preservation is sampled on endpoint_pool(theta) and the given points;
-    (j2) is image-openness spot-checked on generator bands (SAMPLED); (j3)
-    and (j4) are exact band computations at the hereditary roots.
+    (j2), (j3) and (j4) are exact band computations.
 
-    Which fibers are band sets is asked of fmap.  Where preimage([x])
-    raises NotRepresentable, a SKIPPED "fiber representability" row names
-    x, (j1) runs where defined (EXACT-WHERE-DEFINED, counting the subsets
-    skipped), (j2) is left out, and the (j3)/(j4) rows that need a missing
-    preimage are SKIPPED.
+    Each fiber F_y = f^{-1}(y) is asked of fmap once, and the preimage of
+    a node set is the union of its fibers; only a set with a fiber that is
+    not a band set is asked of fmap, once.  Where preimage([x]) raises
+    NotRepresentable, a SKIPPED "fiber representability" row names x, (j1)
+    runs where defined (EXACT-WHERE-DEFINED, counting the subsets skipped),
+    (j2) is left out, and the (j3)/(j4) rows that need a missing preimage
+    are SKIPPED.
+
+    (j2): f is open from I_{lam_k} to the upsets of R = R_k u ... u R_{n-1}
+    for each level k < n iff, with down_k(y) = {y} u R^{-1}(y),
+
+        f^{-1}(down_k y) <= F_y u d_{lam_k}(F_y)  for every node y.
+
+    R is transitive by (I) and (J), so down_k(y) is the least R-downset
+    holding y; the right side is the closure of F_y.  (=>) Let p be in
+    f^{-1}(down_k y) and U open around p: f(U) is an upset holding f(p),
+    which is y or R-sees y, so y is in f(U) and U meets F_y.  (<=) Let U be
+    open, p in U and f(p) R y: p is in f^{-1}(down_k y), so in the closure
+    of F_y, and U meets F_y, so y is in f(U).
     """
     if not is_jtree(t):
         raise InvalidFrame("target is not a treelike frame")
@@ -586,12 +564,23 @@ def jmap_check(fmap, space, t: JFrame, budget: int = 4096, seed: int = 0,
     theta = space.theta
     rep = JMapReport()
     nodes = tuple(t.nodes)
-    fiber = {}
+    fiber: Dict = {}
+    asked: Dict = {}  # node set -> its preimage, or what fmap raised for it
+
+    def pre(s):
+        """f^{-1}(s), or None where it is not a band set."""
+        s = frozenset(s)
+        if all(fiber.get(x) is not None for x in s):
+            return bandset(b for x in s for b in fiber[x].bands)
+        if s not in asked:
+            try:
+                asked[s] = fmap.preimage(s)
+            except NotRepresentable as exc:
+                asked[s] = exc
+        return None if isinstance(asked[s], NotRepresentable) else asked[s]
+
     for x in nodes:
-        try:
-            fiber[x] = fmap.preimage([x])
-        except NotRepresentable:
-            fiber[x] = None
+        fiber[x] = pre([x])
     missing = sorted((x for x in nodes if fiber[x] is None), key=repr)
     if missing:
         rep.add("fiber representability", "SKIPPED", True,
@@ -600,7 +589,7 @@ def jmap_check(fmap, space, t: JFrame, budget: int = 4096, seed: int = 0,
     if nn == 0:
         if not missing:
             lam = 1 if not space.levels else space.level_at(ZERO)
-            ok = is_empty(derived_set(fmap.preimage(nodes), lam, theta))
+            ok = is_empty(derived_set(pre(nodes), lam, theta))
             rep.add("(j1) d-map law", "EXACT", ok,
                     "" if ok else "domain not discrete")
         return rep
@@ -618,13 +607,10 @@ def jmap_check(fmap, space, t: JFrame, budget: int = 4096, seed: int = 0,
                 for _ in range(budget)]
     bad, skipped = None, 0
     for a in pool:
-        try:
-            lhs = fmap.preimage(frame_dia(t, a, nn - 1))
-            rhs = derived_set(fmap.preimage(a), lam_top, theta)
-        except NotRepresentable:
+        lhs, pa = pre(frame_dia(t, a, nn - 1)), pre(a)
+        if lhs is None or pa is None:
             skipped += 1
-            continue
-        if not sets_equal(lhs, rhs, theta):
+        elif not sets_equal(lhs, derived_set(pa, lam_top, theta), theta):
             bad = a
             break
     name, mode, detail = "(j1) d-map law", "EXACT", f"{len(pool)} subsets"
@@ -641,22 +627,18 @@ def jmap_check(fmap, space, t: JFrame, budget: int = 4096, seed: int = 0,
     bad = rank_mismatch(fmap, t, sorted(set(pts).union(points)), lam_top)
     rep.add("(j1) rank preservation", "SAMPLED", bad is None, bad or "")
 
-    # (j2): images of generator bands are open at every level
+    # (j2): f^{-1}(down_k y) lies in the level-k closure of F_y
     if not missing:
-        bad_open = None
-        for k in range(nn):
+        def open_at(k, y):
             lam_k = space.level_at(Ordinal.from_int(k))
-            for u in _generator_bands(pts, lam_k, theta):
-                img = frozenset(x for x in nodes
-                                if not is_empty(intersect(fiber[x], u)))
-                if not _sigma_open(t, img, k):
-                    bad_open = (k, u)
-                    break
-            if bad_open:
-                break
-        rep.add("(j2) openness", "SAMPLED", bad_open is None,
-                "" if bad_open is None else
-                f"level {bad_open[0]}, image of {topology.bandset_to_text(bad_open[1])}")
+            down = {y}.union(x for r in t.rels[k:] for x, z in r if z == y)
+            fib = fiber[y]
+            return subset_of(pre(down), union(fib, derived_set(fib, lam_k, theta)),
+                             theta)
+
+        bad = next((f"level {k}, node {y!r}" for k in range(nn)
+                    for y in sorted(nodes, key=repr) if not open_at(k, y)), None)
+        rep.add("(j2) openness", "EXACT", bad is None, bad or "")
 
     # (j3)/(j4): hereditary-root conditions at each lower level
     for k in range(nn - 1):
@@ -664,11 +646,13 @@ def jmap_check(fmap, space, t: JFrame, budget: int = 4096, seed: int = 0,
         for x in sorted(hereditary_roots(t, k), key=repr):
             below = frozenset(y for r in t.rels[k:] for a, y in r if a == x)
             name = f"(j3) root {x!r} at level {k}"
-            try:
-                ok3 = (is_open(fmap.preimage(below), lam_k, theta)
-                       and is_open(fmap.preimage(below | {x}), lam_k, theta))
-            except NotRepresentable as exc:
-                rep.add(name, "SKIPPED", True, str(exc))
+            for s in (below, below | {x}):
+                ps = pre(s)
+                ok3 = ps is not None and is_open(ps, lam_k, theta)
+                if not ok3:
+                    break
+            if ps is None:
+                rep.add(name, "SKIPPED", True, str(asked[s]))
             else:
                 rep.add(name, "EXACT", ok3)
             fib = fiber[x]

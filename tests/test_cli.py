@@ -211,6 +211,34 @@ def test_verify_witness_outside_one_to_theta_fails(capsys, tmp_path, point):
             f"witness {point} is outside the map's domain"] in json.loads(out)["checks"]
 
 
+@pytest.mark.parametrize("keep,lost", [((), "r"), (("r",), "a")])
+def test_verify_node_without_a_witness_fails(capsys, tmp_path, keep, lost):
+    cmf = embed_file(capsys, tmp_path, "ra", [("r", "a")])
+    obj = json.loads(cmf.read_text())
+    obj["witnesses"] = [[v, w] for v, w in obj["witnesses"] if v in keep]
+    cmf.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", "<0>T", "--cm", str(cmf), "--json")
+    assert (code, err) == (1, "")
+    assert ["(b) witness table", "EXACT", False,
+            f"no witness for node {lost!r}"] in json.loads(out)["checks"]
+
+
+@pytest.mark.parametrize("sigma,levels,why", [
+    ([3], ["1"], "levels ['1'] are not sigma [3]"),
+    ([1], ["1", "2"], "levels ['1', '2'] are not sigma [1]"),
+    ([0], ["0"], "level 0 must be a positive integer"),
+    ([True], ["1"], "level True must be a positive integer"),
+    ([1, 2], ["1", "2"], "sigma has 2 levels for 1 relations"),
+])
+def test_verify_rejects_a_bad_sigma(capsys, tmp_path, sigma, levels, why):
+    cmf = embed_file(capsys, tmp_path, "ra", [("r", "a")])
+    obj = json.loads(cmf.read_text())
+    obj["sigma"], obj["levels"] = sigma, levels
+    cmf.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", "<0>T", "--cm", str(cmf))
+    assert (code, out, err) == (2, "", f"error: {why}\n")
+
+
 @pytest.mark.parametrize("nodes,rels", [
     ("ra", [("r", "a")]),                 # every fiber a band set
     ("rab", [("r", "a"), ("r", "b")]),    # fibers of a, b are not
@@ -375,6 +403,19 @@ def test_malformed_frame_files(tmp_path, blob, argv):
 
 
 # --- plumbing ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["ord", "1", "--seed", "5", "--budget", "2"],
+    ["band", "[1,w]", "--budget", "2"],
+    ["search", "T", "--seed", "5"],
+])
+def test_seed_and_budget_belong_to_verify(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("usage:") and "Traceback" not in err
 
 
 def test_missing_file(capsys):

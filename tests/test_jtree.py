@@ -397,6 +397,18 @@ def test_jmap_check_broken_map():
                for name, _, ok, _ in rep.checks)
 
 
+def test_jmap_check_open_map_is_exact():
+    # the isolated point 1 maps to r, so the open set {1} has the image {r},
+    # which is not closed under R_0; a check on sampled generator bands
+    # passes this map, as none of them isolates 1
+    t = frame("ra", [("r", "a")], [])
+    fm = TableMap([("r", interval(ONE, ONE)), ("a", interval(o("2"), OMEGA))])
+    rep = jmap_check(fm, PolySpace(OMEGA, (ONE, o("2"))), t)
+    assert [(name, ok, detail) for name, _, ok, detail in rep.checks if not ok] \
+        == [("(j2) openness", False, "level 0, node 'a'")]
+    assert ("(j2) openness", "EXACT", False, "level 0, node 'a'") in rep.checks
+
+
 def test_frame_rank():
     t = frame("rab", [("r", "a"), ("r", "b"), ("a", "b")])
     assert frame_ranks(t, 0) == {"b": 0, "a": 1, "r": 2}

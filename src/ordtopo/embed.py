@@ -882,7 +882,9 @@ def verify_countermodel(cm: Countermodel, phi, budget: int = 4096,
         try:
             if not ONE <= w <= cm.theta:  # EllIter.apply would floor 0 to 1
                 raise ValueError(w)
-            wit_ok = cm.fmap.apply(w) == v
+            got = cm.fmap.apply(w)
+            if got != v:
+                wit_ok, detail = False, f"witness {w} of node {v!r} maps to {got!r}"
         except ValueError:
             wit_ok, detail = False, f"witness {w} is outside the map's domain"
         if not wit_ok:
@@ -965,7 +967,32 @@ def countermodel_to_json(cm: Countermodel) -> dict:
     }
 
 
+def _pairs(val, second) -> bool:
+    return isinstance(val, list) and all(
+        isinstance(p, list) and len(p) == 2 and isinstance(p[1], second) for p in val)
+
+
+# the JSON shape of each countermodel field that is read as plain data
+_FIELD_SHAPES = {
+    "theta": ("a string", lambda v: isinstance(v, str)),
+    "levels": ("a list of strings",
+               lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v)),
+    "sigma": ("a list", lambda v: isinstance(v, list)),
+    "witnesses": ("a list of [node, text] pairs", lambda v: _pairs(v, str)),
+    "algebra": ("a list of [node, text or null] pairs",
+                lambda v: _pairs(v, (str, type(None)))),
+}
+
+
 def countermodel_from_json(obj) -> Countermodel:
+    if not isinstance(obj, dict):
+        raise EmbedError("a countermodel must be a JSON object")
+    for name in ("tree", "fmap", *_FIELD_SHAPES):
+        if name not in obj:
+            raise EmbedError(f"countermodel has no {name!r} field")
+    for name, (shape, ok) in _FIELD_SHAPES.items():
+        if not ok(obj[name]):
+            raise EmbedError(f"countermodel field {name!r} must be {shape}")
     try:
         theta = parse_ordinal(obj["theta"])
         levels = tuple(parse_ordinal(o) for o in obj["levels"])

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .ordinal import (
@@ -564,8 +565,11 @@ class AxiomReport:
         return "\n".join(lines)
 
 
-def endpoint_pool(theta: Ordinal) -> List[Ordinal]:
-    """Stratified endpoints: successors and limits of each rank up to 3."""
+@lru_cache(maxsize=64)
+def endpoint_pool(theta: Ordinal) -> Tuple[Ordinal, ...]:
+    """Stratified endpoints: successors and limits of each rank up to 3.
+
+    Memoised, so the result is shared: a tuple, which no caller can change."""
     seeds = []
     for k in (ZERO, ONE, Ordinal.from_int(2), Ordinal.from_int(3), OMEGA):
         for c in (1, 2, 3):
@@ -577,11 +581,11 @@ def endpoint_pool(theta: Ordinal) -> List[Ordinal]:
                 if ONE <= x <= theta:
                     pool.add(x)
     pool.add(theta)
-    return sorted(pool)
+    return tuple(sorted(pool))
 
 
 def random_valuation(rng: random.Random, theta: Ordinal, n_vars: int = 2,
-                     pool: Optional[List[Ordinal]] = None) -> Dict[int, BandSet]:
+                     pool: Optional[Tuple[Ordinal, ...]] = None) -> Dict[int, BandSet]:
     pool = pool or endpoint_pool(theta)
     bounds = [None, ZERO, ONE, Ordinal.from_int(2), Ordinal.from_int(3), OMEGA]
     out = {}

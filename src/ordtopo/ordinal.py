@@ -79,7 +79,9 @@ class Ordinal:
         self.terms = terms
         self.key = key
         self.depth = 0 if not terms else 1 + max([e.depth for e, _ in terms])
-        self._hash = hash(key)
+        # a finite ordinal hashes as its int, since it compares equal to it
+        finite = not terms or (len(terms) == 1 and not terms[0][0].terms)
+        self._hash = hash(terms[0][1] if terms else 0) if finite else hash(key)
         ref = _Ref(self, _forget)
         ref.key = key
         _INTERNED[key] = ref

@@ -14,6 +14,7 @@ I_lam is l^lam.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Iterable, Optional, Tuple
 
 from .ordinal import (
@@ -50,6 +51,15 @@ class NotRepresentable(TopologyError):
 # constraint bounds: None as lower means -1, None as upper means infinity
 Bound = Tuple[Optional[Ordinal], Optional[Ordinal]]
 
+# Entries per memo of a band primitive.  The primitives are pure and their
+# results immutable, so callers share them; a memo keeps its operands
+# alive, so each one is bounded.
+MEMO_SIZE = 512
+
+
+def _cons_key(cons: Optional[Dict[int, Bound]]) -> tuple:
+    return tuple(sorted(cons.items())) if cons else ()
+
 
 def _sat(v: Ordinal, cons: Dict[int, Bound]) -> bool:
     for k, (c, d) in cons.items():
@@ -62,6 +72,11 @@ def _sat(v: Ordinal, cons: Dict[int, Bound]) -> bool:
 
 
 def _min_sol(lo: Ordinal, hi: Optional[Ordinal], cons: Dict[int, Bound]) -> Optional[Ordinal]:
+    return _min_sol_memo(lo, hi, _cons_key(cons))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _min_sol_memo(lo: Ordinal, hi: Optional[Ordinal], cons_key: tuple) -> Optional[Ordinal]:
     """Least v >= lo with v <= hi (None = unbounded) meeting every constraint.
 
     If lo itself fails, every larger candidate is lo + z with z > 0 and
@@ -70,6 +85,7 @@ def _min_sol(lo: Ordinal, hi: Optional[Ordinal], cons: Dict[int, Bound]) -> Opti
     has CNF depth at most DEPTH_CAP, so l^k is 0 for k >= DEPTH_CAP: a
     constraint there holds everywhere or, with a lower bound, nowhere.
     """
+    cons = dict(cons_key)
     if hi is not None and lo > hi:
         return None
     if any(k >= DEPTH_CAP and c is not None for k, (c, _) in cons.items()):
@@ -130,8 +146,13 @@ def merge_bound(a: Bound, b: Bound) -> Bound:
 
 def make_band(lo: Ordinal, hi: Ordinal, cons: Dict[int, Bound] = None) -> Optional[Band]:
     """Normalize and solve; returns None when the band is empty."""
+    return _make_band_memo(lo, hi, _cons_key(cons))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _make_band_memo(lo: Ordinal, hi: Ordinal, cons_key: tuple) -> Optional[Band]:
     merged: Dict[int, Bound] = {}
-    for k, bound in (cons or {}).items():
+    for k, bound in cons_key:
         if k < 0:
             raise UnsupportedLevel(f"level {k}")
         merged[k] = merge_bound(merged.get(k, (None, None)), bound)
@@ -204,6 +225,7 @@ def union(s: BandSet, t: BandSet) -> BandSet:
     return bandset(list(s.bands) + list(t.bands))
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def _band_intersect(a: Band, b: Band) -> Optional[Band]:
     cons = a.cons_dict()
     for k, bound in b.cons_dict().items():
@@ -258,6 +280,7 @@ def _below(a: Ordinal, dom_lo: Ordinal) -> BandSet:
     return bandset(parts)
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def _band_complement(b: Band, lo: Ordinal, hi: Ordinal) -> BandSet:
     dom = make_band(lo, hi)
     parts = list(_below(b.lo, lo).bands)

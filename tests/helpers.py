@@ -264,6 +264,20 @@ def ell_preimage(a, theta: Ordinal):
     return out
 
 
+def memos():
+    """The package's memoised functions, for tests that inspect or clear them."""
+    from ordtopo import logic, topology
+
+    return (topology._min_sol_memo, topology._make_band_memo,
+            topology._band_intersect, topology._band_complement,
+            logic.endpoint_pool)
+
+
+def clear_memos():
+    for fn in memos():
+        fn.cache_clear()
+
+
 # --- small Kripke frames ------------------------------------------------------
 
 from collections import namedtuple

@@ -223,6 +223,34 @@ def test_verify_node_without_a_witness_fails(capsys, tmp_path, keep, lost):
             f"no witness for node {lost!r}"] in json.loads(out)["checks"]
 
 
+def test_verify_witness_of_another_node_fails(capsys, tmp_path):
+    cmf = embed_file(capsys, tmp_path, "ra", [("r", "a")])
+    obj = json.loads(cmf.read_text())
+    obj["witnesses"] = [[v, "w"] for v, _ in obj["witnesses"]]  # w maps to r
+    cmf.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", "<0>T", "--cm", str(cmf))
+    assert (code, err) == (1, "")
+    assert "(b) witness table: FAIL -- witness w of node 'a' maps to 'r'" in out
+
+
+@pytest.mark.parametrize("field,value,shape", [
+    ("levels", "1", "a list of strings"),
+    ("theta", 5, "a string"),
+    ("sigma", 1, "a list"),
+    ("witnesses", "ab", "a list of [node, text] pairs"),
+    ("witnesses", [["a", 1], ["r", "w"]], "a list of [node, text] pairs"),
+    ("algebra", [1, 2], "a list of [node, text or null] pairs"),
+])
+def test_verify_names_a_malformed_field(capsys, tmp_path, field, value, shape):
+    cmf = embed_file(capsys, tmp_path, "ra", [("r", "a")])
+    obj = json.loads(cmf.read_text())
+    obj[field] = value
+    cmf.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", "<0>T", "--cm", str(cmf))
+    assert (code, out) == (2, "")
+    assert err == f"error: countermodel field {field!r} must be {shape}\n"
+
+
 @pytest.mark.parametrize("sigma,levels,why", [
     ([3], ["1"], "levels ['1'] are not sigma [3]"),
     ([1], ["1", "2"], "levels ['1', '2'] are not sigma [1]"),

@@ -577,6 +577,25 @@ def test_verify_map_check_reports(tree, sigma, want):
     assert rep.checks == want
 
 
+HEIGHT4 = frame(range(6), [(a, b) for a in range(4) for b in range(a + 1, 6)])
+
+
+@pytest.mark.parametrize("tree,sigma", [(t, s) for t, s, _ in MAP_CHECK_REPORTS]
+                         + [(HEIGHT4, (1,))])
+def test_verify_reports_do_not_depend_on_the_memos(tree, sigma):
+    phi = tree_formula(tree)
+
+    def report():
+        cm = embed(tree, sigma)
+        helpers.clear_memos()
+        return verify_countermodel(cm, phi).checks
+
+    helpers.clear_memos()
+    cold = report()
+    warm = [verify_countermodel(embed(tree, sigma), phi).checks for _ in range(2)]
+    assert warm == [cold, cold]
+
+
 def test_verify_detects_swapped_branch():
     cm = embed(frame("ra", [("r", "a")]), (1,))
     flip = {"r": "a", "a": "r"}

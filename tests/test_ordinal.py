@@ -311,6 +311,10 @@ def test_order_hash_and_compare_agree_with_the_poly_oracle(a, b, n):
     assert (a < n, a <= n, a > n, a >= n, a == n) == \
         (c < 0, c <= 0, c > 0, c >= 0, c == 0)
     assert (n < a, n <= a, n > a, n >= a) == (c > 0, c >= 0, c < 0, c <= 0)
+    # equal to an int, so hashed as it: sets and dict keys mix the two
+    assert hash(Ordinal.from_int(n)) == hash(n) and n in {Ordinal.from_int(n)}
+    if a == n:
+        assert hash(a) == hash(n) and a in {n}
 
 
 @settings(max_examples=200)

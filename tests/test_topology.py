@@ -1,11 +1,24 @@
+import gc
 import random
 
 import pytest
 
 import helpers
-from ordtopo.ordinal import DEPTH_CAP, OMEGA, ONE, Ordinal, ZERO, ell_iter, parse_ordinal
+from ordtopo import ordinal as ordinal_module
+from ordtopo.logic import endpoint_pool
+from ordtopo.ordinal import (
+    DEPTH_CAP,
+    OMEGA,
+    ONE,
+    Ordinal,
+    ZERO,
+    ell_iter,
+    omega_pow,
+    parse_ordinal,
+)
 from ordtopo.topology import (
     EMPTY,
+    MEMO_SIZE,
     Band,
     BandSet,
     NonStabilizing,
@@ -298,3 +311,38 @@ def test_pred_of_a_limit_raises():
     assert _pred(o("w+3")) == o("w+2")
     with pytest.raises(TopologyError):
         _pred(OMEGA)
+
+
+# --- the memos ----------------------------------------------------------------------
+
+
+def test_every_memo_is_bounded():
+    for fn in helpers.memos():
+        assert isinstance(fn.cache_info().maxsize, int), fn.__name__
+
+
+def test_endpoint_pool_is_one_shared_tuple():
+    pool = endpoint_pool(W2)
+    assert isinstance(pool, tuple)
+    assert endpoint_pool(W2) is pool
+
+
+def test_bad_levels_raise_on_every_call():
+    for _ in range(2):  # an exception is not memoised
+        with pytest.raises(UnsupportedLevel):
+            make_band(ONE, OMEGA, {-1: (None, ONE)})
+
+
+def test_memos_let_go_of_fresh_bands():
+    table = ordinal_module._INTERNED
+    helpers.clear_memos()
+    gc.collect()
+    before = len(table)
+    for i in range(10 * MEMO_SIZE):
+        make_band(ONE, omega_pow(Ordinal.from_int(10 ** 7 + i)))
+    gc.collect()
+    # each memo keeps at most MEMO_SIZE entries alive, not every band made
+    assert len(table) - before <= 4 * MEMO_SIZE
+    helpers.clear_memos()
+    gc.collect()
+    assert len(table) - before <= 4

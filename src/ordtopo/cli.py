@@ -81,7 +81,10 @@ def _levels(text: str):
 
 def _load_json(path: str):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read")
 
 
 def _write_out(args, record: dict) -> None:
@@ -152,7 +155,7 @@ def cmd_embed(args) -> int:
 def cmd_verify(args) -> int:
     cm = countermodel_from_json(_load_json(args.cm))
     phi = parse_formula(args.formula)
-    rep = verify_countermodel(cm, phi, budget=args.budget, seed=args.seed)
+    rep = verify_countermodel(cm, phi)
     record = {"ok": rep.ok,
               "checks": [[name, mode, ok, detail]
                          for name, mode, ok, detail in rep.checks]}
@@ -231,8 +234,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="check a countermodel against a formula")
     p.add_argument("formula")
     p.add_argument("--cm", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=4096)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("search", parents=[common],

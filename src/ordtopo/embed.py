@@ -25,10 +25,12 @@ from typing import Dict, List, Optional, Tuple
 
 from .ordinal import (
     DEPTH_CAP,
+    MAX_NESTING,
     OMEGA,
     ONE,
     ZERO,
     Ordinal,
+    OrdinalError,
     add,
     big_l,
     e,
@@ -81,6 +83,7 @@ from .jtree import (
     JMapReport,
     find_valuation,
     is_jtree,
+    is_node_id,
     jframe_from_json,
     jframe_to_json,
     jmap_check,
@@ -148,6 +151,11 @@ def _split_at(x: Ordinal, xi: Ordinal) -> Tuple[Ordinal, Ordinal]:
     hi = tuple((left_subtract(xi, e_), c) for e_, c in x.terms if e_ >= xi)
     lo = tuple((e_, c) for e_, c in x.terms if e_ < xi)
     return Ordinal(hi), Ordinal(lo)
+
+
+def _in_domain(x: Ordinal, theta: Ordinal) -> None:
+    if not ONE <= x <= theta:
+        raise ValueError(f"{x} outside [1, {theta}]")
 
 
 def _shift(s: BandSet, g: Ordinal) -> BandSet:
@@ -410,6 +418,7 @@ class ConstMap:
         self.theta = theta
 
     def apply(self, x: Ordinal):
+        _in_domain(x, self.theta)
         return self.node
 
     def preimage(self, nodes) -> BandSet:
@@ -429,6 +438,7 @@ class ComposeMap:
         self.theta = ord_map.theta
 
     def apply(self, x: Ordinal):
+        _in_domain(x, self.theta)
         return self.node_map.apply(self.ord_map.apply(x))
 
     def preimage(self, nodes) -> BandSet:
@@ -464,8 +474,7 @@ class GLEmbedMap:
             self.node_rank.update(c.node_rank)
 
     def apply(self, x: Ordinal):
-        if not ONE <= x <= self.theta:
-            raise ValueError(f"{x} outside [1, {self.theta}]")
+        _in_domain(x, self.theta)
         if x == self.theta:
             return self.root
         _, rem = _ord_divmod(x, self.period)
@@ -550,6 +559,7 @@ class CaseIIMap:
         self.theta = prod.theta
 
     def apply(self, x: Ordinal):
+        _in_domain(x, self.theta)
         _, u = _split_at(x, self.prod.xi)
         if u.is_zero():
             return self.f0.apply(self.prod.pi1.apply(x))
@@ -848,15 +858,15 @@ def _universe_eval(phi, cm: Countermodel, t_val: Dict) -> bool:
 W3 = parse_ordinal("w^3")
 
 
-def verify_countermodel(cm: Countermodel, phi, budget: int = 4096,
-                        t_val: Optional[Dict] = None,
-                        seed: int = 0) -> JMapReport:
+def verify_countermodel(cm: Countermodel, phi,
+                        t_val: Optional[Dict] = None) -> JMapReport:
     """Three-stage check: (a) phi holds at the tree root under some (or the
     given) valuation; (b) the stored root fiber, jmap_check's map
-    conditions (sampling the witness points too) and the witness table
-    (every node has a witness, which lies in [1, theta] and maps to it);
-    (c) theta satisfies phi under the pulled-back valuation, exactly when
-    it is representable.  Only the root-fiber row reads cm.algebra."""
+    conditions (rank preservation exact on all of [1, theta]) and the
+    witness table (every node has a witness, which lies in [1, theta] and
+    maps to it); (c) theta satisfies phi under the pulled-back valuation,
+    exactly when it is representable.  Only the root-fiber row reads
+    cm.algebra."""
     rep = JMapReport()
     root = root_of(cm.tree)
 
@@ -872,16 +882,13 @@ def verify_countermodel(cm: Countermodel, phi, budget: int = 4096,
                and sets_equal(cm.algebra[root],
                               interval(cm.theta, cm.theta), cm.theta))
     rep.add("(b) root fiber is {theta}", "EXACT", ok_root)
-    sub = jmap_check(cm.fmap, cm.space(), cm.tree, budget=budget, seed=seed,
-                     points=cm.witnesses.values())
-    for name, mode, ok, detail in sub.checks:
+    for name, mode, ok, detail in jmap_check(cm.fmap, cm.space(), cm.tree).checks:
         rep.add("(b) " + name, mode, ok, detail)
 
     wit_ok, detail = True, f"{len(cm.witnesses)} nodes"
     for v, w in cm.witnesses.items():
         try:
-            if not ONE <= w <= cm.theta:  # EllIter.apply would floor 0 to 1
-                raise ValueError(w)
+            _in_domain(w, cm.theta)  # the map's own domain may pass theta
             got = cm.fmap.apply(w)
             if got != v:
                 wit_ok, detail = False, f"witness {w} of node {v!r} maps to {got!r}"
@@ -921,34 +928,98 @@ def verify_countermodel(cm: Countermodel, phi, budget: int = 4096,
 # --- serialization -----------------------------------------------------------------
 
 
-def _map_from_json(obj):
-    tag = obj.get("map")
+# the maps that send ordinals to nodes, and the two that send ordinals to
+# ordinals, which only ever stand as a compose's inner map
+NODE_MAPS = ("compose", "const", "product", "rank", "segments")
+ORDINAL_MAPS = ("liter", "otyp_up")
+
+# JSON shapes of map fields: (what the error says, test)
+_NODE = ("a node id (a string or an integer)", is_node_id)
+_NODES = ("a list of node ids",
+          lambda v: isinstance(v, list) and all(map(is_node_id, v)))
+_TEXT = ("an ordinal string", lambda v: isinstance(v, str))
+_TEXTS = ("a non-empty list of ordinal strings", lambda v: isinstance(v, list)
+          and len(v) > 0 and all(isinstance(x, str) for x in v))
+_NAT = ("a non-negative integer", lambda v: type(v) is int and v >= 0)
+_LIST = ("a list", lambda v: isinstance(v, list))
+_PARTS = ("a non-empty list", lambda v: isinstance(v, list) and len(v) > 0)
+
+
+def _field(obj: dict, path: str, key: str, shape=None):
+    """obj[key], checked against shape; errors name the field path.key."""
+    name = f"{path}.{key}" if path else key
+    if key not in obj:
+        raise EmbedError(f"countermodel has no {name!r} field")
+    if shape is not None and not shape[1](obj[key]):
+        raise EmbedError(f"countermodel field {name!r} must be {shape[0]}")
+    return obj[key]
+
+
+def _ordinal_at(text: str, path: str) -> Ordinal:
+    try:
+        return parse_ordinal(text)
+    except OrdinalError as exc:
+        raise EmbedError(f"countermodel field {path!r}: {exc}")
+
+
+def _map_from_json(obj, path: str = "fmap", tags=NODE_MAPS, depth: int = 0):
+    """The map expression that a JSON map object describes.
+
+    Each field is checked against its tag's JSON shape before it is read,
+    and so is the kind of map: a node-valued map where one belongs, and
+    `liter` and `otyp_up` only as a compose's inner map.  A wrong one
+    raises EmbedError naming its path, such as 'fmap.children[0].root'.
+    """
+    tag = obj.get("map") if isinstance(obj, dict) else None
+    if tag not in tags:
+        raise EmbedError(f"countermodel field {path!r} must be a map object "
+                         f"tagged {' or '.join(map(repr, tags))}"
+                         + (f", not {tag!r}" if isinstance(obj, dict) else ""))
+    if depth > MAX_NESTING:
+        raise EmbedError(f"countermodel field {path!r} nests maps deeper than "
+                         f"{MAX_NESTING}")
+
+    def read(key, shape=None):
+        return _field(obj, path, key, shape)
+
+    def ordinal(key):
+        return _ordinal_at(read(key, _TEXT), f"{path}.{key}")
+
+    def inner(value, at, tags=NODE_MAPS):
+        return _map_from_json(value, at, tags, depth + 1)
+
     if tag == "const":
-        return ConstMap(obj["node"], parse_ordinal(obj["theta"]))
+        return ConstMap(read("node", _NODE), ordinal("theta"))
     if tag == "liter":
-        return EllIter(obj["delta"], parse_ordinal(obj["theta"]))
+        return EllIter(read("delta", _NAT), ordinal("theta"))
     if tag == "otyp_up":
-        return OtypUpMap(parse_ordinal(obj["xi"]), parse_ordinal(obj["theta"]))
+        return OtypUpMap(ordinal("xi"), ordinal("theta"))
     if tag == "compose":
-        return ComposeMap(_map_from_json(obj["outer"]),
-                          _map_from_json(obj["inner"]))
+        return ComposeMap(inner(read("outer"), f"{path}.outer"),
+                          inner(read("inner"), f"{path}.inner", ORDINAL_MAPS))
     if tag == "rank":
-        return GLEmbedMap(obj["root"],
-                          [_map_from_json(c) for c in obj["children"]])
+        return GLEmbedMap(read("root", _NODE),
+                          [inner(c, f"{path}.children[{i}]", ("rank",))
+                           for i, c in enumerate(read("children", _LIST))])
     if tag == "segments":
         seg, k_prev = [], ZERO
-        for part in obj["parts"]:
-            fm = _map_from_json(part["fmap"])
+        for i, part in enumerate(read("parts", _PARTS)):
+            at = f"{path}.parts[{i}]"
+            if not isinstance(part, dict):
+                raise EmbedError(f"countermodel field {at!r} must be a JSON object")
+            fm = inner(_field(part, at, "fmap"), f"{at}.fmap")
             k_hi = add(k_prev, fm.theta)
-            seg.append((k_prev, k_hi, fm, frozenset(part["nodes"])))
+            seg.append((k_prev, k_hi, fm, frozenset(_field(part, at, "nodes", _NODES))))
             k_prev = k_hi
         return SegmentSum(seg)
-    if tag == "product":
-        prod = product([parse_ordinal(k) for k in obj["kappas"]],
-                       parse_ordinal(obj["lam"]))
-        return CaseIIMap(prod, _map_from_json(obj["fstar"]),
-                         _map_from_json(obj["f0"]), frozenset(obj["alpha"]))
-    raise EmbedError(f"unknown map tag {tag!r}")
+    kappas = [_ordinal_at(k, f"{path}.kappas[{i}]")
+              for i, k in enumerate(read("kappas", _TEXTS))]
+    try:
+        prod = product(kappas, ordinal("lam"))
+    except EmbedError as exc:
+        raise EmbedError(f"countermodel field {path!r}: {exc}")
+    return CaseIIMap(prod, inner(read("fstar"), f"{path}.fstar"),
+                     inner(read("f0"), f"{path}.f0"), frozenset(read("alpha", _NODES)))
 
 
 def countermodel_to_json(cm: Countermodel) -> dict:
@@ -988,15 +1059,11 @@ def countermodel_from_json(obj) -> Countermodel:
     if not isinstance(obj, dict):
         raise EmbedError("a countermodel must be a JSON object")
     for name in ("tree", "fmap", *_FIELD_SHAPES):
-        if name not in obj:
-            raise EmbedError(f"countermodel has no {name!r} field")
-    for name, (shape, ok) in _FIELD_SHAPES.items():
-        if not ok(obj[name]):
-            raise EmbedError(f"countermodel field {name!r} must be {shape}")
+        _field(obj, "", name, _FIELD_SHAPES.get(name))
     try:
         theta = parse_ordinal(obj["theta"])
         levels = tuple(parse_ordinal(o) for o in obj["levels"])
-        tree = jframe_from_json(obj["tree"])
+        tree = jframe_from_json(obj["tree"], at="tree.")
         sigma = _check_sigma(obj["sigma"], len(tree.rels))
         fmap = _map_from_json(obj["fmap"])
         wit = {v: parse_ordinal(w) for v, w in obj["witnesses"]}

@@ -17,17 +17,14 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import random
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .ordinal import Ordinal, ZERO
-from . import topology
+from .ordinal import ONE, Ordinal, ZERO
 from .logic import (
     Formula,
     Program,
     compile_formula,
-    endpoint_pool,
     frame_succ,
     mask_nodes,
     node_bits,
@@ -35,12 +32,17 @@ from .logic import (
     run_program,
 )
 from .topology import (
+    EMPTY,
+    BandSet,
     NotRepresentable,
     bandset,
+    complement_within,
     derived_set,
+    geq_set,
     intersect,
     is_empty,
     is_open,
+    min_witness,
     sets_equal,
     subset_of,
     union,
@@ -53,12 +55,6 @@ class FrameError(Exception):
 
 class InvalidFrame(FrameError):
     pass
-
-
-class BudgetExceeded(FrameError):
-    def __init__(self, report):
-        super().__init__("check budget exhausted")
-        self.report = report
 
 
 # --- frames ---------------------------------------------------------------------
@@ -83,19 +79,36 @@ def make_jframe(nodes, rels) -> JFrame:
     return JFrame(nodes, tuple(out))
 
 
-def jframe_from_json(obj) -> JFrame:
+def is_node_id(v) -> bool:
+    """Node ids in JSON are strings or integers (not booleans)."""
+    return isinstance(v, (str, int)) and not isinstance(v, bool)
+
+
+def jframe_from_json(obj, at: str = "") -> JFrame:
     """A frame from {"nodes": [...], "rels": [[[a, b], ...], ...]} or from a
-    record holding one under "frame", as `search` writes; other shapes and
-    node ids that are JSON arrays or objects raise InvalidFrame."""
+    record holding one under "frame", as `search` writes.  Any other shape
+    raises InvalidFrame naming the field, prefixed by at (as "tree.")."""
     if isinstance(obj, dict) and "frame" in obj:
         obj = obj["frame"]
     if not isinstance(obj, dict) or "nodes" not in obj or "rels" not in obj:
         raise InvalidFrame("a frame must be a JSON object with 'nodes' and 'rels'")
-    try:
-        return make_jframe(obj["nodes"],
-                           [[(a, b) for a, b in r] for r in obj["rels"]])
-    except (TypeError, ValueError) as exc:
-        raise InvalidFrame(f"malformed frame object: {exc}")
+
+    def bad(path, shape):
+        return InvalidFrame(f"frame field {at + path!r} must be {shape}")
+
+    nodes, rels = obj["nodes"], obj["rels"]
+    if not (isinstance(nodes, list) and all(map(is_node_id, nodes))):
+        raise bad("nodes", "a list of node ids (strings or integers)")
+    if not isinstance(rels, list):
+        raise bad("rels", "a list of relations")
+    for k, r in enumerate(rels):
+        if not isinstance(r, list):
+            raise bad(f"rels[{k}]", "a list of [node, node] pairs")
+        for i, pair in enumerate(r):
+            if not (isinstance(pair, list) and len(pair) == 2
+                    and all(map(is_node_id, pair))):
+                raise bad(f"rels[{k}][{i}]", "a [node, node] pair")
+    return make_jframe(nodes, [[tuple(pair) for pair in r] for r in rels])
 
 
 def jframe_to_json(f: JFrame) -> dict:
@@ -206,9 +219,6 @@ class PlaneDecomposition:
     blocks: Tuple[FrozenSet, ...]        # n-planes
     subblocks: Tuple[FrozenSet, ...]     # (n+1)-planes
     order: FrozenSet[Tuple[FrozenSet, FrozenSet]]  # alpha sees beta via R_n
-
-    def block_of(self, x) -> FrozenSet:
-        return next(s for s in self.blocks if x in s)
 
     def subblock_of(self, x) -> FrozenSet:
         return next(s for s in self.subblocks if x in s)
@@ -476,6 +486,10 @@ def frame_dia(f: JFrame, a, k: int) -> FrozenSet:
     return frozenset(x for x, y in f.rels[k] if y in a)
 
 
+def _minus(a, b, theta: Ordinal):
+    return intersect(a, complement_within(b, ONE, theta))
+
+
 def frame_ranks(f: JFrame, k: int) -> Dict:
     """Each node's rank under R_k: the length of the longest R_k-path from
     it.  R_k must be a strict order, as in every J-frame; then a node's
@@ -485,23 +499,6 @@ def frame_ranks(f: JFrame, k: int) -> Dict:
     for y in sorted(f.nodes, key=lambda y: len(succ.get(y, ()))):
         rank[y] = 1 + max((rank[z] for z in succ.get(y, ())), default=-1)
     return rank
-
-
-def rank_mismatch(fmap, t: JFrame, pts, lam: int) -> Optional[str]:
-    """Why the first failing point of pts fails rank preservation: its rank
-    at level lam differs from the rank of its image under the top relation
-    of t, or it lies outside fmap's domain.  None when every point passes."""
-    ranks = frame_ranks(t, len(t.rels) - 1)
-    for x in pts:
-        try:
-            node = fmap.apply(x)
-        except ValueError:
-            return f"x={x} is outside the map's domain"
-        rho = topology.rank(x, lam)
-        want = ranks.get(node, 0)
-        if not (rho.is_finite() and rho.to_int() == want):
-            return f"x={x} maps to rank {want}"
-    return None
 
 
 @dataclass
@@ -523,24 +520,55 @@ class JMapReport:
         return "\n".join(lines)
 
 
-def jmap_check(fmap, space, t: JFrame, budget: int = 4096, seed: int = 0,
-               points: Iterable[Ordinal] = ()) -> JMapReport:
+def block_table(fmap, space, t: JFrame
+                ) -> Tuple[Dict, List[Tuple[FrozenSet, BandSet]]]:
+    """Each node's fiber fmap.preimage([y]), None for a missing node (where
+    that raises NotRepresentable), and the blocks (nodes, preimage): each
+    band fiber alone, and the missing nodes of each rank rho under the top
+    relation together, with preimage {l^lam = rho} minus the band fibers of
+    rank rho, lam the top level.  Without relations, band fibers only."""
+    theta = space.theta
+    fiber: Dict = {}
+    for y in t.nodes:
+        try:
+            fiber[y] = fmap.preimage([y])
+        except NotRepresentable:
+            fiber[y] = None
+    table = [(frozenset([y]), f) for y, f in fiber.items() if f is not None]
+    missing = [y for y, f in fiber.items() if f is None]
+    if missing and t.rels:
+        top = len(t.rels) - 1
+        lam, rank = space.level_at(Ordinal.from_int(top)), frame_ranks(t, top)
+        for rho in sorted({rank[y] for y in missing}):
+            at_rho = [y for y in t.nodes if rank[y] == rho]
+            cut = bandset(b for y in at_rho for b in (fiber[y] or EMPTY).bands)
+            cut = union(geq_set(lam, Ordinal.from_int(rho + 1), theta), cut)
+            level = _minus(geq_set(lam, Ordinal.from_int(rho), theta), cut, theta)
+            table.append((frozenset(y for y in at_rho if fiber[y] is None), level))
+    return fiber, table
+
+
+def jmap_check(fmap, space, t: JFrame) -> JMapReport:
     """Check the map conditions (j1)-(j4) for fmap: [1, theta] -> t.
 
-    One check serves every model.  fmap must provide apply(x: Ordinal) ->
-    node and preimage(nodes) -> BandSet.  (j1) is the derived-set transfer
-    law at the top level, on every subset of the nodes when 2^|T| fits the
-    budget (EXACT) and on a random sample otherwise (SAMPLED); rank
-    preservation is sampled on endpoint_pool(theta) and the given points;
-    (j2), (j3) and (j4) are exact band computations.
+    fmap must provide preimage(nodes) -> BandSet and is asked for each
+    fiber (block_table) and each rank upset, nothing else; the preimage of
+    a union of blocks is the union of theirs.  lam is the top level.
 
-    Each fiber F_y = f^{-1}(y) is asked of fmap once, and the preimage of
-    a node set is the union of its fibers; only a set with a fiber that is
-    not a band set is asked of fmap, once.  Where preimage([x]) raises
-    NotRepresentable, a SKIPPED "fiber representability" row names x, (j1)
-    runs where defined (EXACT-WHERE-DEFINED, counting the subsets skipped),
-    (j2) is left out, and the (j3)/(j4) rows that need a missing preimage
-    are SKIPPED.
+    Rank preservation (EXACT): f^{-1}(rank >= rho) = {l^lam >= rho} on
+    [1, theta] for rho = 0..h+1, h the top rank (rho = 0: f^{-1}(T) =
+    [1, theta]).  So rank f(x) = l^lam(x): this row licenses the missing
+    blocks' preimages, and a report whose rank row fails is FAIL whatever
+    the other rows say.  An upset without a band preimage fails it.
+
+    (j1) f^{-1}(<>A) = d_lam f^{-1}(A) is checked once per block.  Both
+    sides are finitely additive in A and vanish at the empty set (f^{-1}
+    and <> distribute over unions, and d(P u Q) = dP u dQ), so the block
+    identities hold iff (j1) holds on every union of blocks: on every
+    subset when all blocks are singletons (EXACT).  Otherwise the row is
+    EXACT-WHERE-DEFINED and counts as skipped the blocks B whose <>B
+    splits a block; (j2) is left out, and (j3) rows whose sets split a
+    block and (j4) rows of missing fibers are SKIPPED.
 
     (j2): f is open from I_{lam_k} to the upsets of R = R_k u ... u R_{n-1}
     for each level k < n iff, with down_k(y) = {y} u R^{-1}(y),
@@ -559,79 +587,72 @@ def jmap_check(fmap, space, t: JFrame, budget: int = 4096, seed: int = 0,
     nn = len(t.rels)
     if len(space.levels) < nn:
         raise InvalidFrame("space has fewer levels than the frame has relations")
-    if budget < len(t.nodes) + 1:
-        raise BudgetExceeded(JMapReport())
     theta = space.theta
     rep = JMapReport()
     nodes = tuple(t.nodes)
-    fiber: Dict = {}
-    asked: Dict = {}  # node set -> its preimage, or what fmap raised for it
-
-    def pre(s):
-        """f^{-1}(s), or None where it is not a band set."""
-        s = frozenset(s)
-        if all(fiber.get(x) is not None for x in s):
-            return bandset(b for x in s for b in fiber[x].bands)
-        if s not in asked:
-            try:
-                asked[s] = fmap.preimage(s)
-            except NotRepresentable as exc:
-                asked[s] = exc
-        return None if isinstance(asked[s], NotRepresentable) else asked[s]
-
-    for x in nodes:
-        fiber[x] = pre([x])
-    missing = sorted((x for x in nodes if fiber[x] is None), key=repr)
+    fiber, table = block_table(fmap, space, t)
+    missing = sorted((y for y in nodes if fiber[y] is None), key=repr)
     if missing:
         rep.add("fiber representability", "SKIPPED", True,
                 f"no band fibers for {missing}")
 
+    def split(s):  # the first block that s cuts, None for a union of blocks
+        return next((b for b, _ in table if b & s and not b <= s), None)
+
+    def pre(s):
+        return bandset(band for b, pb in table if b <= s for band in pb.bands)
+
     if nn == 0:
         if not missing:
             lam = 1 if not space.levels else space.level_at(ZERO)
-            ok = is_empty(derived_set(pre(nodes), lam, theta))
+            ok = is_empty(derived_set(pre(frozenset(nodes)), lam, theta))
             rep.add("(j1) d-map law", "EXACT", ok,
                     "" if ok else "domain not discrete")
         return rep
 
-    lam_top = space.level_at(Ordinal.from_int(nn - 1))
+    top = nn - 1
+    lam = space.level_at(Ordinal.from_int(top))
+    rank = frame_ranks(t, top)
 
-    # (j1): f^{-1}(dA) = d f^{-1}(A) at the top level, over subsets A
-    exact = 2 ** len(nodes) <= budget
-    if exact:
-        pool = [frozenset(c) for r in range(len(nodes) + 1)
-                for c in itertools.combinations(nodes, r)]
-    else:
-        rng = random.Random(seed)
-        pool = [frozenset(x for x in nodes if rng.random() < 0.5)
-                for _ in range(budget)]
+    # (j1): f^{-1}(<>B) = d f^{-1}(B) at the top level, once per block B
     bad, skipped = None, 0
-    for a in pool:
-        lhs, pa = pre(frame_dia(t, a, nn - 1)), pre(a)
-        if lhs is None or pa is None:
+    for b, pb in table:
+        dia = frame_dia(t, b, top)
+        if split(dia) is not None:
             skipped += 1
-        elif not sets_equal(lhs, derived_set(pa, lam_top, theta), theta):
-            bad = a
+        elif not sets_equal(pre(dia), derived_set(pb, lam, theta), theta):
+            bad = b
             break
-    name, mode, detail = "(j1) d-map law", "EXACT", f"{len(pool)} subsets"
-    if missing or skipped:
-        name += " on representable subsets"
-        mode = "EXACT-WHERE-DEFINED"
-        detail = f"{len(pool) - skipped} checked, {skipped} skipped"
+    multi = [sorted(b, key=repr) for b, _ in table if len(b) > 1]
+    if multi:
+        name, mode = "(j1) d-map law on representable subsets", "EXACT-WHERE-DEFINED"
+        detail = f"multi-node blocks {', '.join(map(str, multi))}; {skipped} skipped"
+    else:
+        name, mode, detail = "(j1) d-map law", "EXACT", f"{len(nodes)} fibers"
     if bad is not None:
         detail = f"A={sorted(map(repr, bad))}"
-    rep.add(name, mode if exact else "SAMPLED", bad is None, detail)
+    rep.add(name, mode, bad is None, detail)
 
-    # rank preservation spot check (a consequence of (j1), clearer diagnostics)
-    pts = endpoint_pool(theta)
-    bad = rank_mismatch(fmap, t, sorted(set(pts).union(points)), lam_top)
-    rep.add("(j1) rank preservation", "SAMPLED", bad is None, bad or "")
+    # rank preservation: f^{-1}(rank >= rho) = {l^lam >= rho}
+    bad = None
+    for rho in range(max(rank.values()) + 2):
+        try:
+            got = fmap.preimage([y for y in nodes if rank[y] >= rho])
+        except NotRepresentable:
+            bad = f"f^-1(rank >= {rho}) is not a band set"
+            break
+        want = geq_set(lam, Ordinal.from_int(rho), theta)
+        x = min_witness(union(_minus(got, want, theta), _minus(want, got, theta)))
+        if x is not None:
+            bad = f"f^-1(rank >= {rho}) differs from l^{lam} >= {rho} at x={x}"
+            break
+    rep.add("(j1) rank preservation", "EXACT", bad is None, bad or "")
 
     # (j2): f^{-1}(down_k y) lies in the level-k closure of F_y
     if not missing:
         def open_at(k, y):
             lam_k = space.level_at(Ordinal.from_int(k))
-            down = {y}.union(x for r in t.rels[k:] for x, z in r if z == y)
+            down = frozenset({y}.union(x for r in t.rels[k:] for x, z in r if z == y))
             fib = fiber[y]
             return subset_of(pre(down), union(fib, derived_set(fib, lam_k, theta)),
                              theta)
@@ -647,12 +668,13 @@ def jmap_check(fmap, space, t: JFrame, budget: int = 4096, seed: int = 0,
             below = frozenset(y for r in t.rels[k:] for a, y in r if a == x)
             name = f"(j3) root {x!r} at level {k}"
             for s in (below, below | {x}):
-                ps = pre(s)
-                ok3 = ps is not None and is_open(ps, lam_k, theta)
+                cut = split(s)
+                ok3 = cut is None and is_open(pre(s), lam_k, theta)
                 if not ok3:
                     break
-            if ps is None:
-                rep.add(name, "SKIPPED", True, str(asked[s]))
+            if cut is not None:
+                rep.add(name, "SKIPPED", True,
+                        f"{sorted(s, key=repr)} splits the block {sorted(cut, key=repr)}")
             else:
                 rep.add(name, "EXACT", ok3)
             fib = fiber[x]

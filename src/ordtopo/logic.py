@@ -13,7 +13,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from .ordinal import (
     ONE,
@@ -584,9 +584,9 @@ def endpoint_pool(theta: Ordinal) -> Tuple[Ordinal, ...]:
     return tuple(sorted(pool))
 
 
-def random_valuation(rng: random.Random, theta: Ordinal, n_vars: int = 2,
-                     pool: Optional[Tuple[Ordinal, ...]] = None) -> Dict[int, BandSet]:
-    pool = pool or endpoint_pool(theta)
+def random_valuation(rng: random.Random, theta: Ordinal,
+                     n_vars: int = 2) -> Dict[int, BandSet]:
+    pool = endpoint_pool(theta)
     bounds = [None, ZERO, ONE, Ordinal.from_int(2), Ordinal.from_int(3), OMEGA]
     out = {}
     for i in range(n_vars):
@@ -635,12 +635,11 @@ def check_axioms(space: PolySpace, trials: int = 200, seed: int = 0,
                  n_vars: int = 2) -> AxiomReport:
     """Validity of the four schemata under random band valuations."""
     rng = random.Random(seed)
-    pool = endpoint_pool(space.theta)
     full = interval(ONE, space.theta)
     report = AxiomReport(trials=trials)
     n_mods = len(space.levels)
     for _ in range(trials):
-        v = random_valuation(rng, space.theta, n_vars, pool)
+        v = random_valuation(rng, space.theta, n_vars)
         phi = _random_formula(rng, n_vars, n_mods, 1)
         psi = _random_formula(rng, n_vars, n_mods, 1)
         for name, inst in _schema_instances(n_mods, phi, psi):
@@ -656,10 +655,9 @@ def find_falsifying_valuation(phi: Formula, space: PolySpace, trials: int = 200,
                               seed: int = 0, n_vars: int = 1):
     """Random search for a band valuation where phi is not valid."""
     rng = random.Random(seed)
-    pool = endpoint_pool(space.theta)
     full = interval(ONE, space.theta)
     for _ in range(trials):
-        v = random_valuation(rng, space.theta, n_vars, pool)
+        v = random_valuation(rng, space.theta, n_vars)
         if not topology.sets_equal(eval_topo(phi, space, v), full, space.theta):
             return v
     return None

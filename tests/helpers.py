@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from hypothesis import strategies as st
@@ -340,6 +341,73 @@ def kripke_oracle(phi, frame, v):
         return dia if isinstance(f, Dia) else nodes - dia
 
     return sem(phi)
+
+
+# --- the map check -------------------------------------------------------------
+
+
+def j1_failures(fmap, space, t):
+    """Reference for (j1) at the top level: every node set A, by size, for
+    which fmap has band preimages of A and <>A and f^{-1}(<>A) differs from
+    d_lam f^{-1}(A).  It asks fmap for all 2^n subsets, as the map check
+    did before it read preimages from a block table."""
+    from ordtopo.topology import NotRepresentable, derived_set, sets_equal
+
+    top = len(t.rels) - 1
+    lam = space.level_at(Ordinal.from_int(top))
+    out = []
+    for r in range(len(t.nodes) + 1):
+        for a in itertools.combinations(t.nodes, r):
+            dia = frozenset(x for x, y in t.rels[top] if y in a)
+            try:
+                lhs, pa = fmap.preimage(dia), fmap.preimage(a)
+            except NotRepresentable:
+                continue
+            if not sets_equal(lhs, derived_set(pa, lam, space.theta), space.theta):
+                out.append(frozenset(a))
+    return out
+
+
+class Mutant:
+    """fmap with the fibers of the nodes in swap exchanged (swap maps each
+    to its partner) and, when x is given, the point x moved to node `to`."""
+
+    def __init__(self, fmap, swap=(), x=None, to=None):
+        self.fmap, self.swap, self.x, self.to = fmap, dict(swap), x, to
+        self.theta = fmap.theta
+
+    def apply(self, p):
+        if p == self.x:
+            return self.to
+        y = self.fmap.apply(p)
+        return self.swap.get(y, y)
+
+    def preimage(self, nodes):
+        from ordtopo.ordinal import ONE
+        from ordtopo.topology import complement_within, intersect, interval, union
+
+        nodes = set(nodes)
+        out = self.fmap.preimage([self.swap.get(y, y) for y in nodes])
+        if self.x is None:
+            return out
+        pt = interval(self.x, self.x)
+        if self.to in nodes:
+            return union(out, pt)
+        return intersect(out, complement_within(pt, ONE, self.theta))
+
+
+class Counting:
+    """fmap, counting its preimage calls."""
+
+    def __init__(self, fmap):
+        self.fmap, self.theta, self.calls = fmap, fmap.theta, 0
+
+    def apply(self, p):
+        return self.fmap.apply(p)
+
+    def preimage(self, nodes):
+        self.calls += 1
+        return self.fmap.preimage(nodes)
 
 
 @st.composite

@@ -1,12 +1,15 @@
 import contextlib
 import io
 import json
+import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordtopo.cli import main
+from ordtopo.embed import countermodel_to_json, embed
 from ordtopo.jtree import jframe_to_json, make_jframe
 from ordtopo.ordinal import MAX_NESTING, parse_ordinal
 from ordtopo.topology import member, parse_bandset
@@ -272,11 +275,124 @@ def test_verify_rejects_a_bad_sigma(capsys, tmp_path, sigma, levels, why):
     ("rab", [("r", "a"), ("r", "b")]),    # fibers of a, b are not
 ])
 def test_verify_budget_too_small(capsys, tmp_path, nodes, rels):
+    # the map check samples nothing, so there is no budget to give
     cmf = embed_file(capsys, tmp_path, nodes, rels)
-    code, out, err = run(capsys, "verify", "<0>T", "--cm", str(cmf),
-                         "--budget", "2")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "<0>T", "--cm", str(cmf), "--budget", "2"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("usage:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field,value,why", [
+    ("fmap", {"map": "liter", "delta": 1, "theta": "w"},
+     "countermodel field 'fmap' must be a map object tagged 'compose' or "
+     "'const' or 'product' or 'rank' or 'segments', not 'liter'"),
+    ("fmap", [1], "countermodel field 'fmap' must be a map object tagged "
+     "'compose' or 'const' or 'product' or 'rank' or 'segments'"),
+    ("fmap", {"map": "rank"}, "countermodel has no 'fmap.root' field"),
+    ("fmap", {"map": "rank", "root": "r", "children": 5},
+     "countermodel field 'fmap.children' must be a list"),
+    ("fmap", {"map": "rank", "root": "r",
+              "children": [{"map": "rank", "root": ["a"], "children": []}]},
+     "countermodel field 'fmap.children[0].root' must be a node id "
+     "(a string or an integer)"),
+    ("fmap", {"map": "compose", "inner": {"map": "const", "node": "r", "theta": "w"},
+              "outer": {"map": "const", "node": "r", "theta": "w"}},
+     "countermodel field 'fmap.inner' must be a map object tagged 'liter' or "
+     "'otyp_up', not 'const'"),
+    ("fmap", {"map": "const", "node": 1.5, "theta": "w"},
+     "countermodel field 'fmap.node' must be a node id (a string or an integer)"),
+    ("fmap", {"map": "compose", "outer": {"map": "const", "node": "r", "theta": "w"},
+              "inner": {"map": "liter", "delta": True, "theta": "w"}},
+     "countermodel field 'fmap.inner.delta' must be a non-negative integer"),
+    ("fmap", {"map": "segments", "parts": [{"nodes": "ra", "fmap": {
+        "map": "const", "node": "r", "theta": "w"}}]},
+     "countermodel field 'fmap.parts[0].nodes' must be a list of node ids"),
+    ("tree", {"nodes": "ra", "rels": [[["r", "a"]]]},
+     "frame field 'tree.nodes' must be a list of node ids (strings or integers)"),
+    ("tree", {"nodes": ["r", "a"], "rels": [[["r"]]]},
+     "frame field 'tree.rels[0][0]' must be a [node, node] pair"),
+])
+def test_verify_names_the_bad_map_or_tree_field(capsys, tmp_path, field, value, why):
+    cmf = embed_file(capsys, tmp_path, "ra", [("r", "a")])
+    obj = json.loads(cmf.read_text())
+    obj[field] = value
+    cmf.write_text(json.dumps(obj))
+    assert run(capsys, "verify", "<0>T", "--cm", str(cmf)) == (2, "", f"error: {why}\n")
+
+
+@pytest.mark.parametrize("depth,code", [(100, 0), (200, 2)])
+def test_verify_caps_map_nesting(capsys, tmp_path, depth, code):
+    cmf = embed_file(capsys, tmp_path, "ra", [("r", "a")])
+    obj = json.loads(cmf.read_text())
+    for _ in range(depth):  # identity layers: l^0 is the identity
+        obj["fmap"] = {"map": "compose", "outer": obj["fmap"],
+                       "inner": {"map": "liter", "delta": 0, "theta": "w"}}
+    cmf.write_text(json.dumps(obj))
+    got, out, err = run(capsys, "verify", "<0>T", "--cm", str(cmf))
+    assert got == code and "Traceback" not in err
+    if code == 2:
+        assert err.startswith("error: countermodel field 'fmap") and \
+            "nests maps deeper than 128" in err
+
+
+@pytest.mark.parametrize("argv", [["verify", "T", "--cm"], ["kripke", "T", "--frame"]])
+def test_deeply_nested_json_file(tmp_path, argv):
+    ff = tmp_path / "deep.json"
+    ff.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run_quiet(argv + [str(ff)])
     assert (code, out) == (2, "")
-    assert err.startswith("error:")
+    assert err.startswith("error:") and "nested too deeply" in err
+
+
+def _json_paths(value, at=()):
+    yield at
+    if isinstance(value, dict):
+        for k in sorted(value):
+            yield from _json_paths(value[k], at + (k,))
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from _json_paths(v, at + (i,))
+
+
+def _replaced(value, at, new):
+    if not at:
+        return new
+    value = json.loads(json.dumps(value))
+    cur = value
+    for k in at[:-1]:
+        cur = cur[k]
+    cur[at[-1]] = new
+    return value
+
+
+CM_BLOBS = [countermodel_to_json(embed(make_jframe(nodes, [rels]), (1,)))
+            for nodes, rels in (("ra", [("r", "a")]),                 # 2-chain
+                                ("rab", [("r", "a"), ("r", "b")]))]   # fan
+CM_WORDS = ["0", "1", "w", "w+1", "r", "a", "b", "map", "nodes", "rels", "rank",
+            "liter", "const", "compose", "segments", "product", "otyp_up"]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10**6) | st.floats(allow_nan=False)
+    | st.text(max_size=6) | st.sampled_from(CM_WORDS),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.sampled_from(CM_WORDS) | st.text(max_size=4), kids,
+                      max_size=3),
+    max_leaves=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(CM_BLOBS), st.data(), JSON_VALUES)
+def test_cm_json_exit_contract(blob, data, new):
+    at = data.draw(st.sampled_from(list(_json_paths(blob))))
+    with tempfile.TemporaryDirectory() as tmp:
+        cmf = os.path.join(tmp, "cm.json")
+        with open(cmf, "w") as fh:
+            json.dump(_replaced(blob, at, new), fh)
+        code, _, err = run_quiet(["verify", "<0>T", "--cm", cmf])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    assert (code == 2) == err.startswith("error:")
 
 
 def test_embed_rejects_non_tree(capsys, tmp_path):
@@ -437,8 +553,9 @@ def test_malformed_frame_files(tmp_path, blob, argv):
     ["ord", "1", "--seed", "5", "--budget", "2"],
     ["band", "[1,w]", "--budget", "2"],
     ["search", "T", "--seed", "5"],
+    ["verify", "T", "--cm", "cm.json", "--seed", "5"],
 ])
-def test_seed_and_budget_belong_to_verify(capsys, argv):
+def test_no_subcommand_takes_seed_or_budget(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     err = capsys.readouterr().err

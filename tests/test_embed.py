@@ -30,7 +30,15 @@ from ordtopo.embed import (
     product,
     verify_countermodel,
 )
-from ordtopo.jtree import JFrame, _jtree_rels, jmap_check, make_jframe, root_of
+from ordtopo.jtree import (
+    JFrame,
+    _jtree_rels,
+    block_table,
+    frame_ranks,
+    jmap_check,
+    make_jframe,
+    root_of,
+)
 from ordtopo.logic import (
     PolySpace,
     endpoint_pool,
@@ -442,6 +450,108 @@ def test_embedded_small_jtrees_pass_the_exact_openness_check():
     assert opened > 40
 
 
+def small_models(m, lift):
+    """Every treelike frame on <= 4 nodes with m relations, embedded at
+    sigma = (1 + lift, ..., m + lift)."""
+    sigma = tuple(range(1 + lift, m + 1 + lift))
+    for n in range(1, 5):
+        for rels in _jtree_rels(tuple(range(n)), m):
+            yield embed(JFrame(tuple(range(n)), rels), sigma)
+
+
+def j1_row(rep):
+    return next(c for c in rep.checks if c[0].startswith("(j1) d-map law"))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("lift", [0, 1])
+def test_block_table_against_the_subset_oracle(m, lift):
+    multi = 0
+    for cm in small_models(m, lift):
+        t, space = cm.tree, cm.space()
+        counted = helpers.Counting(cm.fmap)
+        rep = jmap_check(counted, space, t)
+        assert rep.ok, (t, str(rep))
+        # (j1) passes exactly when no subset fails the reference loop
+        assert j1_row(rep)[2] == (not helpers.j1_failures(cm.fmap, space, t))
+        # n fibers and the rank upsets rho = 0 .. h+1, and nothing else
+        h = max(frame_ranks(t, m - 1).values())
+        assert counted.calls == len(t.nodes) + h + 2, t
+        # every band preimage is a union of blocks and their preimages
+        _, table = block_table(cm.fmap, space, t)
+        multi += any(len(b) > 1 for b, _ in table)
+        for r in range(len(t.nodes) + 1):
+            for s in map(frozenset, itertools.combinations(t.nodes, r)):
+                try:
+                    want = cm.fmap.preimage(s)
+                except NotRepresentable:
+                    continue
+                assert all(b <= s or not b & s for b, _ in table), (t, s)
+                got = functools.reduce(union, (pb for b, pb in table if b <= s), EMPTY)
+                assert sets_equal(got, want, cm.theta), (t, s)
+    assert multi > 0
+
+
+@pytest.mark.parametrize("nodes,rels", [
+    ("ra", [("r", "a")]),                 # 2-chain
+    ("rab", [("r", "a"), ("r", "b")]),    # fan: a and b share a rank class
+])
+def test_block_table_on_mutant_maps(nodes, rels):
+    cm = embed(frame(nodes, rels), (1,))
+    mutants = [helpers.Mutant(cm.fmap, {a: b, b: a})
+               for a, b in itertools.combinations(nodes, 2)]
+    for x in map(o, ("1", "2", "w")):
+        mutants += [helpers.Mutant(cm.fmap, x=x, to=y) for y in nodes
+                    if cm.fmap.apply(x) != y]
+    caught = 0
+    for mut in mutants:
+        rep = jmap_check(mut, cm.space(), cm.tree)
+        oracle_ok = not helpers.j1_failures(mut, cm.space(), cm.tree)
+        rank_ok = ("(j1) rank preservation", "EXACT", True, "") in rep.checks
+        # the rank row licenses the rank-band blocks; where it holds, (j1)
+        # agrees with the subset loop, and a failing subset always fails
+        if rank_ok:
+            assert j1_row(rep)[2] == oracle_ok, (mut.swap, mut.x, mut.to)
+        assert oracle_ok or not rep.ok
+        caught += not rep.ok
+    assert caught > 0
+    # swapping the root with a branch leaves no subset the loop can read,
+    # but the exact rank row still fails the map
+    if nodes == "rab":
+        for y in "ab":
+            mut = helpers.Mutant(cm.fmap, {"r": y, y: "r"})
+            assert not helpers.j1_failures(mut, cm.space(), cm.tree)
+            assert not jmap_check(mut, cm.space(), cm.tree).ok
+
+
+def test_rank_row_is_exact_beyond_the_map():
+    # theta-up on a two-relation model: the point w^w+1 has no image
+    obj = countermodel_to_json(embed(frame((0, 1, 2), [(0, 1), (2, 1)], [(0, 2)]),
+                                     (1, 2)))
+    assert obj["theta"] == "w^w"
+    obj["theta"] = "w^w+1"
+    cm = countermodel_from_json(obj)
+    rep = jmap_check(cm.fmap, cm.space(), cm.tree)
+    assert ("(j1) rank preservation", "EXACT", False,
+            "f^-1(rank >= 0) differs from l^2 >= 0 at x=w^w+1") in rep.checks
+    assert not verify_countermodel(cm, f("<0>T")).ok
+
+
+@pytest.mark.parametrize("nodes,rels,sigma,kind", [
+    ("r", [[]], (1,), ConstMap),
+    ("ra", [[("r", "a")]], (1,), GLEmbedMap),
+    ("ra", [[("r", "a")]], (2,), ComposeMap),
+    ((0, 1, 2), [[(0, 1), (2, 1)], [(0, 2)]], (1, 2), CaseIIMap),
+])
+def test_apply_rejects_points_outside_the_domain(nodes, rels, sigma, kind):
+    cm = embed(frame(nodes, *rels), sigma)
+    assert type(cm.fmap) is kind
+    assert cm.fmap.apply(cm.theta) == root_of(cm.tree)
+    for x in (ZERO, add(cm.theta, ONE)):
+        with pytest.raises(ValueError, match="outside"):
+            cm.fmap.apply(x)
+
+
 def test_embed_root_fiber_all_small_trees():
     for kf, root in helpers.all_trees(4):
         cm = embed(JFrame(kf.nodes, kf.rels), (1,))
@@ -526,43 +636,44 @@ MAP_CHECK_REPORTS = [
     (frame("ra", [("r", "a")]), (1,), [
         ("(a) satisfied at the root", "EXACT", True, ""),
         ("(b) root fiber is {theta}", "EXACT", True, ""),
-        ("(b) (j1) d-map law", "EXACT", True, "4 subsets"),
-        ("(b) (j1) rank preservation", "SAMPLED", True, ""),
+        ("(b) (j1) d-map law", "EXACT", True, "2 fibers"),
+        ("(b) (j1) rank preservation", "EXACT", True, ""),
         ("(b) (j2) openness", "EXACT", True, ""),
         ("(b) witness table", "EXACT", True, "2 nodes"),
         ("(c) theta satisfies phi", "EXACT", True, "[2,w] & l^1 in (0,inf]"),
     ]),
-    # the fibers of a and b split a rank class: no (j2) row
+    # the fibers of a and b split a rank class: one block {a, b}, no (j2) row
     (frame("rab", [("r", "a"), ("r", "b")]), (1,), [
         ("(a) satisfied at the root", "EXACT", True, ""),
         ("(b) root fiber is {theta}", "EXACT", True, ""),
         ("(b) fiber representability", "SKIPPED", True,
          "no band fibers for ['a', 'b']"),
         ("(b) (j1) d-map law on representable subsets", "EXACT-WHERE-DEFINED",
-         True, "4 checked, 4 skipped"),
-        ("(b) (j1) rank preservation", "SAMPLED", True, ""),
+         True, "multi-node blocks ['a', 'b']; 0 skipped"),
+        ("(b) (j1) rank preservation", "EXACT", True, ""),
         ("(b) witness table", "EXACT", True, "3 nodes"),
         ("(c) theta satisfies phi", "EXACT", True, "[2,w] & l^1 in (0,inf]"),
     ]),
-    # (j3) and (j4) rows of the missing fibers are SKIPPED
+    # (j3) rows whose sets split a block and (j4) rows of the missing
+    # fibers are SKIPPED
     (frame((0, 1, 2), [(0, 1), (0, 2)], [], []), (1, 2, 3), [
         ("(a) satisfied at the root", "EXACT", True, ""),
         ("(b) root fiber is {theta}", "EXACT", True, ""),
         ("(b) fiber representability", "SKIPPED", True,
          "no band fibers for [1, 2]"),
         ("(b) (j1) d-map law on representable subsets", "EXACT-WHERE-DEFINED",
-         True, "4 checked, 4 skipped"),
-        ("(b) (j1) rank preservation", "SAMPLED", True, ""),
+         True, "multi-node blocks [1, 2]; 0 skipped"),
+        ("(b) (j1) rank preservation", "EXACT", True, ""),
         ("(b) (j3) root 0 at level 0", "EXACT", True, ""),
         ("(b) (j4) fiber of 0 discrete at level 0", "EXACT", True, ""),
         ("(b) (j3) root 0 at level 1", "EXACT", True, ""),
         ("(b) (j4) fiber of 0 discrete at level 1", "EXACT", True, ""),
         ("(b) (j3) root 1 at level 1", "SKIPPED", True,
-         "[1,1] is position-dependent on [1,2]"),
+         "[1] splits the block [1, 2]"),
         ("(b) (j4) fiber of 1 at level 1", "SKIPPED", True,
          "fiber not representable"),
         ("(b) (j3) root 2 at level 1", "SKIPPED", True,
-         "[2,2] is position-dependent on [1,2]"),
+         "[2] splits the block [1, 2]"),
         ("(b) (j4) fiber of 2 at level 1", "SKIPPED", True,
          "fiber not representable"),
         ("(b) witness table", "EXACT", True, "3 nodes"),
@@ -640,8 +751,8 @@ def test_verify_theta_beyond_the_map_fails_a_check(tree):
     obj["theta"] += "+1"
     rep = verify_countermodel(countermodel_from_json(obj), f("<0>T"))
     assert not rep.ok
-    assert ("(b) (j1) rank preservation", "SAMPLED", False,
-            "x=w+1 is outside the map's domain") in rep.checks
+    assert ("(b) (j1) rank preservation", "EXACT", False,
+            "f^-1(rank >= 0) differs from l^1 >= 0 at x=w+1") in rep.checks
 
 
 def test_verify_witness_beyond_the_map_fails_a_check():

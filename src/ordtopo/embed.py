@@ -14,8 +14,9 @@ say) and fall outside the band algebra; preimage calls on such sets
 raise NotRepresentable.  verify_countermodel runs one map check,
 jtree.jmap_check, on every model; it finds the missing fibers from fmap,
 not from the stored algebra, and reports the (j1)-(j4) rows that need
-them as SKIPPED or EXACT-WHERE-DEFINED.  Stage (c) then falls back to a
-pointwise sampled evaluation.
+them as SKIPPED or EXACT-WHERE-DEFINED.  Stage (c) then reads theta's
+truth off the tree a rank map (or a liter lift of one) is built over, at
+f(theta), which the d-map law makes exact.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from typing import Dict, List, Optional, Tuple
 from .ordinal import (
     DEPTH_CAP,
     MAX_NESTING,
-    OMEGA,
     ONE,
     ZERO,
     Ordinal,
@@ -46,6 +46,7 @@ from .topology import (
     EMPTY,
     BandSet,
     NotRepresentable,
+    TopologyError,
     bandset,
     bandset_to_text,
     complement_within,
@@ -58,21 +59,10 @@ from .topology import (
     merge_bound,
     parse_bandset,
     sets_equal,
-    trim_last,
     union,
 )
 from .logic import (
-    OP_AND,
-    OP_BOT,
-    OP_BOX,
-    OP_IMP,
-    OP_NOT,
-    OP_OR,
-    OP_TOP,
-    OP_VAR,
     PolySpace,
-    Program,
-    UnboundVariable,
     compile_formula,
     eval_kripke,
     eval_topo,
@@ -237,10 +227,6 @@ class OtypUpMap:
             out = union(out, bandset([make_band(lo, hi, cons)]))
         return out
 
-    def to_json(self):
-        return {"map": "otyp_up", "xi": ordinal_to_text(self.xi),
-                "theta": ordinal_to_text(self.theta)}
-
 
 # --- the cell layout and projections -------------------------------------------------
 
@@ -327,11 +313,6 @@ class Pi0Map:
         lifted = bandset(make_band(ONE, self.theta, b.cons_dict())
                          for b in s.bands)
         return intersect(self.x_down, lifted)
-
-    def to_json(self):
-        return {"map": "pi0",
-                "kappas": [ordinal_to_text(k) for k in self.cells.kappas],
-                "theta": ordinal_to_text(self.theta)}
 
 
 @dataclass
@@ -503,6 +484,11 @@ class GLEmbedMap:
             cons = {1: (None, ZERO)} if rho == 0 else {1: (_nat(rho - 1), _nat(rho))}
             out.append(make_band(ONE, self.theta, cons))
         return bandset(out)
+
+    def below(self) -> List[Tuple]:
+        """The pairs (x, y) of the tree with y in x's subtree, y != x."""
+        return [(self.root, v) for c in self.children for v in c.node_rank] + \
+            [pair for c in self.children for pair in c.below()]
 
     def witnesses(self) -> Dict:
         out = {self.root: self.theta}
@@ -746,116 +732,30 @@ def countermodel_valuation(cm: Countermodel, t_val: Dict) -> Dict[int, BandSet]:
 # --- verification ------------------------------------------------------------------
 
 
-class PointwiseUnsupported(EmbedError):
-    pass
-
-
-# Segment window for the cofinality test below.  The fibers the
-# construction produces are eventually periodic along every canonical
-# approach sequence (block patterns repeat with the map's period, a
-# handful at most), so whether a set keeps meeting segments is decided
-# by the tail of the window; _SEG_WINDOW segments with the last
-# _SEG_TAIL inspected leaves generous slack over any period that can
-# actually occur.
-_SEG_WINDOW = 24
-_SEG_TAIL = 12
-_SEG_COEFF = 6
-
-
-def _segment_offsets(m: int) -> List[Ordinal]:
-    """Sample points inside a half-open segment of length w^m."""
-    if m == 0:
-        return [ZERO]
-    if m == 1:
-        return [_nat(b) for b in range(_SEG_COEFF + 1)]
-    if m == 2:
-        return [add(multiply(OMEGA, _nat(a)), _nat(b))
-                for a in range(_SEG_COEFF + 1) for b in range(_SEG_COEFF + 1)]
-    raise PointwiseUnsupported("approach step above w^2")
-
-
-class _Pointwise:
-    """Truth of the slots of a compiled formula at single ordinals.
-
-    Works directly with membership predicates instead of band sets, so
-    the genuinely periodic fibers are no obstacle.  A limit x = g + w^e*c
-    accumulates s at level 1 iff s keeps meeting the segments
-    [y_n, y_{n+1}) with y_n = g + w^e*(c-1) + w^(e-1)*n; membership along
-    those segments is eventually periodic for every set the construction
-    produces, so a hit anywhere in the tail window decides cofinality.
-    Levels >= 2 raise PointwiseUnsupported (they only arise together with
-    theta > w^3, where this evaluator is never called).  The memo, keyed
-    by (slot, x), lives as long as the object.
-    """
-
-    def __init__(self, prog: Program, cm: Countermodel, t_val: Dict):
-        for a in prog.atoms:
-            if a not in t_val:
-                raise UnboundVariable(f"p{a}")
-        self.code = prog.code
-        self.mods = prog.mods
-        self.supports = [t_val[a] for a in prog.atoms]
-        self.fmap = cm.fmap
-        self.space = cm.space()
-        self.memo: Dict[Tuple[int, Ordinal], bool] = {}
-
-    def sat(self, slot: int, x: Ordinal) -> bool:
-        key = (slot, x)
-        if key not in self.memo:
-            self.memo[key] = self._sat(slot, x)
-        return self.memo[key]
-
-    def _sat(self, slot: int, x: Ordinal) -> bool:
-        op, a, b = self.code[slot]
-        if op == OP_VAR:
-            return self.fmap.apply(x) in self.supports[a]
-        if op == OP_TOP:
-            return True
-        if op == OP_BOT:
-            return False
-        if op == OP_NOT:
-            return not self.sat(a, x)
-        if op == OP_AND:
-            return self.sat(a, x) and self.sat(b, x)
-        if op == OP_OR:
-            return self.sat(a, x) or self.sat(b, x)
-        if op == OP_IMP:
-            return not self.sat(a, x) or self.sat(b, x)
-        # <k>A holds at x iff A accumulates there, [k]A iff ~A does not
-        box = op == OP_BOX
-        lam = self.space.level_at(self.mods[b])
-        return self.accumulates(a, box, x, lam) != box
-
-    def accumulates(self, slot: int, negated: bool, x: Ordinal, lam: int) -> bool:
-        """Whether the set of slot (its complement if negated) accumulates
-        at x in the level-lam topology."""
-        if lam != 1:
-            raise PointwiseUnsupported(f"pointwise derived set at level {lam}")
-        if x <= ONE or x.is_successor():
-            return False
-        e_, _c = x.terms[-1]
-        if not e_.is_finite() or e_.to_int() > 3:
-            raise PointwiseUnsupported("limit point above w^3")
-        base = trim_last(x)
-        step = omega_pow(left_subtract(ONE, e_))
-        offsets = _segment_offsets(e_.to_int() - 1)
-        for n in range(_SEG_WINDOW, _SEG_WINDOW - _SEG_TAIL, -1):
-            y0 = add(base, multiply(step, _nat(n)))
-            for d in offsets:
-                y = add(y0, d)
-                if ONE <= y < x and self.sat(slot, y) != negated:
-                    return True
-        return False
-
-
-def _universe_eval(phi, cm: Countermodel, t_val: Dict) -> bool:
-    """Pointwise evaluation of phi at theta, for theta <= w^3 (see
-    _Pointwise)."""
-    prog = compile_formula(phi)
-    return _Pointwise(prog, cm, t_val).sat(len(prog.code) - 1, cm.theta)
-
-
-W3 = parse_ordinal("w^3")
+def transfer_truth(cm: Countermodel, phi, t_val: Dict) -> Optional[Tuple[bool, str]]:
+    """Whether theta satisfies phi under the valuation pulled back from
+    t_val, read at f(theta) by the d-map law (see verify_countermodel),
+    and a detail naming f(theta); None where the law does not apply.  A
+    theta outside [1, fmap.theta] has no f(theta) and fails."""
+    if not ONE <= cm.theta <= cm.fmap.theta:
+        return False, f"theta {cm.theta} is outside [1, {cm.fmap.theta}]"
+    levels = {cm.space().level_at(m) for m in compile_formula(phi).mods}
+    rank, lam = cm.fmap, 1  # a rank map read at level 1, or a liter lift of one
+    while isinstance(rank, ComposeMap):
+        rank, lam = rank.node_map, lam + rank.ord_map.delta
+    on_tree = isinstance(rank, GLEmbedMap) and levels <= {lam}
+    if levels and not on_tree:
+        return None
+    y = cm.fmap.apply(cm.theta)
+    if on_tree:
+        below = frozenset(rank.below())
+        frame = JFrame(tuple(rank.node_rank),
+                       tuple(below if s == lam else frozenset() for s in cm.sigma))
+    else:
+        frame = JFrame((y,), ())
+    val = {a: frozenset(s) & set(frame.nodes) for a, s in t_val.items()}
+    where = "the map's own tree" if on_tree else "one node, as phi has no modality"
+    return y in eval_kripke(phi, frame, val), f"f(theta) = {y!r} on {where}"
 
 
 def verify_countermodel(cm: Countermodel, phi,
@@ -864,9 +764,33 @@ def verify_countermodel(cm: Countermodel, phi,
     given) valuation; (b) the stored root fiber, jmap_check's map
     conditions (rank preservation exact on all of [1, theta]) and the
     witness table (every node has a witness, which lies in [1, theta] and
-    maps to it); (c) theta satisfies phi under the pulled-back valuation,
-    exactly when it is representable.  Only the root-fiber row reads
-    cm.algebra."""
+    maps to it); (c) theta satisfies phi under the pulled-back valuation.
+    Only the root-fiber row reads cm.algebra.
+
+    Stage (c) is exact wherever it runs: eval_topo over band sets when
+    every support of the valuation has a band preimage, else the d-map law
+    f^-1(<>A) = d f^-1(A) on the tree a rank-family map is built over, in
+    which each node sees its whole subtree (transfer_truth).  Proof:
+    (i) a rank map is a d-map from I_1 on [1, w^h], by induction on h.  The
+      blocks (p*q + P_{i-1}, p*q + P_i] (period p, prefix sums P_i) tile
+      [1, w^h) and are clopen; on each, f is a child's map after a
+      translation by a positive offset, a homeomorphism keeping every l^k.
+      Every punctured neighbourhood of w^h, the root's one point, contains
+      whole periods, so it meets every fiber below the root.
+    (ii) l^delta, floored to 1 as EllIter does, is a d-map from
+      I_{lam+delta} on [1, e^delta(theta)] to I_lam on [1, theta] (the
+      paper's lemma; criterion 6 tests delta = 1): the floored points have
+      l^{lam+delta} = 0, so they are isolated, as 1 is.  d-maps compose.
+    (iii) [1, theta'] is clopen in every I_lam with lam >= 1, so a
+      theta' <= fmap.theta only localises.
+    (iv) by induction on phi, f^-1 commutes with the Boolean operations
+      and, through the law, with <> at the map's level; so theta satisfies
+      phi iff f(theta) does when every modality of phi is read at that
+      level (along any map when phi has no modality).
+    The transfer reads neither cm.tree nor cm.algebra, so a map that
+    disagrees with the frame still fails stage (b).  A theta outside
+    [1, fmap.theta] fails stage (c); where neither path applies, it is
+    SKIPPED."""
     rep = JMapReport()
     root = root_of(cm.tree)
 
@@ -912,26 +836,21 @@ def verify_countermodel(cm: Countermodel, phi,
         got = eval_topo(phi, cm.space(), v_bands)
         rep.add("(c) theta satisfies phi", "EXACT", member(cm.theta, got),
                 bandset_to_text(got))
-    elif cm.theta <= W3:
-        try:
-            rep.add("(c) theta satisfies phi", "UNIVERSE",
-                    _universe_eval(phi, cm, found),
-                    "pointwise over the approach segments")
-        except PointwiseUnsupported as exc:
-            rep.add("(c) semantic check", "SKIPPED", True, str(exc))
+    elif (got := transfer_truth(cm, phi, found)) is not None:
+        rep.add("(c) theta satisfies phi", "EXACT", *got)
     else:
-        rep.add("(c) semantic check", "SKIPPED", True,
-                "valuation not band-representable and theta > w^3")
+        rep.add("(c) semantic check", "SKIPPED", True, "valuation not band-"
+                "representable and the map is not a rank map at phi's levels")
     return rep
 
 
 # --- serialization -----------------------------------------------------------------
 
 
-# the maps that send ordinals to nodes, and the two that send ordinals to
-# ordinals, which only ever stand as a compose's inner map
+# the maps that send ordinals to nodes, and the one that sends ordinals to
+# ordinals, which only ever stands as a compose's inner map
 NODE_MAPS = ("compose", "const", "product", "rank", "segments")
-ORDINAL_MAPS = ("liter", "otyp_up")
+ORDINAL_MAPS = ("liter",)
 
 # JSON shapes of map fields: (what the error says, test)
 _NODE = ("a node id (a string or an integer)", is_node_id)
@@ -955,10 +874,11 @@ def _field(obj: dict, path: str, key: str, shape=None):
     return obj[key]
 
 
-def _ordinal_at(text: str, path: str) -> Ordinal:
+def _parse_at(text: str, path: str, parse=parse_ordinal):
+    """parse(text); a syntax error names the field path."""
     try:
-        return parse_ordinal(text)
-    except OrdinalError as exc:
+        return parse(text)
+    except (OrdinalError, TopologyError) as exc:
         raise EmbedError(f"countermodel field {path!r}: {exc}")
 
 
@@ -967,8 +887,11 @@ def _map_from_json(obj, path: str = "fmap", tags=NODE_MAPS, depth: int = 0):
 
     Each field is checked against its tag's JSON shape before it is read,
     and so is the kind of map: a node-valued map where one belongs, and
-    `liter` and `otyp_up` only as a compose's inner map.  A wrong one
-    raises EmbedError naming its path, such as 'fmap.children[0].root'.
+    `liter` only as a compose's inner map.  A `rank` map names each node
+    once, and a compose's `liter` theta is e^delta of its outer map's
+    theta, as embed writes them; stage (c)'s transfer relies on both.  A
+    wrong one raises EmbedError naming its path, such as
+    'fmap.children[0].root'.
     """
     tag = obj.get("map") if isinstance(obj, dict) else None
     if tag not in tags:
@@ -983,7 +906,7 @@ def _map_from_json(obj, path: str = "fmap", tags=NODE_MAPS, depth: int = 0):
         return _field(obj, path, key, shape)
 
     def ordinal(key):
-        return _ordinal_at(read(key, _TEXT), f"{path}.{key}")
+        return _parse_at(read(key, _TEXT), f"{path}.{key}")
 
     def inner(value, at, tags=NODE_MAPS):
         return _map_from_json(value, at, tags, depth + 1)
@@ -992,15 +915,24 @@ def _map_from_json(obj, path: str = "fmap", tags=NODE_MAPS, depth: int = 0):
         return ConstMap(read("node", _NODE), ordinal("theta"))
     if tag == "liter":
         return EllIter(read("delta", _NAT), ordinal("theta"))
-    if tag == "otyp_up":
-        return OtypUpMap(ordinal("xi"), ordinal("theta"))
     if tag == "compose":
-        return ComposeMap(inner(read("outer"), f"{path}.outer"),
-                          inner(read("inner"), f"{path}.inner", ORDINAL_MAPS))
+        outer = inner(read("outer"), f"{path}.outer")
+        lift = inner(read("inner"), f"{path}.inner", ORDINAL_MAPS)
+        try:  # past DEPTH_CAP lifts, e^delta(theta) is 0 or too deep to write
+            lifted = lift.theta == e_iter(min(lift.delta, DEPTH_CAP + 1), outer.theta)
+        except OrdinalError:
+            lifted = False
+        if not lifted:
+            raise EmbedError(f"countermodel field {path + '.inner.theta'!r} must "
+                             f"be e^{lift.delta} of the outer map's theta")
+        return ComposeMap(outer, lift)
     if tag == "rank":
-        return GLEmbedMap(read("root", _NODE),
-                          [inner(c, f"{path}.children[{i}]", ("rank",))
-                           for i, c in enumerate(read("children", _LIST))])
+        fm = GLEmbedMap(read("root", _NODE),
+                        [inner(c, f"{path}.children[{i}]", ("rank",))
+                         for i, c in enumerate(read("children", _LIST))])
+        if len(fm.node_rank) < 1 + sum(len(c.node_rank) for c in fm.children):
+            raise EmbedError(f"countermodel field {path!r} names a node twice")
+        return fm
     if tag == "segments":
         seg, k_prev = [], ZERO
         for i, part in enumerate(read("parts", _PARTS)):
@@ -1012,7 +944,7 @@ def _map_from_json(obj, path: str = "fmap", tags=NODE_MAPS, depth: int = 0):
             seg.append((k_prev, k_hi, fm, frozenset(_field(part, at, "nodes", _NODES))))
             k_prev = k_hi
         return SegmentSum(seg)
-    kappas = [_ordinal_at(k, f"{path}.kappas[{i}]")
+    kappas = [_parse_at(k, f"{path}.kappas[{i}]")
               for i, k in enumerate(read("kappas", _TEXTS))]
     try:
         prod = product(kappas, ordinal("lam"))
@@ -1040,7 +972,8 @@ def countermodel_to_json(cm: Countermodel) -> dict:
 
 def _pairs(val, second) -> bool:
     return isinstance(val, list) and all(
-        isinstance(p, list) and len(p) == 2 and isinstance(p[1], second) for p in val)
+        isinstance(p, list) and len(p) == 2 and is_node_id(p[0])
+        and isinstance(p[1], second) for p in val)
 
 
 # the JSON shape of each countermodel field that is read as plain data
@@ -1061,14 +994,17 @@ def countermodel_from_json(obj) -> Countermodel:
     for name in ("tree", "fmap", *_FIELD_SHAPES):
         _field(obj, "", name, _FIELD_SHAPES.get(name))
     try:
-        theta = parse_ordinal(obj["theta"])
-        levels = tuple(parse_ordinal(o) for o in obj["levels"])
+        theta = _parse_at(obj["theta"], "theta")
+        levels = tuple(_parse_at(s, f"levels[{i}]")
+                       for i, s in enumerate(obj["levels"]))
         tree = jframe_from_json(obj["tree"], at="tree.")
         sigma = _check_sigma(obj["sigma"], len(tree.rels))
         fmap = _map_from_json(obj["fmap"])
-        wit = {v: parse_ordinal(w) for v, w in obj["witnesses"]}
-        algebra = {v: None if s is None else parse_bandset(s)
-                   for v, s in obj["algebra"]}
+        wit = {v: _parse_at(w, f"witnesses[{i}][1]")
+               for i, (v, w) in enumerate(obj["witnesses"])}
+        algebra = {v: None if s is None
+                   else _parse_at(s, f"algebra[{i}][1]", parse_bandset)
+                   for i, (v, s) in enumerate(obj["algebra"])}
     except (KeyError, TypeError, ValueError) as exc:
         raise EmbedError(f"malformed countermodel object: {exc!r}")
     cm = Countermodel(theta, fmap, tree, sigma, wit, algebra)

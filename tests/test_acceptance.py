@@ -217,8 +217,6 @@ def test_criterion_7_product_suite(capsys):
     report(capsys, 7, "product suite", cases, failures)
 
 
-W3 = o("w^3")
-
 CATALOG = [
     "<0><1>T",
     "<1><0>T",
@@ -250,10 +248,9 @@ def test_criterion_8_end_to_end_countermodels(capsys):
         rep = verify_countermodel(cm, phi_c, t_val=res.valuation)
         if not rep.ok:
             failures.append(("verify", phi, str(rep)))
-        if cm.theta <= W3:
-            modes = [m for n, m, _, _ in rep.checks if n.startswith("(c)")]
-            if modes == ["SKIPPED"] or not modes:
-                failures.append(("stage (c) skipped", phi))
+        modes = [m for n, m, _, _ in rep.checks if n.startswith("(c)")]
+        if modes != ["EXACT"]:
+            failures.append(("stage (c) not exact", phi, modes))
     report(capsys, 8, "end-to-end countermodels", len(formulas), failures)
 
 

@@ -236,22 +236,45 @@ def test_verify_witness_of_another_node_fails(capsys, tmp_path):
     assert "(b) witness table: FAIL -- witness w of node 'a' maps to 'r'" in out
 
 
-@pytest.mark.parametrize("field,value,shape", [
+# why: the shape the field must have, or the entry's path and why its text
+# does not parse
+@pytest.mark.parametrize("field,value,why", [
     ("levels", "1", "a list of strings"),
     ("theta", 5, "a string"),
     ("sigma", 1, "a list"),
     ("witnesses", "ab", "a list of [node, text] pairs"),
     ("witnesses", [["a", 1], ["r", "w"]], "a list of [node, text] pairs"),
     ("algebra", [1, 2], "a list of [node, text or null] pairs"),
+    ("witnesses", [[["a"], "1"], ["r", "w"]], "a list of [node, text] pairs"),
+    ("algebra", [["a", "[1,w"], ["r", "[w,w]"]],
+     "'algebra[0][1]': expected ']' at position 4"),
+    ("theta", "w+", "'theta': expected a number, 'w' or '(' at position 2"),
+    ("levels", ["x"], "'levels[0]': unknown name 'x' at position 0"),
 ])
-def test_verify_names_a_malformed_field(capsys, tmp_path, field, value, shape):
+def test_verify_names_a_malformed_field(capsys, tmp_path, field, value, why):
     cmf = embed_file(capsys, tmp_path, "ra", [("r", "a")])
     obj = json.loads(cmf.read_text())
     obj[field] = value
     cmf.write_text(json.dumps(obj))
     code, out, err = run(capsys, "verify", "<0>T", "--cm", str(cmf))
     assert (code, out) == (2, "")
-    assert err == f"error: countermodel field {field!r} must be {shape}\n"
+    if not why.startswith("'"):
+        why = f"{field!r} must be {why}"
+    assert err == f"error: countermodel field {why}\n"
+
+
+def test_verify_theta_outside_the_maps_domain_fails(capsys, tmp_path):
+    # the fan's valuation splits the rank class {a, b}, so stage (c) reads
+    # theta's truth at f(theta), which does not exist past the map's w
+    cmf = embed_file(capsys, tmp_path, "rab", [("r", "a"), ("r", "b")])
+    obj = json.loads(cmf.read_text())
+    obj["theta"] = "w*2"
+    cmf.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", "<0>p0 & <0>~p0", "--cm", str(cmf),
+                         "--json")
+    assert (code, err) == (1, "")
+    assert ["(c) theta satisfies phi", "EXACT", False,
+            "theta w*2 is outside [1, w]"] in json.loads(out)["checks"]
 
 
 @pytest.mark.parametrize("sigma,levels,why", [
@@ -299,8 +322,8 @@ def test_verify_budget_too_small(capsys, tmp_path, nodes, rels):
      "(a string or an integer)"),
     ("fmap", {"map": "compose", "inner": {"map": "const", "node": "r", "theta": "w"},
               "outer": {"map": "const", "node": "r", "theta": "w"}},
-     "countermodel field 'fmap.inner' must be a map object tagged 'liter' or "
-     "'otyp_up', not 'const'"),
+     "countermodel field 'fmap.inner' must be a map object tagged 'liter', "
+     "not 'const'"),
     ("fmap", {"map": "const", "node": 1.5, "theta": "w"},
      "countermodel field 'fmap.node' must be a node id (a string or an integer)"),
     ("fmap", {"map": "compose", "outer": {"map": "const", "node": "r", "theta": "w"},
@@ -313,6 +336,15 @@ def test_verify_budget_too_small(capsys, tmp_path, nodes, rels):
      "frame field 'tree.nodes' must be a list of node ids (strings or integers)"),
     ("tree", {"nodes": ["r", "a"], "rels": [[["r"]]]},
      "frame field 'tree.rels[0][0]' must be a [node, node] pair"),
+    ("fmap", {"map": "rank", "root": "r", "children": [
+        {"map": "rank", "root": "a", "children": []},
+        {"map": "rank", "root": "b", "children": [
+            {"map": "rank", "root": "a", "children": []}]}]},
+     "countermodel field 'fmap' names a node twice"),
+    ("fmap", {"map": "compose", "inner": {"map": "liter", "delta": 1, "theta": "w"},
+              "outer": {"map": "rank", "root": "r", "children": [
+                  {"map": "rank", "root": "a", "children": []}]}},
+     "countermodel field 'fmap.inner.theta' must be e^1 of the outer map's theta"),
 ])
 def test_verify_names_the_bad_map_or_tree_field(capsys, tmp_path, field, value, why):
     cmf = embed_file(capsys, tmp_path, "ra", [("r", "a")])
@@ -320,6 +352,23 @@ def test_verify_names_the_bad_map_or_tree_field(capsys, tmp_path, field, value, 
     obj[field] = value
     cmf.write_text(json.dumps(obj))
     assert run(capsys, "verify", "<0>T", "--cm", str(cmf)) == (2, "", f"error: {why}\n")
+
+
+@pytest.mark.parametrize("theta,code", [("0", 1), ("w", 2)])
+def test_verify_reads_a_huge_liter_delta_at_once(capsys, tmp_path, theta, code):
+    # e^delta(0) = 0 for every delta, and e^delta(w) is past DEPTH_CAP: the
+    # compose check must not take delta steps to see either
+    cmf = embed_file(capsys, tmp_path, "ra", [("r", "a")])
+    obj = json.loads(cmf.read_text())
+    obj["fmap"] = {"map": "compose",
+                   "outer": {"map": "const", "node": "r", "theta": theta},
+                   "inner": {"map": "liter", "delta": 10**18, "theta": theta}}
+    cmf.write_text(json.dumps(obj))
+    got, out, err = run(capsys, "verify", "<0>T", "--cm", str(cmf))
+    assert got == code and "Traceback" not in err
+    if code == 2:
+        assert err == ("error: countermodel field 'fmap.inner.theta' must be "
+                       f"e^{10**18} of the outer map's theta\n")
 
 
 @pytest.mark.parametrize("depth,code", [(100, 0), (200, 2)])
@@ -385,11 +434,13 @@ JSON_VALUES = st.recursive(
 @given(st.sampled_from(CM_BLOBS), st.data(), JSON_VALUES)
 def test_cm_json_exit_contract(blob, data, new):
     at = data.draw(st.sampled_from(list(_json_paths(blob))))
+    # on the fan, the second formula's valuation is not band-representable
+    phi = data.draw(st.sampled_from(["<0>T", "<0>p0 & <0>~p0"]))
     with tempfile.TemporaryDirectory() as tmp:
         cmf = os.path.join(tmp, "cm.json")
         with open(cmf, "w") as fh:
             json.dump(_replaced(blob, at, new), fh)
-        code, _, err = run_quiet(["verify", "<0>T", "--cm", cmf])
+        code, _, err = run_quiet(["verify", phi, "--cm", cmf])
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     assert (code == 2) == err.startswith("error:")

@@ -28,6 +28,7 @@ from ordtopo.embed import (
     embed,
     gl_embed,
     product,
+    transfer_truth,
     verify_countermodel,
 )
 from ordtopo.jtree import (
@@ -41,6 +42,7 @@ from ordtopo.jtree import (
 )
 from ordtopo.logic import (
     PolySpace,
+    _random_formula,
     endpoint_pool,
     eval_topo,
     parse_formula,
@@ -602,19 +604,20 @@ def test_verify_two_chain():
     assert rep.ok
 
 
-def test_verify_branching_uses_pointwise_fallback():
+def test_verify_branching_uses_the_transfer():
     cm = embed(frame("rab", [("r", "a"), ("r", "b")]), (1,))
     rep = verify_countermodel(cm, f("<0>p0 & <0>~p0"))
     assert rep.ok, str(rep)
     modes = {name: mode for name, mode, _, _ in rep.checks}
-    assert modes["(c) theta satisfies phi"] == "UNIVERSE"
+    assert modes["(c) theta satisfies phi"] == "EXACT"
     assert any(mode == "SKIPPED" for _, mode, _, _ in rep.checks)
 
 
-def test_pointwise_eval_fan_goldens():
-    # alternating fibers a, b on the finite points; fiber of r is {w}
-    from ordtopo.embed import _universe_eval
-
+def test_transfer_fan_goldens():
+    # alternating fibers a, b on the finite points; fiber of r is {w}.  The
+    # valuation splits the rank class {a, b}, so stage (c) reads phi at
+    # f(w) = r on the fan; a false phi is checked through its negation,
+    # which holds at the root.
     cm = embed(frame("rab", [("r", "a"), ("r", "b")]), (1,))
     val = {0: frozenset("r"), 1: frozenset("a"), 2: frozenset("b")}
     cases = [
@@ -627,8 +630,64 @@ def test_pointwise_eval_fan_goldens():
         ("[0](p1 | p2)", True),
         ("[0]p1", False),
     ]
+    detail = "f(theta) = 'r' on the map's own tree"
     for txt, want in cases:
-        assert _universe_eval(f(txt), cm, val) == want, txt
+        assert transfer_truth(cm, f(txt), val) == (want, detail), txt
+        rep = verify_countermodel(cm, f(txt if want else f"~({txt})"), t_val=val)
+        assert rep.checks[-1] == ("(c) theta satisfies phi", "EXACT", True,
+                                  detail), txt
+
+
+def rank_class_valuation(rng, cm, n_atoms):
+    """Each atom's support a union of rank classes of the tree (so its
+    preimage is a band set) or, half the time, any set of nodes."""
+    ranks = frame_ranks(cm.tree, 0)
+    out = {}
+    for i in range(n_atoms):
+        if rng.random() < 0.5:
+            hit = {r for r in set(ranks.values()) if rng.random() < 0.5}
+            out[i] = frozenset(x for x in cm.tree.nodes if ranks[x] in hit)
+        else:
+            out[i] = frozenset(x for x in cm.tree.nodes if rng.random() < 0.5)
+    return out
+
+
+@pytest.mark.parametrize("sigma", [(1,), (2,), (3,)])
+def test_transfer_agrees_with_band_evaluation(sigma):
+    """Wherever the valuation is band-representable, phi read at f(x) on the
+    map's own tree equals membership of x in eval_topo's band set, at
+    x = theta and at every witness point (a smaller theta, which only
+    localises).  The one-node tree embeds by a constant map, not a rank map."""
+    rng = random.Random(f"transfer:{sigma}")
+    compared = 0
+    for kf, _ in helpers.all_trees(5)[1:]:
+        cm = embed(kf, sigma)
+        for _ in range(4):
+            phi = _random_formula(rng, 2, 1, 4)
+            val = rank_class_valuation(rng, cm, 2)
+            try:
+                bands = countermodel_valuation(cm, val)
+            except NotRepresentable:
+                continue
+            got = eval_topo(phi, cm.space(), bands)
+            for x in {cm.theta, *cm.witnesses.values()}:
+                holds, _ = transfer_truth(dataclasses.replace(cm, theta=x), phi, val)
+                assert holds == member(x, got), (kf, sigma, phi, val, x)
+                compared += 1
+    assert compared > 150
+
+
+def test_transfer_needs_the_map_level_and_its_domain():
+    # sigma = (1, 2) with R_0 empty: a rank map lifted by l, read at level 2
+    cm = embed(frame("ra", [], [("r", "a")]), (1, 2))
+    val = {0: frozenset("a")}
+    assert transfer_truth(cm, f("<1>p0"), val) == (
+        True, "f(theta) = 'r' on the map's own tree")
+    assert transfer_truth(cm, f("<0>p0"), val) is None
+    assert transfer_truth(cm, f("p0 | ~p0"), val)[0]
+    up = dataclasses.replace(cm, theta=add(cm.theta, ONE))
+    assert transfer_truth(up, f("<0>p0"), val) == (
+        False, "theta w^w+1 is outside [1, w^w]")
 
 
 MAP_CHECK_REPORTS = [

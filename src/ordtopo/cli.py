@@ -46,7 +46,13 @@ from .logic import (
     formula_to_text,
     parse_formula,
 )
-from .jtree import FrameError, find_jtree_model, jframe_from_json, jframe_to_json
+from .jtree import (
+    FrameError,
+    find_jtree_model,
+    is_node_id,
+    jframe_from_json,
+    jframe_to_json,
+)
 from .embed import (
     EmbedError,
     countermodel_from_json,
@@ -87,6 +93,31 @@ def _load_json(path: str):
             raise ValueError(f"{path}: JSON nested too deeply to read")
 
 
+# JSON shapes of valuation values: (what the error says, test)
+_BANDSET_TEXT = ("a band-set string", lambda v: isinstance(v, str))
+_NODE_IDS = ("a list of node ids",
+             lambda v: isinstance(v, list) and all(map(is_node_id, v)))
+
+
+def _load_valuation(path: str, shape, read) -> dict:
+    """{atom index: read(value)} from a JSON object whose keys are atom
+    indices in digits and whose values have the given shape."""
+    obj = _load_json(path)
+    if not isinstance(obj, dict):
+        raise ValueError("a valuation must be a JSON object")
+    out = {}
+    for key, value in obj.items():
+        if not (key.isascii() and key.isdigit()):
+            raise ValueError(f"valuation key {key!r} must be an atom index in digits")
+        if not shape[1](value):
+            raise ValueError(f"valuation field {key!r} must be {shape[0]}")
+        try:
+            out[int(key)] = read(value)
+        except TopologyError as exc:
+            raise ValueError(f"valuation field {key!r}: {exc}")
+    return out
+
+
 def _write_out(args, record: dict) -> None:
     blob = json.dumps(record, sort_keys=True, indent=2)
     if getattr(args, "out", None):
@@ -122,9 +153,7 @@ def cmd_band(args) -> int:
 def cmd_eval(args) -> int:
     phi = parse_formula(args.formula)
     space = PolySpace(parse_ordinal(args.theta), _levels(args.levels))
-    v = {}
-    if args.val:
-        v = {int(k): parse_bandset(s) for k, s in _load_json(args.val).items()}
+    v = _load_valuation(args.val, _BANDSET_TEXT, parse_bandset) if args.val else {}
     got = eval_topo(phi, space, v)
     record = {"set": bandset_to_text(got), "empty": is_empty(got),
               "theta_member": member(space.theta, got)}
@@ -135,9 +164,7 @@ def cmd_eval(args) -> int:
 def cmd_kripke(args) -> int:
     phi = parse_formula(args.formula)
     t = jframe_from_json(_load_json(args.frame))
-    v = {}
-    if args.val:
-        v = {int(k): frozenset(ns) for k, ns in _load_json(args.val).items()}
+    v = _load_valuation(args.val, _NODE_IDS, frozenset) if args.val else {}
     got = eval_kripke(phi, t, v)
     nodes = sorted(got, key=repr)
     _emit(args, {"nodes": nodes}, " ".join(map(str, nodes)) or "(none)")

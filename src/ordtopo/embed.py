@@ -78,8 +78,8 @@ from .jtree import (
     jframe_to_json,
     jmap_check,
     make_jframe,
-    planes,
     root_of,
+    root_split,
     subframe,
 )
 
@@ -577,24 +577,23 @@ def gl_embed(t) -> Tuple[Ordinal, GLEmbedMap]:
         raise EmptyTree("cannot embed an empty tree")
     if len(t.rels) != 1:
         raise NotAJTree(f"expected one relation, got {len(t.rels)}")
-    rel = t.rels[0]
-
-    def build(x) -> GLEmbedMap:
-        succ = frozenset(y for a, y in rel if a == x)
-        imm = sorted((y for y in succ
-                      if not any((z, y) in rel for z in succ if z != y)),
-                     key=repr)
-        return GLEmbedMap(x, [build(c) for c in imm])
-
-    fm = build(root_of(t))
+    root_of(t)  # raises InvalidFrame unless t is a rooted tree
+    fm = _rank_map(t)
     return fm.theta, fm
+
+
+def _rank_map(t: JFrame) -> GLEmbedMap:
+    """gl_embed's map, on a checked tree; children by the reprs of their roots."""
+    (root,), subtrees = root_split(t)
+    children = sorted(map(_rank_map, subtrees), key=lambda c: repr(c.root))
+    return GLEmbedMap(root, children)
 
 
 # --- the recursive embedding ------------------------------------------------------------
 
 
 def _embed(t: JFrame, sigma: Tuple[int, ...]):
-    """Returns (theta, fmap, witnesses)."""
+    """(theta, fmap, witnesses) for a treelike frame t that embed() checked."""
     nodes = tuple(t.nodes)
     if len(nodes) == 1:
         return ONE, ConstMap(nodes[0], ONE), {nodes[0]: ONE}
@@ -605,7 +604,7 @@ def _embed(t: JFrame, sigma: Tuple[int, ...]):
         return (theta, ComposeMap(fm, EllIter(delta, theta)),
                 {v: e_iter(delta, w) for v, w in wit.items()})
     if len(t.rels) == 1:
-        _, fm = gl_embed(t)
+        fm = _rank_map(t)
         return fm.theta, fm, fm.witnesses()
     if not t.rels[0]:
         # the first relation is empty: drop it and lift by one logarithm
@@ -615,22 +614,14 @@ def _embed(t: JFrame, sigma: Tuple[int, ...]):
         return (theta, ComposeMap(fm, EllIter(1, theta)),
                 {v: e(w) for v, w in wit.items()})
 
-    # the root's plane has proper subtrees below it
-    root = root_of(t)
-    pd = planes(t, 0, check=False)
-    alpha = pd.subblock_of(root)
-    succ_planes = [b for a, b in pd.order if a == alpha]
-    child_planes = [b for b in succ_planes
-                    if not any((c, b) in pd.order for c in succ_planes if c != b)]
-    r0 = t.rels[0]
+    # the root plane alpha has subtrees below it, ordered by their thetas,
+    # then by the reprs of their own root planes
+    alpha, subtrees = root_split(t)
     parts = []
-    for beta in child_planes:
-        x0 = min(beta, key=repr)
-        below = frozenset(y for a, y in r0 if a == x0)
-        sub = subframe(t, beta | below)
+    for sub in subtrees:
         th_i, fm_i, wit_i = _embed(sub, sigma)
-        parts.append((th_i, sorted(map(repr, beta)), fm_i,
-                      frozenset(sub.nodes), wit_i))
+        beta = sorted(map(repr, root_split(sub)[0]))
+        parts.append((th_i, beta, fm_i, frozenset(sub.nodes), wit_i))
     parts.sort(key=lambda p: (p[0], p[1]))
 
     lam, f0, wit0 = _embed(subframe(t, alpha), sigma)
@@ -918,8 +909,8 @@ def _map_from_json(obj, path: str = "fmap", tags=NODE_MAPS, depth: int = 0):
     if tag == "compose":
         outer = inner(read("outer"), f"{path}.outer")
         lift = inner(read("inner"), f"{path}.inner", ORDINAL_MAPS)
-        try:  # past DEPTH_CAP lifts, e^delta(theta) is 0 or too deep to write
-            lifted = lift.theta == e_iter(min(lift.delta, DEPTH_CAP + 1), outer.theta)
+        try:
+            lifted = lift.theta == e_iter(lift.delta, outer.theta)
         except OrdinalError:
             lifted = False
         if not lifted:

@@ -6,9 +6,14 @@ relations R_0..R_{n-1} subject to two monotonicity conditions:
   (I) for m < n: x R_n y implies R_m(x) = R_m(y);
   (J) for m < n: x R_m y and y R_n z imply x R_m z.
 
-Such frames decompose into nested "planes" (components of the upper
-relations); treelike frames are those whose planes nest as trees.  The
-module also checks the map conditions (j1)-(j4) for maps from a band-set
+The k-planes are the components under R_k and above.  A treelike frame is
+a root plane with subtrees hanging below it under R_0, each plane again a
+treelike frame on the higher relations.  root_split reads that structure
+off the in-edges: the root plane is the set of nodes that no R_0 edge
+enters.  Tree recognition and the hereditary roots read the frame the same
+way, and the embedding recurses through root_split.
+
+The module also checks the map conditions (j1)-(j4) for maps from a band-set
 space onto a treelike frame, and does bounded search for a treelike
 model of a formula.
 """
@@ -189,131 +194,104 @@ def validate_jframe(f: JFrame) -> FrameReport:
     return rep
 
 
-# --- planes ---------------------------------------------------------------------
+# --- tree structure -----------------------------------------------------------------
 
 
-def _eq_classes(nodes, pairs) -> Tuple[FrozenSet, ...]:
-    adj: Dict = {x: set() for x in nodes}
-    for a, b in pairs:
-        adj[a].add(b)
-        adj[b].add(a)
-    out, seen = [], set()
+def _components(nodes, rels) -> List[FrozenSet]:
+    """The components of nodes under the relations rels, in either direction."""
+    nbrs: Dict = {x: set() for x in nodes}
+    for r in rels:
+        for a, b in r:
+            if a in nbrs and b in nbrs:
+                nbrs[a].add(b)
+                nbrs[b].add(a)
+    todo, out = set(nbrs), []
     for x in nodes:
-        if x in seen:
-            continue
-        comp, stack = set(), [x]
-        while stack:
-            y = stack.pop()
-            if y in comp:
-                continue
-            comp.add(y)
-            stack.extend(adj[y])
-        seen |= comp
-        out.append(frozenset(comp))
-    return tuple(out)
+        if x in todo:
+            todo.discard(x)
+            comp = [x]
+            for y in comp:  # comp grows as it is read
+                new = nbrs[y] & todo
+                todo -= new
+                comp.extend(new)
+            out.append(frozenset(comp))
+    return out
 
 
-@dataclass(frozen=True)
-class PlaneDecomposition:
-    n: int
-    blocks: Tuple[FrozenSet, ...]        # n-planes
-    subblocks: Tuple[FrozenSet, ...]     # (n+1)-planes
-    order: FrozenSet[Tuple[FrozenSet, FrozenSet]]  # alpha sees beta via R_n
-
-    def subblock_of(self, x) -> FrozenSet:
-        return next(s for s in self.subblocks if x in s)
+def _split(nodes, rels) -> Tuple[FrozenSet, List[FrozenSet]]:
+    """(nodes that no rels[0] edge from nodes enters, components of the rest)"""
+    inside = set(nodes)
+    entered = {b for a, b in (rels[0] if rels else ()) if a in inside}
+    alpha = frozenset(x for x in nodes if x not in entered)
+    return alpha, _components([x for x in nodes if x in entered], rels)
 
 
-def planes(f: JFrame, n: int, check: bool = True) -> PlaneDecomposition:
-    """n-planes and the order on the (n+1)-planes inside them."""
-    if check:
-        rep = validate_jframe(f)
-        if not rep.ok:
-            raise InvalidFrame(str(rep))
-    hi = [p for r in f.rels[n:] for p in r]
-    sub_hi = [p for r in f.rels[n + 1:] for p in r]
-    blocks = _eq_classes(f.nodes, hi)
-    subblocks = _eq_classes(f.nodes, sub_hi)
-    rel = f.rels[n] if n < len(f.rels) else frozenset()
-    loc = {x: s for s in subblocks for x in s}
-    order = frozenset((loc[a], loc[b]) for a, b in rel)
-    return PlaneDecomposition(n, blocks, subblocks, order)
+def root_split(f: JFrame) -> Tuple[FrozenSet, List[JFrame]]:
+    """The root plane of f, the nodes that no R_0 edge enters, and the child
+    subtrees, the connected components of the other nodes.
 
-
-def _is_tree(elems, order) -> bool:
-    """elems under a transitive strict 'ancestor sees descendant' order."""
-    elems = list(elems)
-    for a in elems:
-        if (a, a) in order:
-            return False
-    for a, b in order:
-        for c, d in order:
-            if b == c and (a, d) not in order:
-                return False
-    roots = [a for a in elems if not any((b, a) in order for b in elems)]
-    if len(roots) != 1:
-        return False
-    for a in elems:
-        preds = [b for b in elems if (b, a) in order]
-        for b in preds:
-            for c in preds:
-                if b != c and (b, c) not in order and (c, b) not in order:
-                    return False
-    return True
+    In a treelike frame, (i) R_k never joins two points of one (k+1)-plane:
+    by (I), they have equal R_k-successor sets, so x R_k y gives y R_k y;
+    and (ii) a plane sees every point of a plane it sees at all.  So a
+    (k+1)-plane is entered by R_k exactly when each of its points is.
+    Hence the root plane is the set of nodes that no R_0 edge enters, and
+    once it is removed, each child plane and everything below it form one
+    component."""
+    alpha, rest = _split(f.nodes, f.rels)
+    return alpha, [subframe(f, c) for c in rest]
 
 
 def is_jtree(f: JFrame) -> bool:
+    """Whether the frame f is treelike (InvalidFrame if it is not valid):
+    each component at level k splits as root_split splits f, alpha goes on
+    to level k+1, each component of the rest stays at level k, and f is
+    treelike iff alpha is one node at the last level.  Were alpha to fall
+    apart at level k+1, its pieces would keep points apart down to the last
+    level; so alpha lies in one plane, whose points have equal
+    R_k-successors by (I), and by transitivity alpha sees the rest."""
     rep = validate_jframe(f)
     if not rep.ok:
         raise InvalidFrame(str(rep))
-    for n in range(len(f.rels)):
-        pd = planes(f, n, check=False)
-        for block in pd.blocks:
-            subs = {s for s in pd.subblocks if s <= block}
-            order = {(a, b) for a, b in pd.order if a in subs and b in subs}
-            if not _is_tree(subs, order):
-                return False
-            # uniformity: a plane sees every point of a plane it sees at all
-            for a, b in order:
-                if not all((x, y) in f.rels[n] for x in a for y in b):
-                    return False
+    n = len(f.rels)
+    stack = [(c, 0) for c in _components(f.nodes, f.rels)]
+    while stack:
+        comp, k = stack.pop()
+        alpha, rest = _split(comp, f.rels[k:])
+        if k + 1 < n:
+            stack.append((alpha, k + 1))
+        elif len(alpha) != 1:
+            return False
+        stack.extend((c, k) for c in rest)
     return True
 
 
-def hereditary_roots(f: JFrame, k: int) -> FrozenSet:
-    """Nodes whose (j+1)-plane is the root plane of its j-plane for all j >= k.
+def _unentered(f: JFrame, k: int) -> FrozenSet:
+    """The nodes that no R_j edge with j >= k enters."""
+    entered = {b for r in f.rels[k:] for _, b in r}
+    return frozenset(x for x in f.nodes if x not in entered)
 
-    Heredity runs upward through the remaining levels: a hereditary
-    (k+1)-root is the root of its own plane at level k and stays a root
-    at every finer level.  (With k = 0 this singles out the global root
-    of a connected treelike frame.)
-    """
+
+def hereditary_roots(f: JFrame, k: int) -> FrozenSet:
+    """Nodes whose (j+1)-plane is the root plane of its j-plane for all
+    j >= k: by root_split's lemma, those that no R_j edge, j >= k, enters."""
     if not is_jtree(f):
         raise InvalidFrame("hereditary roots need a treelike frame")
-    decomps = [planes(f, j, check=False) for j in range(k, len(f.rels))]
-    out = []
-    for x in f.nodes:
-        for pd in decomps:
-            beta = pd.subblock_of(x)
-            if any(b == beta for _, b in pd.order):
-                break
-        else:
-            out.append(x)
-    return frozenset(out)
+    return _unentered(f, k)
 
 
 def root_of(f: JFrame):
-    """The unique node that is a hereditary root at every level."""
+    """The unique node of a connected treelike frame that no edge enters."""
     if not f.rels:
         if len(f.nodes) != 1:
             raise InvalidFrame("a frame without relations must be a single node")
         return f.nodes[0]
-    if len(planes(f, 0).blocks) != 1:
+    treelike = is_jtree(f)  # a frame that is not valid fails here first
+    if len(_components(f.nodes, f.rels)) != 1:
         raise InvalidFrame("frame is not connected")
-    roots = hereditary_roots(f, 0)
-    if len(roots) != 1:
-        raise InvalidFrame(f"expected a unique root, found {len(roots)}")
-    return next(iter(roots))
+    if not treelike:
+        raise InvalidFrame("hereditary roots need a treelike frame")
+    (root,) = _unentered(f, 0)
+    return root
 
 
 # --- bounded model search ----------------------------------------------------------
@@ -664,7 +642,7 @@ def jmap_check(fmap, space, t: JFrame) -> JMapReport:
     # (j3)/(j4): hereditary-root conditions at each lower level
     for k in range(nn - 1):
         lam_k = space.level_at(Ordinal.from_int(k))
-        for x in sorted(hereditary_roots(t, k), key=repr):
+        for x in sorted(_unentered(t, k), key=repr):
             below = frozenset(y for r in t.rels[k:] for a, y in r if a == x)
             name = f"(j3) root {x!r} at level {k}"
             for s in (below, below | {x}):

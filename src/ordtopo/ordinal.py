@@ -286,6 +286,10 @@ def e(a: Ordinal) -> Ordinal:
 
 
 def e_iter(n: int, a: Ordinal) -> Ordinal:
+    """e^n(a).  e(0) = 0, and e raises DepthExceeded once the nesting passes
+    DEPTH_CAP, so this stops within DEPTH_CAP steps for any n."""
+    if a.is_zero():
+        return a
     for _ in range(n):
         a = e(a)
     return a

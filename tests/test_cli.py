@@ -42,6 +42,11 @@ def test_ord_goldens(capsys, expr, want):
     assert out.strip() == want
 
 
+def test_eiter_of_zero_returns_at_once(capsys):
+    # e(0) = 0, so no count of steps can matter
+    assert run(capsys, "ord", "eiter(100000000000, 0)") == (0, "0\n", "")
+
+
 def test_ord_json(capsys):
     code, out, _ = run(capsys, "ord", "w*2+1", "--json")
     assert code == 0
@@ -142,6 +147,30 @@ def test_kripke_rejects_nodes_outside_the_frame(capsys, tmp_path):
     assert out == ""
     assert err.startswith("error:") and "'z'" in err
     assert "Traceback" not in err
+
+
+def fan_file(tmp_path):
+    ff = tmp_path / "frame.json"
+    ff.write_text(json.dumps(jframe_to_json(
+        make_jframe(["r", "a", "b"], [[("r", "a"), ("r", "b")]]))))
+    return str(ff)
+
+
+@pytest.mark.parametrize("cmd,blob,why", [
+    ("eval", [1], "a valuation must be a JSON object"),
+    ("eval", {"0": 5}, "valuation field '0' must be a band-set string"),
+    ("eval", {"p0": "[1,w]"}, "valuation key 'p0' must be an atom index in digits"),
+    ("eval", {"0": "[1,w"}, "valuation field '0': expected ']' at position 4"),
+    ("kripke", [1], "a valuation must be a JSON object"),
+    ("kripke", {"0": 5}, "valuation field '0' must be a list of node ids"),
+    ("kripke", {"0": [["a"]]}, "valuation field '0' must be a list of node ids"),
+])
+def test_malformed_valuation_files(capsys, tmp_path, cmd, blob, why):
+    vf = tmp_path / "val.json"
+    vf.write_text(json.dumps(blob))
+    argv = {"eval": ["eval", "p0", "--theta", "w", "--levels", "1"],
+            "kripke": ["kripke", "p0", "--frame", fan_file(tmp_path)]}[cmd]
+    assert run(capsys, *argv, "--val", str(vf)) == (2, "", f"error: {why}\n")
 
 
 # --- embed / verify ----------------------------------------------------------------
@@ -442,6 +471,35 @@ def test_cm_json_exit_contract(blob, data, new):
             json.dump(_replaced(blob, at, new), fh)
         code, _, err = run_quiet(["verify", phi, "--cm", cmf])
     assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    assert (code == 2) == err.startswith("error:")
+
+
+FAN = jframe_to_json(make_jframe(["r", "a", "b"], [[("r", "a"), ("r", "b")]]))
+# each input file and the command line reading it: (blob, argv up to the path)
+INPUT_FILES = [
+    (FAN, ["kripke", "<0>p0", "--val", "{val}", "--frame"]),
+    (FAN, ["embed", "--sigma", "1", "--tree"]),
+    ({"0": "[1,w^2]"}, ["eval", "<0>p0", "--theta", "w^2", "--levels", "1", "--val"]),
+    ({"0": ["a"], "1": ["r", "b"]}, ["kripke", "<0>p0 & p1", "--frame", "{frame}",
+                                     "--val"]),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(INPUT_FILES), st.data(), JSON_VALUES)
+def test_frame_and_valuation_files_exit_contract(case, data, new):
+    blob, argv = case
+    at = data.draw(st.sampled_from(list(_json_paths(blob))))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: os.path.join(tmp, name + ".json")
+                 for name in ("frame", "val", "input")}
+        for name, value in (("frame", FAN), ("val", {"0": ["a"]}),
+                            ("input", _replaced(blob, at, new))):
+            with open(paths[name], "w") as fh:
+                json.dump(value, fh)
+        code, _, err = run_quiet([a.format(**paths) for a in argv] + [paths["input"]])
+    assert code in (0, 2)
     assert "Traceback" not in err
     assert (code == 2) == err.startswith("error:")
 

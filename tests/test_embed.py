@@ -8,6 +8,7 @@ import pytest
 
 import helpers
 from ordtopo import embed as embed_module
+from ordtopo import jtree as jtree_module
 from ordtopo.embed import (
     CaseIIMap,
     ComposeMap,
@@ -32,6 +33,7 @@ from ordtopo.embed import (
     verify_countermodel,
 )
 from ordtopo.jtree import (
+    InvalidFrame,
     JFrame,
     _jtree_rels,
     block_table,
@@ -168,6 +170,35 @@ def test_gl_embed_errors():
         gl_embed(JFrame((), (frozenset(),)))
     with pytest.raises(NotAJTree):
         gl_embed(frame("r", [], []))
+    # a and b share the successor c: valid, connected, but not a tree
+    with pytest.raises(InvalidFrame, match="hereditary roots need a treelike frame"):
+        gl_embed(frame("abc", [("a", "c"), ("b", "c")]))
+
+
+@pytest.mark.parametrize("t,sigma", [
+    (frame("rab", [("r", "a"), ("r", "b")]), (1,)),
+    (frame("abcdef", [(a, b) for a, b in itertools.combinations("abcde", 2)]
+           + [(x, "f") for x in "abcd"]), (1,)),          # height 4, branching
+    (frame("abcd", [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")],
+           [("a", "b"), ("c", "d")]), (1, 2)),            # two relations
+])
+def test_validation_runs_at_most_twice_per_entry_point(monkeypatch, t, sigma):
+    # embed() and verify_countermodel each validate in is_jtree (embed's own
+    # check, or jmap_check's) and in root_of; the recursion of _embed and
+    # the (j3)/(j4) loops read the checked frame without validating again
+    calls = []
+    real = jtree_module.validate_jframe
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(jtree_module, "validate_jframe", counted)
+    cm = embed(t, sigma)
+    assert len(calls) <= 2
+    calls.clear()
+    assert verify_countermodel(cm, f("T")).ok
+    assert len(calls) <= 2
 
 
 # --- the product structure -------------------------------------------------------------

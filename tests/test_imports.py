@@ -1,13 +1,14 @@
 """Module boundaries of the package: no module imports another module's
-private names, every import sits at module level, and every imported name
-is used."""
+private names, every import sits at module level, every imported name is
+used, and every definition is named somewhere outside itself."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "ordtopo"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "ordtopo"
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -45,3 +46,41 @@ def test_every_imported_name_is_used(path):
             used.add(node.id)
     unused = sorted(set(imported) - used)
     assert not unused, f"{path.name} imports {unused} and never uses them"
+
+
+def _definitions(tree):
+    """(name, first line, last line) of each top-level function and class,
+    and of each method but the dunders."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno, node.end_lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and not item.name.startswith("__"):
+                    yield item.name, item.lineno, item.end_lineno
+
+
+def _names(tree):
+    """(name, line) for each name, attribute and imported name in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name.split(".")[-1], node.lineno
+
+
+def test_every_definition_is_referenced():
+    # __init__.py re-exports, so its definitions are its API
+    uses = {}
+    for path in sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py")):
+        for name, line in _names(ast.parse(path.read_text(), filename=str(path))):
+            uses.setdefault(name, []).append((path, line))
+    unused = [f"{path.name}:{first} {name}"
+              for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
+              for name, first, last in _definitions(ast.parse(path.read_text()))
+              if all(p == path and first <= line <= last
+                     for p, line in uses.get(name, ()))]
+    assert not unused, f"defined but never named elsewhere: {unused}"

@@ -27,8 +27,8 @@ from ordtopo.jtree import (
     jframe_to_json,
     jmap_check,
     make_jframe,
-    planes,
     root_of,
+    root_split,
     validate_jframe,
     _jtree_rels,
 )
@@ -109,16 +109,110 @@ def test_validate_matches_oracle_on_random_frames():
         assert validate_jframe(g).ok == oracle_valid(nodes, rels), g
 
 
-# --- planes ---------------------------------------------------------------------
+# --- the plane-based definition, kept as an oracle ---------------------------------
+#
+# The package reads a treelike frame through its root split (root_split, and
+# is_jtree's pass over in-edges).  The definition it replaced decomposes the
+# frame into planes at every level and asks that they nest as a tree; the
+# tests below hold the package to it.
+
+
+def oracle_classes(nodes, pairs):
+    adj = {x: set() for x in nodes}
+    for a, b in pairs:
+        adj[a].add(b)
+        adj[b].add(a)
+    out, seen = [], set()
+    for x in nodes:
+        if x in seen:
+            continue
+        comp, stack = set(), [x]
+        while stack:
+            y = stack.pop()
+            if y in comp:
+                continue
+            comp.add(y)
+            stack.extend(adj[y])
+        seen |= comp
+        out.append(frozenset(comp))
+    return tuple(out)
+
+
+def oracle_planes(g, n):
+    """(n-planes, (n+1)-planes, the pairs of (n+1)-planes that R_n joins)."""
+    rep = validate_jframe(g)
+    if not rep.ok:
+        raise InvalidFrame(str(rep))
+    blocks = oracle_classes(g.nodes, [p for r in g.rels[n:] for p in r])
+    subblocks = oracle_classes(g.nodes, [p for r in g.rels[n + 1:] for p in r])
+    loc = {x: s for s in subblocks for x in s}
+    rel = g.rels[n] if n < len(g.rels) else frozenset()
+    return blocks, subblocks, frozenset((loc[a], loc[b]) for a, b in rel)
+
+
+def oracle_is_tree(elems, order):
+    """elems under a transitive strict 'ancestor sees descendant' order."""
+    elems = list(elems)
+    if any((a, a) in order for a in elems):
+        return False
+    for a, b in order:
+        for c, d in order:
+            if b == c and (a, d) not in order:
+                return False
+    roots = [a for a in elems if not any((b, a) in order for b in elems)]
+    if len(roots) != 1:
+        return False
+    for a in elems:
+        preds = [b for b in elems if (b, a) in order]
+        for b in preds:
+            for c in preds:
+                if b != c and (b, c) not in order and (c, b) not in order:
+                    return False
+    return True
+
+
+def oracle_is_jtree(g):
+    for n in range(len(g.rels)):
+        blocks, subblocks, order = oracle_planes(g, n)
+        for block in blocks:
+            subs = {s for s in subblocks if s <= block}
+            sub_order = {(a, b) for a, b in order if a in subs and b in subs}
+            if not oracle_is_tree(subs, sub_order):
+                return False
+            # uniformity: a plane sees every point of a plane it sees at all
+            if not all((x, y) in g.rels[n] for a, b in sub_order for x in a for y in b):
+                return False
+    return True
+
+
+def oracle_hereditary_roots(g, k):
+    if not oracle_is_jtree(g):
+        raise InvalidFrame("hereditary roots need a treelike frame")
+    decomps = [oracle_planes(g, j) for j in range(k, len(g.rels))]
+    return frozenset(x for x in g.nodes
+                     if not any(b == next(s for s in subs if x in s)
+                                for _, subs, order in decomps for _, b in order))
+
+
+def oracle_root_of(g):
+    if not g.rels:
+        if len(g.nodes) != 1:
+            raise InvalidFrame("a frame without relations must be a single node")
+        return g.nodes[0]
+    if len(oracle_planes(g, 0)[0]) != 1:
+        raise InvalidFrame("frame is not connected")
+    roots = oracle_hereditary_roots(g, 0)
+    if len(roots) != 1:
+        raise InvalidFrame(f"expected a unique root, found {len(roots)}")
+    return next(iter(roots))
 
 
 def test_planes_goldens():
-    t = frame("rab", [("r", "a"), ("r", "b")])
-    pd = planes(t, 1)
-    assert all(len(s) == 1 for s in pd.blocks)
-    pd0 = planes(frame("ra", [("r", "a")]), 0)
-    assert pd0.blocks == (frozenset("ra"),)
-    assert pd0.order == frozenset({(frozenset("r"), frozenset("a"))})
+    blocks, _, _ = oracle_planes(frame("rab", [("r", "a"), ("r", "b")]), 1)
+    assert all(len(s) == 1 for s in blocks)
+    blocks, _, order = oracle_planes(frame("ra", [("r", "a")]), 0)
+    assert blocks == (frozenset("ra"),)
+    assert order == frozenset({(frozenset("r"), frozenset("a"))})
 
 
 def closure_classes(nodes, pairs):
@@ -140,14 +234,73 @@ def test_planes_against_closure_oracle():
                            [], [("b", "c")])]:
         assert validate_jframe(g).ok
         for n in range(3):
-            pd = planes(g, n)
             pairs = [p for r in g.rels[n:] for p in r]
-            assert set(pd.blocks) == closure_classes(g.nodes, pairs)
+            assert set(oracle_planes(g, n)[0]) == closure_classes(g.nodes, pairs)
 
 
 def test_planes_requires_valid_frame():
     with pytest.raises(InvalidFrame):
-        planes(frame("xyz", [("x", "y")], [("y", "z")]), 0)
+        oracle_planes(frame("xyz", [("x", "y")], [("y", "z")]), 0)
+
+
+def outcome(fn, *args):
+    """fn's value, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except InvalidFrame as exc:
+        return type(exc), str(exc)
+
+
+def every_frame(n_nodes, n_rels):
+    nodes = tuple(range(n_nodes))
+    pairs = [(a, b) for a in nodes for b in nodes if a != b]
+    subsets = [frozenset(itertools.compress(pairs, bits))
+               for bits in itertools.product((0, 1), repeat=len(pairs))]
+    for rels in itertools.product(subsets, repeat=n_rels):
+        yield JFrame(nodes, rels)
+
+
+def treelike_and_mutant(n_nodes, n_rels, rng):
+    """Each _jtree_rels frame, and a copy with one edge toggled."""
+    nodes = tuple(range(n_nodes))
+    pairs = [(a, b) for a in nodes for b in nodes if a != b]
+    for rels in _jtree_rels(nodes, n_rels):
+        yield JFrame(nodes, rels)
+        if pairs:
+            k = rng.randrange(n_rels)
+            mutant = list(rels)
+            mutant[k] = rels[k] ^ {rng.choice(pairs)}
+            yield JFrame(nodes, tuple(mutant))
+
+
+def test_root_split_matches_the_plane_oracle():
+    rng = random.Random(3)
+    frames = [g for n_rels, top in ((1, 4), (2, 3), (3, 2))
+              for n in range(1, top + 1) for g in every_frame(n, n_rels)]
+    frames += [g for n_rels, top in ((1, 5), (2, 5), (3, 4))
+               for n in range(1, top + 1) for g in treelike_and_mutant(n, n_rels, rng)]
+    treelike = 0
+    for g in frames:
+        got = outcome(is_jtree, g)
+        assert got == outcome(oracle_is_jtree, g), g
+        treelike += got is True
+        assert outcome(root_of, g) == outcome(oracle_root_of, g), g
+        for k in range(len(g.rels) + 1):
+            assert outcome(hereditary_roots, g, k) == \
+                outcome(oracle_hereditary_roots, g, k), (g, k)
+    assert len(frames) > 9000 and treelike > 300
+
+
+def test_root_split_of_the_mixed_frame():
+    # R_0 enters only c, and c stands alone below the root plane {a, b}
+    alpha, subtrees = root_split(MIXED)
+    assert alpha == frozenset("ab")
+    assert [(g.nodes, g.rels) for g in subtrees] == \
+        [(("c",), (frozenset(), frozenset()))]
+    fan = frame("rab", [("r", "a"), ("r", "b")])
+    alpha, subtrees = root_split(fan)
+    assert alpha == frozenset("r") and [g.nodes for g in subtrees] == [("a",), ("b",)]
+    assert root_split(frame("x")) == (frozenset("x"), [])
 
 
 # --- tree recognition ------------------------------------------------------------

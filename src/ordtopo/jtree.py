@@ -23,6 +23,7 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .ordinal import ONE, Ordinal, ZERO
@@ -289,7 +290,7 @@ def root_of(f: JFrame):
     if len(_components(f.nodes, f.rels)) != 1:
         raise InvalidFrame("frame is not connected")
     if not treelike:
-        raise InvalidFrame("hereditary roots need a treelike frame")
+        raise InvalidFrame("frame is not treelike")
     (root,) = _unentered(f, 0)
     return root
 
@@ -350,14 +351,46 @@ def _jtree_rels(nodes, n_mods: int):
                 yield (r0,) + tuple(frozenset(r) for r in rest)
 
 
-def _supports(n_atoms: int, n: int) -> List[int]:
+def _shape_key(nodes, rels, k: int = 0) -> tuple:
+    """The shape of a component of a treelike frame at level k, in the
+    style of the Aho-Hopcroft-Ullman tree encoding: (the key of its root
+    plane at level k+1, the sorted keys of its child components at level
+    k); () for a node past the last level.  By root_split's lemma, R_k runs
+    from each node of the root plane to each node of the rest, the higher
+    relations stay inside (k+1)-planes, and no edge joins two child
+    components; so two components have equal keys iff they are isomorphic,
+    and no permutation of the nodes is tried."""
+    if k == len(rels):
+        return ()
+    alpha, rest = _split(nodes, rels[k:])
+    return (_shape_key(alpha, rels, k + 1),
+            tuple(sorted(_shape_key(c, rels, k) for c in rest)))
+
+
+@lru_cache(maxsize=None)
+def _jtree_shapes(n: int, n_mods: int) -> Tuple[JFrame, ...]:
+    """One connected treelike frame on the nodes 0..n-1 per shape: the
+    first of its shape in _jtree_rels order.  Kept for the life of the
+    process, one entry per (n, n_mods) searched."""
+    nodes = tuple(range(n))
+    seen, out = set(), []
+    for rels in _jtree_rels(nodes, n_mods):
+        key = _shape_key(nodes, rels)
+        if key not in seen:
+            seen.add(key)
+            out.append(JFrame(nodes, rels))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _supports(n_atoms: int, n: int) -> Tuple[int, ...]:
     """The node masks each atom runs through, in search order: every subset
     by size, then lexicographically; only the empty, singleton and full
     sets when atoms x nodes > 12."""
     if n_atoms * n <= 12:
-        return [sum(1 << i for i in c)
-                for r in range(n + 1) for c in itertools.combinations(range(n), r)]
-    return [0] + [1 << i for i in range(n)] + [(1 << n) - 1]
+        return tuple(sum(1 << i for i in c)
+                     for r in range(n + 1) for c in itertools.combinations(range(n), r))
+    return (0,) + tuple(1 << i for i in range(n)) + ((1 << n) - 1,)
 
 
 def find_valuation(prog: Program, frame, target=None
@@ -428,22 +461,28 @@ class SearchResult:
 def find_jtree_model(phi: Formula, max_nodes: int) -> Optional[SearchResult]:
     """Bounded search for a treelike model of phi.
 
-    Tries the connected treelike frames on 1..max_nodes nodes in a fixed
-    order and, on each, the valuations in find_valuation's order; returns
-    the generated subframe at the least node satisfying phi under the
-    first valuation that works.  None means unknown, not unsatisfiable:
-    besides the node bound, when atoms x nodes > 12 only the empty,
-    singleton and full supports are tried.  phi must use condensed
-    modality indices 0..n-1.
+    Tries one connected treelike frame per shape on 1..max_nodes nodes, in
+    _jtree_rels order (_jtree_shapes), and, on each, the valuations in
+    find_valuation's order; returns the generated subframe at the least
+    node satisfying phi under the first valuation that works.  None means
+    unknown, not unsatisfiable: besides the node bound, when atoms x nodes
+    > 12 only the empty, singleton and full supports are tried.  phi must
+    use condensed modality indices 0..n-1.
+
+    Searching one frame per shape returns what searching every labelled
+    frame returns.  Each _supports slice is closed under relabelling (a
+    node permutation keeps the size of a subset), so a frame has a
+    valuation making phi true somewhere iff every isomorphic copy has one.
+    Hence the first labelled frame with a model is the first copy of its
+    shape, the frames before it have none, and the search over the first
+    copies reaches that same frame and makes the same find_valuation call.
     """
     prog = compile_formula(phi)
     if any(not o.is_finite() for o in prog.mods):
         raise FrameError("modality indices must be condensed naturals")
     n_mods = 1 + max((o.to_int() for o in prog.mods), default=-1)
     for n in range(1, max_nodes + 1):
-        nodes = tuple(range(n))
-        for rels in _jtree_rels(nodes, n_mods):
-            frame = JFrame(nodes, rels)
+        for frame in _jtree_shapes(n, n_mods):
             hit = find_valuation(prog, frame)
             if hit is None:
                 continue

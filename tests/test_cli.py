@@ -2,7 +2,10 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -547,6 +550,16 @@ def test_search_unknown(capsys):
     code, out, _ = run(capsys, "search", "[0]F & <0>T", "--max-nodes", "4")
     assert code == 2
     assert out.strip() == "unknown"
+
+
+@pytest.mark.parametrize("text,code", [("<0><1>T", 0), ("<0>T & [0]F", 2)])
+def test_python_m_ordtopo_keeps_the_exit_contract(text, code):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    run = subprocess.run([sys.executable, "-m", "ordtopo", "search", text],
+                         capture_output=True, text=True, timeout=60,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert run.returncode == code, run.stderr
+    assert "Traceback" not in run.stderr
 
 
 def test_search_sparse_indices(capsys, tmp_path):

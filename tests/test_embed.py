@@ -171,7 +171,7 @@ def test_gl_embed_errors():
     with pytest.raises(NotAJTree):
         gl_embed(frame("r", [], []))
     # a and b share the successor c: valid, connected, but not a tree
-    with pytest.raises(InvalidFrame, match="hereditary roots need a treelike frame"):
+    with pytest.raises(InvalidFrame, match="frame is not treelike"):
         gl_embed(frame("abc", [("a", "c"), ("b", "c")]))
 
 

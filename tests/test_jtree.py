@@ -14,9 +14,11 @@ from ordtopo.logic import (
     PolySpace,
     tree_formula,
 )
+from ordtopo import jtree as jtree_module
 from ordtopo.jtree import (
     InvalidFrame,
     JFrame,
+    SearchResult,
     find_jtree_model,
     find_valuation,
     frame_ranks,
@@ -31,6 +33,8 @@ from ordtopo.jtree import (
     root_split,
     validate_jframe,
     _jtree_rels,
+    _jtree_shapes,
+    _shape_key,
 )
 from ordtopo.ordinal import ONE, OMEGA, parse_ordinal
 from ordtopo.topology import EMPTY, interval, member, parse_bandset, union
@@ -201,6 +205,8 @@ def oracle_root_of(g):
         return g.nodes[0]
     if len(oracle_planes(g, 0)[0]) != 1:
         raise InvalidFrame("frame is not connected")
+    if not oracle_is_jtree(g):
+        raise InvalidFrame("frame is not treelike")
     roots = oracle_hereditary_roots(g, 0)
     if len(roots) != 1:
         raise InvalidFrame(f"expected a unique root, found {len(roots)}")
@@ -434,6 +440,101 @@ def test_search_goldens():
         assert found(find_jtree_model(tree_formula(kf), 5)) == want, rels
     for text in J_UNSAT:
         assert find_jtree_model(condense(f(text))[0], 5) is None, text
+
+
+# --- one frame per shape ------------------------------------------------------------
+
+
+def relabel(rels, perm):
+    return tuple(frozenset((perm[a], perm[b]) for a, b in r) for r in rels)
+
+
+def oracle_canonical(n, rels):
+    """The least relabelling of a frame on 0..n-1, over all n! of them."""
+    return min(tuple(tuple(sorted(r)) for r in relabel(rels, perm))
+               for perm in itertools.permutations(range(n)))
+
+
+# shapes of connected treelike frames on 1, 2, ... nodes, per relation count
+SHAPE_COUNTS = {1: [1, 1, 2, 4, 9], 2: [1, 2, 6, 18, 58], 3: [1, 3, 12, 48]}
+
+
+def test_shape_key_counts_and_separates_shapes():
+    for n_rels, counts in SHAPE_COUNTS.items():
+        for n, count in enumerate(counts, start=1):
+            nodes = tuple(range(n))
+            kept = _jtree_shapes(n, n_rels)
+            assert len(kept) == count, (n_rels, n)
+            # the first frame of each shape, in _jtree_rels order
+            firsts = {}
+            for rels in _jtree_rels(nodes, n_rels):
+                firsts.setdefault(_shape_key(nodes, rels), rels)
+            assert [g.rels for g in kept] == list(firsts.values())
+            canon = {oracle_canonical(n, g.rels) for g in kept}
+            assert len(canon) == count, (n_rels, n)
+
+
+def test_shape_key_ignores_labels():
+    rng = random.Random(11)
+    for n_rels, counts in SHAPE_COUNTS.items():
+        for n in range(1, len(counts) + 1):
+            nodes = tuple(range(n))
+            for rels in _jtree_rels(nodes, n_rels):
+                perm = list(nodes)
+                rng.shuffle(perm)
+                assert _shape_key(nodes, relabel(rels, perm)) == \
+                    _shape_key(nodes, rels), (rels, perm)
+
+
+def every_frame_search(phi, max_nodes):
+    """The search over every labelled frame in _jtree_rels order, which
+    find_jtree_model's search over one frame per shape must match."""
+    prog = compile_formula(phi)
+    n_mods = 1 + max((o.to_int() for o in prog.mods), default=-1)
+    for n in range(1, max_nodes + 1):
+        nodes = tuple(range(n))
+        for rels in _jtree_rels(nodes, n_mods):
+            frame = JFrame(nodes, rels)
+            hit = find_valuation(prog, frame)
+            if hit is not None:
+                v, got = hit
+                sub = generated_subframe(frame, min(got))
+                kept = set(sub.nodes)
+                return SearchResult(sub, min(got), {i: s & kept for i, s in v.items()})
+    return None
+
+
+def test_search_by_shape_matches_the_search_over_every_frame():
+    phis = [f(text) for text in SEARCH_GOLDENS]
+    phis += [tree_formula(kf) for kf, _ in helpers.all_trees(4)]
+    phis += [condense(f(text))[0] for text in J_UNSAT]
+    rng = random.Random(17)
+    mixed = [condense(_random_formula(rng, 2, 2, 4)) for _ in range(160)]
+    phis += [phi for phi, idxs in mixed if len(idxs) == 2]
+    outcomes = set()
+    for phi in phis:
+        want, got = every_frame_search(phi, 5), find_jtree_model(phi, 5)
+        assert (got is None) == (want is None), phi
+        assert got is None or found(got) == found(want), phi
+        outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("text,calls", [("<0>p0 & <1>[0]~p0", 85), ("<0>T & [0]F", 17)])
+def test_search_tries_each_shape_once(monkeypatch, text, calls):
+    # an unsatisfiable formula meets every frame: 1 + 2 + 6 + 18 + 58 shapes
+    # with two relations and 1 + 1 + 2 + 4 + 9 with one, against 273 and 34
+    # labelled frames
+    tried = []
+    real = jtree_module.find_valuation
+
+    def counted(prog, frame, target=None):
+        tried.append(frame)
+        return real(prog, frame, target)
+
+    monkeypatch.setattr(jtree_module, "find_valuation", counted)
+    assert find_jtree_model(f(text), 5) is None
+    assert len(tried) == calls
 
 
 def test_find_valuation_order_on_the_five_chain():

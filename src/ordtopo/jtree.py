@@ -28,14 +28,23 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .ordinal import ONE, Ordinal, ZERO
 from .logic import (
+    OP_AND,
+    OP_BOT,
+    OP_BOX,
+    OP_DIA,
+    OP_IMP,
+    OP_NOT,
+    OP_OR,
+    OP_TOP,
+    OP_VAR,
     Formula,
     Program,
     compile_formula,
-    frame_succ,
+    conjuncts,
     mask_nodes,
     node_bits,
     node_mask,
-    run_program,
+    relation_succ,
 )
 from .topology import (
     EMPTY,
@@ -386,14 +395,124 @@ def _jtree_shapes(n: int, n_mods: int) -> Tuple[JFrame, ...]:
 def _supports(n_atoms: int, n: int) -> Tuple[int, ...]:
     """The node masks each atom runs through, in search order: every subset
     by size, then lexicographically; only the empty, singleton and full
-    sets when atoms x nodes > 12."""
+    sets when atoms x nodes > 12, each once (on one node the full set is
+    the singleton)."""
     if n_atoms * n <= 12:
         return tuple(sum(1 << i for i in c)
                      for r in range(n + 1) for c in itertools.combinations(range(n), r))
-    return (0,) + tuple(1 << i for i in range(n)) + ((1 << n) - 1,)
+    return tuple(dict.fromkeys((0,) + tuple(1 << i for i in range(n)) + ((1 << n) - 1,)))
 
 
-def find_valuation(prog: Program, frame, target=None
+class _Diamonds(dict):
+    """<k>A by the mask of A, for one relation given by its relation_succ
+    pairs; each entry is computed on first use, so a frame costs only the
+    masks that searches on it meet."""
+
+    def __init__(self, succ):
+        super().__init__()
+        self.succ = succ
+
+    def __missing__(self, a: int) -> int:
+        out = 0
+        for b, s in self.succ:
+            if s & a:
+                out |= b
+        self[a] = out
+        return out
+
+
+@lru_cache(maxsize=256)
+def _diamonds(frame: JFrame, idx: Ordinal) -> _Diamonds:
+    """The diamond memo of frame's relation at modality index idx, shared by
+    every search on frame; the 256 most recent pairs are kept, more than
+    the 187 of the shape tables up to 5 nodes and 2 relations.
+    relation_succ raises IndexOutOfRange for an index past the relations
+    and LogicError for an edge leaving the frame."""
+    return _Diamonds(relation_succ(frame, idx, node_bits(frame.nodes)))
+
+
+# one expression per opcode that reads slots: x and y name the slots read,
+# except that y is the modality position m of OP_DIA and OP_BOX, whose
+# diamond memo is the local d<m>
+_TEMPLATE = {OP_NOT: "full ^ {x}", OP_AND: "{x} & {y}", OP_OR: "{x} | {y}",
+             OP_IMP: "(full ^ {x}) | {y}", OP_DIA: "d{y}[{x}]",
+             OP_BOX: "full ^ d{y}[full ^ {x}]"}
+
+
+def _reads(op: int, x: int, y: int) -> Tuple[int, ...]:
+    """The slots an instruction reads."""
+    if op in (OP_NOT, OP_DIA, OP_BOX):
+        return (x,)
+    return (x, y) if op in (OP_AND, OP_OR, OP_IMP) else ()
+
+
+@lru_cache(maxsize=32)
+def _kernel(code, starts) -> tuple:
+    """find_valuation's search kernel for the programs with this code and
+    these slot groups, generated as straight-line Python: (fill, scan_0,
+    ..., scan_{n-1}), n the number of atoms.  Programs that differ only in
+    their atom or modality indices share one kernel.
+
+    fill(vals, full, dia) computes the atom-free slots and returns the
+    meet of the atom-free top-level conjuncts.  scan_k(i, opts, vals, c,
+    want, full, dia) runs atom k through opts[i:], computes group k in
+    locals, meets c with each conjunct of the group, and returns (index,
+    meet) for the first option whose meet hits want, else None.  dia[m] is
+    the diamond memo of modality position m.  Each function reads the
+    earlier groups' slots from vals and stores there only the slots that
+    later groups read.  A slot that no conjunct depends on, such as an AND
+    above the conjuncts, is not computed.
+
+    The source is built from slot numbers, modality positions and the
+    fixed templates above; no formula text or node id reaches exec.  The
+    32 most recent structures keep their kernels, a few KiB of code each."""
+    group = [bisect.bisect_right(starts, s) for s in range(len(code))]
+    tops = set(conjuncts(code))
+    live = set(tops)
+    for s in range(len(code) - 1, -1, -1):
+        if s in live:
+            live.update(_reads(*code[s]))
+    later = {r for s in live for r in _reads(*code[s]) if group[r] < group[s]}
+    later -= {s for s in later if code[s][0] in (OP_TOP, OP_BOT)}
+
+    def name(s, g):
+        op = code[s][0]
+        if op in (OP_TOP, OP_BOT):
+            return "full" if op == OP_TOP else "0"
+        return "a" if op == OP_VAR and group[s] == g else f"s{s}"
+
+    scope = {"__builtins__": {}, "range": range, "len": len}
+    for g in range(len(starts)):
+        mine = [s for s in range(starts[g - 1] if g else 0, starts[g]) if s in live]
+        body = [f"d{m} = dia[{m}]" for m in sorted(
+            {code[s][2] for s in mine if code[s][0] in (OP_DIA, OP_BOX)})]
+        body += [f"s{r} = vals[{r}]" for r in sorted(
+            {r for s in mine for r in _reads(*code[s])} & later) if group[r] < g]
+        step = []
+        for s in mine:
+            op, x, y = code[s]
+            if op in _TEMPLATE:
+                y = name(y, g) if op in (OP_AND, OP_OR, OP_IMP) else y
+                step.append(f"s{s} = " + _TEMPLATE[op].format(x=name(x, g), y=y))
+        step.append("c = c0" if g else "c = full")
+        step += [f"c &= {name(s, g)}" for s in mine if s in tops]
+        store = [f"vals[{s}] = {name(s, g)}" for s in mine if s in later]
+        if g == 0:
+            head = "def fill(vals, full, dia):"
+            body += step + store + ["return c"]
+        else:
+            head = f"def scan{g - 1}(i, opts, vals, c0, want, full, dia):"
+            body.append("for i in range(i, len(opts)):")
+            body += ["    " + line for line in ["a = opts[i]"] + step + ["if c & want:"]]
+            body += ["        " + line for line in store + ["return i, c"]]
+            body.append("return None")
+        # one function per compile keeps the compiler's peak memory small
+        src = "\n    ".join([head] + body)
+        exec(compile(src, "<search kernel>", "exec"), scope)
+    return (scope["fill"],) + tuple(scope[f"scan{k}"] for k in range(len(starts) - 1))
+
+
+def find_valuation(prog: Program, frame: JFrame, target=None
                    ) -> Optional[Tuple[Dict[int, FrozenSet], FrozenSet]]:
     """The first valuation under which prog's formula holds at some node of
     target (default: anywhere in frame), with the nodes where it holds.
@@ -405,50 +524,34 @@ def find_valuation(prog: Program, frame, target=None
     step reruns only the slots that read the atom that changed or a later
     one, and a prefix under which a top-level conjunct misses target is
     not extended, so the first hit is the one the full enumeration finds.
+    The steps run in _kernel's generated scans, one per slot group, over
+    the frame's diamond memos (_diamonds).
     """
     nodes = tuple(frame.nodes)
-    bit = node_bits(nodes)
     full = (1 << len(nodes)) - 1
-    want = full if target is None else node_mask(target, bit)
-    succ = frame_succ(prog, frame, bit)
-    code, starts = prog.code, prog.starts
-    n_atoms = len(prog.atoms)
-    opts = _supports(n_atoms, len(nodes))
-    vals = [0] * len(code)
-    masks = [0] * n_atoms
-    run_program(code, 0, starts[0], vals, masks, succ, full)
-    # conjuncts by the last atom position they read, -1 (first) for none
-    conj: List[List[int]] = [[] for _ in range(n_atoms + 1)]
-    for s in prog.conjuncts():
-        conj[bisect.bisect_right(starts, s)].append(s)
-    bound = [full] * (n_atoms + 1)     # bound[k + 1]: conjuncts up to atom k
-    for s in conj[0]:
-        bound[0] &= vals[s]
+    want = full if target is None else node_mask(target, node_bits(nodes))
+    dia = tuple(_diamonds(frame, idx) for idx in prog.mods)
+    fill, *scans = _kernel(prog.code, prog.starts)
+    opts = _supports(len(scans), len(nodes))
+    vals = [0] * len(prog.code)
+    bound = [fill(vals, full, dia)]     # bound[k]: the conjuncts up to atom k - 1
     if not bound[0] & want:
         return None
-    pick = [0] * n_atoms
-    k = 0
-    while k < n_atoms:
-        if pick[k] == len(opts):
-            if k == 0:
-                return None
-            pick[k] = 0
-            k -= 1
-            pick[k] += 1
-            continue
-        masks[k] = opts[pick[k]]
-        run_program(code, starts[k], starts[k + 1], vals, masks, succ, full)
-        got = bound[k]
-        for s in conj[k + 1]:
-            got &= vals[s]
-        if got & want:
-            bound[k + 1] = got
-            k += 1
+    pick: List[int] = []
+    i = 0
+    while len(pick) < len(scans):
+        hit = scans[len(pick)](i, opts, vals, bound[-1], want, full, dia)
+        if hit is not None:
+            pick.append(hit[0])
+            bound.append(hit[1])
+            i = 0
+        elif not pick:
+            return None
         else:
-            pick[k] += 1
-    got = bound[n_atoms]
-    return ({a: mask_nodes(m, nodes) for a, m in zip(prog.atoms, masks)},
-            mask_nodes(got, nodes))
+            i = pick.pop() + 1
+            bound.pop()
+    return ({a: mask_nodes(opts[p], nodes) for a, p in zip(prog.atoms, pick)},
+            mask_nodes(bound[-1], nodes))
 
 
 @dataclass(frozen=True)
@@ -476,6 +579,8 @@ def find_jtree_model(phi: Formula, max_nodes: int) -> Optional[SearchResult]:
     Hence the first labelled frame with a model is the first copy of its
     shape, the frames before it have none, and the search over the first
     copies reaches that same frame and makes the same find_valuation call.
+    Every frame runs the same generated kernel (_kernel), and the table's
+    frames keep their diamond memos (_diamonds) from formula to formula.
     """
     prog = compile_formula(phi)
     if any(not o.is_finite() for o in prog.mods):

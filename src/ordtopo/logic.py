@@ -353,23 +353,28 @@ class Program:
     atom position they read: the atom-free ones come first, and group k
     (the slots that read atom k and no later atom) is
     code[starts[k]:starts[k + 1]], with starts[len(atoms)] == len(code).
+    Valuation search (jtree.find_valuation) turns each group into one
+    generated scan, so a new mask for atom k reruns group k alone, over
+    the groups before it held fixed; eval_kripke runs the whole program
+    once in run_program.
     """
     code: Tuple[Tuple[int, int, int], ...]
     atoms: Tuple[int, ...]          # variable indices, ascending
     mods: Tuple[Ordinal, ...]       # modality indices, ascending
     starts: Tuple[int, ...]
 
-    def conjuncts(self) -> List[int]:
-        """The slots of the formula's top-level conjuncts."""
-        out, todo = [], [len(self.code) - 1]
-        while todo:
-            slot = todo.pop()
-            op, x, y = self.code[slot]
-            if op == OP_AND:
-                todo += (x, y)
-            else:
-                out.append(slot)
-        return out
+
+def conjuncts(code) -> List[int]:
+    """The slots of the top-level conjuncts of a program's formula."""
+    out, todo = [], [len(code) - 1]
+    while todo:
+        slot = todo.pop()
+        op, x, y = code[slot]
+        if op == OP_AND:
+            todo += (x, y)
+        else:
+            out.append(slot)
+    return out
 
 
 def _emit(phi: Formula) -> list:
@@ -473,31 +478,27 @@ def mask_nodes(mask: int, nodes) -> FrozenSet:
     return frozenset(x for i, x in enumerate(nodes) if mask >> i & 1)
 
 
-def frame_succ(prog: Program, frame, bit: Dict) -> List[List[Tuple[int, int]]]:
-    """For each modality position of prog, the (node bit, successor mask)
-    pairs of the nodes that have successors in that relation of frame."""
-    out = []
-    for idx in prog.mods:
-        if not idx.is_finite() or idx.to_int() >= len(frame.rels):
-            raise IndexOutOfRange(f"modality index {idx} (condense first?)")
-        succ: Dict = {}
-        for a, b in frame.rels[idx.to_int()]:
-            if a not in bit or b not in bit:
-                raise LogicError(f"edge ({a!r}, {b!r}) leaves the frame")
-            succ[bit[a]] = succ.get(bit[a], 0) | bit[b]
-        out.append(list(succ.items()))
-    return out
+def relation_succ(frame, idx: Ordinal, bit: Dict) -> List[Tuple[int, int]]:
+    """The (node bit, successor mask) pairs of the nodes that have
+    successors in frame's relation at modality index idx."""
+    if not idx.is_finite() or idx.to_int() >= len(frame.rels):
+        raise IndexOutOfRange(f"modality index {idx} (condense first?)")
+    succ: Dict = {}
+    for a, b in frame.rels[idx.to_int()]:
+        if a not in bit or b not in bit:
+            raise LogicError(f"edge ({a!r}, {b!r}) leaves the frame")
+        succ[bit[a]] = succ.get(bit[a], 0) | bit[b]
+    return list(succ.items())
 
 
-def run_program(code, start: int, stop: int, vals: List[int], atoms: List[int],
-                succ, full: int) -> None:
-    """Fill vals[start:stop]; the slots before start must be filled.
+def run_program(code, atoms: List[int], succ, full: int) -> List[int]:
+    """The mask of every slot of code.
 
-    atoms[k] is the mask of atom position k, succ is frame_succ's table
-    and full the mask of all nodes.
+    atoms[k] is the mask of atom position k, succ[m] the relation_succ
+    pairs of modality position m and full the mask of all nodes.
     """
-    for i in range(start, stop):
-        op, x, y = code[i]
+    vals = [0] * len(code)
+    for i, (op, x, y) in enumerate(code):
         if op == OP_AND:
             vals[i] = vals[x] & vals[y]
         elif op == OP_NOT:
@@ -522,8 +523,7 @@ def run_program(code, start: int, stop: int, vals: List[int], atoms: List[int],
             vals[i] = atoms[x]
         elif op == OP_TOP:
             vals[i] = full
-        else:
-            vals[i] = 0
+    return vals                 # an OP_BOT slot keeps its initial 0
 
 
 def eval_kripke(phi: Formula, frame, v: Dict[int, FrozenSet]) -> FrozenSet:
@@ -536,9 +536,8 @@ def eval_kripke(phi: Formula, frame, v: Dict[int, FrozenSet]) -> FrozenSet:
     nodes = tuple(frame.nodes)
     bit = node_bits(nodes)
     atoms = [node_mask(v[a], bit) for a in prog.atoms]
-    succ = frame_succ(prog, frame, bit)
-    vals = [0] * len(prog.code)
-    run_program(prog.code, 0, len(vals), vals, atoms, succ, (1 << len(nodes)) - 1)
+    succ = [relation_succ(frame, idx, bit) for idx in prog.mods]
+    vals = run_program(prog.code, atoms, succ, (1 << len(nodes)) - 1)
     return mask_nodes(vals[-1], nodes)
 
 

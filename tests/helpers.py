@@ -267,11 +267,11 @@ def ell_preimage(a, theta: Ordinal):
 
 def memos():
     """The package's memoised functions, for tests that inspect or clear them."""
-    from ordtopo import logic, topology
+    from ordtopo import jtree, logic, topology
 
     return (topology._min_sol_memo, topology._make_band_memo,
             topology._band_intersect, topology._band_complement,
-            logic.endpoint_pool)
+            logic.endpoint_pool, jtree._diamonds, jtree._kernel)
 
 
 def clear_memos():

@@ -634,6 +634,15 @@ def test_flat_chain_exit_contract(tmp_path, op):
     assert json.loads(found.read_text())["formula"] == text
 
 
+def test_flat_conjunction_of_distinct_atoms_exit_contract(tmp_path):
+    # one generated scan per atom, 3000 of them, none nested in another
+    text = " & ".join(f"p{i}" for i in range(3000))
+    found = tmp_path / "found.json"
+    code, _, err = run_quiet(["search", "--max-nodes", "1", "--out", str(found), "--", text])
+    assert (code, err) == (0, "")
+    assert json.loads(found.read_text())["valuation"] == {str(i): [0] for i in range(3000)}
+
+
 def test_nesting_cap_on_the_command_line():
     text = "(" * MAX_NESTING + "1" + ")" * MAX_NESTING
     assert run_quiet(["ord", text])[:2] == (0, "1\n")

@@ -832,6 +832,15 @@ def test_verify_stage_a_valuation_on_the_five_chain():
     assert ("(c) theta satisfies phi", "EXACT", True, want) in rep.checks
 
 
+def test_verify_stage_a_on_a_twenty_node_chain():
+    # 20 atoms on 20 nodes: the search meets a few hundred masks of the
+    # chain's relation, and the diamond memo holds only those, not 2^20
+    chain = frame(range(20), [(i, j) for i in range(20) for j in range(20) if i < j])
+    rep = verify_countermodel(embed(chain, (1,)), tree_formula(chain))
+    assert rep.checks[0] == ("(a) satisfied at the root", "EXACT", True, "")
+    assert len(jtree_module._diamonds(chain, ZERO)) < 1000
+
+
 @pytest.mark.parametrize("tree", [
     frame("ra", [("r", "a")]),                 # every fiber a band set
     frame("rab", [("r", "a"), ("r", "b")]),    # fibers of a, b are not

@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import random
 
@@ -5,13 +6,27 @@ import pytest
 
 import helpers
 from ordtopo.logic import (
+    OP_AND,
+    OP_BOT,
+    OP_DIA,
+    OP_IMP,
+    OP_NOT,
+    OP_OR,
+    OP_TOP,
+    OP_VAR,
+    And,
+    IndexOutOfRange,
+    LogicError,
     _random_formula,
     _schema_instances,
     compile_formula,
     condense,
+    conj,
+    conjuncts,
     eval_kripke,
     parse_formula,
     PolySpace,
+    relation_succ,
     tree_formula,
 )
 from ordtopo import jtree as jtree_module
@@ -35,6 +50,7 @@ from ordtopo.jtree import (
     _jtree_rels,
     _jtree_shapes,
     _shape_key,
+    _supports,
 )
 from ordtopo.ordinal import ONE, OMEGA, parse_ordinal
 from ordtopo.topology import EMPTY, interval, member, parse_bandset, union
@@ -561,6 +577,167 @@ def test_find_valuation_order_on_the_five_chain():
     assert find_valuation(compile_formula(f(pair)), chain, [0])[0] == \
         {0: {0, 1}, 1: {0}}
     assert find_valuation(compile_formula(f(pair + " & p2")), chain, [0]) is None
+
+
+# --- the generated search kernel against the interpreter ---------------------------
+
+
+def oracle_run(code, start, stop, vals, masks, succ, full):
+    """Fill vals[start:stop] by dispatching on each opcode."""
+    for i in range(start, stop):
+        op, x, y = code[i]
+        if op == OP_VAR:
+            vals[i] = masks[x]
+        elif op in (OP_TOP, OP_BOT):
+            vals[i] = full if op == OP_TOP else 0
+        elif op == OP_NOT:
+            vals[i] = full ^ vals[x]
+        elif op == OP_AND:
+            vals[i] = vals[x] & vals[y]
+        elif op == OP_OR:
+            vals[i] = vals[x] | vals[y]
+        elif op == OP_IMP:
+            vals[i] = (full ^ vals[x]) | vals[y]
+        else:
+            a = vals[x] if op == OP_DIA else full ^ vals[x]
+            out = 0
+            for b, s in succ[y]:
+                if s & a:
+                    out |= b
+            vals[i] = out if op == OP_DIA else full ^ out
+
+
+def oracle_supports(n_atoms, n):
+    """The support order with its repeats: on one node with more than 12
+    atoms, the full set is the singleton a second time."""
+    if n_atoms * n <= 12:
+        return [sum(1 << i for i in c)
+                for r in range(n + 1) for c in itertools.combinations(range(n), r)]
+    return [0] + [1 << i for i in range(n)] + [(1 << n) - 1]
+
+
+def oracle_find_valuation(prog, frame, target=None):
+    """The valuation search as an interpreted odometer, which
+    find_valuation's generated scans must match: each step reruns the slots
+    from the group of the atom that changed to the end of that group, and a
+    prefix under which a top-level conjunct misses target is not extended."""
+    nodes = tuple(frame.nodes)
+    bit = {x: 1 << i for i, x in enumerate(nodes)}
+    full = (1 << len(nodes)) - 1
+    want = full if target is None else sum(bit[x] for x in set(target))
+    succ = [relation_succ(frame, idx, bit) for idx in prog.mods]
+    code, starts = prog.code, prog.starts
+    n_atoms = len(prog.atoms)
+    opts = oracle_supports(n_atoms, len(nodes))
+    vals, masks = [0] * len(code), [0] * n_atoms
+    oracle_run(code, 0, starts[0], vals, masks, succ, full)
+    conj_at = [[] for _ in range(n_atoms + 1)]
+    for s in conjuncts(code):
+        conj_at[bisect.bisect_right(starts, s)].append(s)
+    bound = [full] * (n_atoms + 1)
+    for s in conj_at[0]:
+        bound[0] &= vals[s]
+    if not bound[0] & want:
+        return None
+    pick, k = [0] * n_atoms, 0
+    while k < n_atoms:
+        if pick[k] == len(opts):
+            if k == 0:
+                return None
+            pick[k] = 0
+            k -= 1
+            pick[k] += 1
+            continue
+        masks[k] = opts[pick[k]]
+        oracle_run(code, starts[k], starts[k + 1], vals, masks, succ, full)
+        got = bound[k]
+        for s in conj_at[k + 1]:
+            got &= vals[s]
+        if got & want:
+            bound[k + 1] = got
+            k += 1
+        else:
+            pick[k] += 1
+
+    def as_nodes(m):
+        return frozenset(x for x in nodes if m & bit[x])
+    return ({a: as_nodes(m) for a, m in zip(prog.atoms, masks)}, as_nodes(bound[n_atoms]))
+
+
+def same_search(prog, frame, target=None):
+    want = oracle_find_valuation(prog, frame, target)
+    assert find_valuation(prog, frame, target) == want, (prog, frame, target)
+    return want
+
+
+def test_find_valuation_matches_the_oracle_on_every_small_shape():
+    rng = random.Random(23)
+    outcomes = set()
+    for n_rels in (1, 2, 3):
+        for n in range(1, 5):
+            for g in _jtree_shapes(n, n_rels):
+                for _ in range(6):
+                    prog = compile_formula(_random_formula(rng, 3, n_rels, 3))
+                    outcomes.add(same_search(prog, g) is None)
+                    target = rng.sample(g.nodes, rng.randint(1, n))
+                    outcomes.add(same_search(prog, g, target) is None)
+    assert outcomes == {True, False}
+
+
+def test_find_valuation_matches_the_oracle_past_twelve():
+    # atoms x nodes > 12: each atom runs through the empty, singleton and
+    # full sets, and on one node the oracle tries the singleton twice
+    rng = random.Random(29)
+    outcomes = set()
+    for n_rels, n, n_atoms in [(1, 1, 15), (2, 1, 13), (1, 3, 5), (2, 4, 4), (3, 4, 4)]:
+        for g in _jtree_shapes(n, n_rels):
+            for _ in range(6):
+                # one top-level conjunct per literal, so that prefixes are pruned
+                lits = [f(f"p{i}" if rng.random() < 0.5 else f"~p{i}") for i in range(n_atoms)]
+                phi = And(_random_formula(rng, n_atoms, n_rels, 3), conj(lits))
+                prog = compile_formula(phi)
+                assert len(prog.atoms) * n > 12
+                outcomes.add(same_search(prog, g) is None)
+                outcomes.add(same_search(prog, g, [g.nodes[-1]]) is None)
+    assert outcomes == {True, False}
+
+
+def test_supports_are_duplicate_free():
+    for n_atoms in range(1, 16):
+        for n in range(1, 8):
+            opts = _supports(n_atoms, n)
+            assert len(set(opts)) == len(opts), (n_atoms, n)
+            # dropping repeats keeps the first copy, so the first hit is kept
+            assert opts == tuple(dict.fromkeys(oracle_supports(n_atoms, n)))
+
+
+def test_kernel_without_atoms():
+    chain = make_jframe(range(5), [[(i, j) for i in range(5) for j in range(5) if i < j]])
+    for text in ("T", "F", "<0>T", "~<0>T", "<0>T & [0][0]F", "<0>T & [0]F"):
+        same_search(compile_formula(f(text)), chain)
+    assert find_valuation(compile_formula(f("<0>T & [0][0]F")), chain) == ({}, {3})
+    assert find_valuation(compile_formula(f("<0>T & [0]F")), chain) is None
+    assert find_valuation(compile_formula(f("F")), chain) is None
+
+
+def test_kernel_on_twenty_five_atoms():
+    # more atoms than Python allows nested blocks in one function
+    one = _jtree_shapes(1, 1)[0]
+    text = " & ".join(f"p{i}" if i % 2 else f"~p{i}" for i in range(25))
+    prog = compile_formula(f(text))
+    assert same_search(prog, one) == \
+        ({i: frozenset({0} if i % 2 else ()) for i in range(25)}, frozenset({0}))
+    assert same_search(compile_formula(f(text + " & p0")), one) is None
+
+
+def test_find_valuation_keeps_the_frame_errors():
+    chain = make_jframe(range(3), [[(0, 1), (0, 2), (1, 2)]])
+    with pytest.raises(IndexOutOfRange):
+        find_valuation(compile_formula(f("<0>p0 & <1>T")), chain)
+    stray = JFrame((0,), (frozenset({(0, 1)}),))
+    for _ in range(2):  # a failed memo is not cached
+        with pytest.raises(LogicError, match="leaves the frame"):
+            find_valuation(compile_formula(f("<0>p0")), stray)
 
 
 # --- J-trees validate the provability axioms ---------------------------------------

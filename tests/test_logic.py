@@ -32,6 +32,7 @@ from ordtopo.logic import (
     check_axioms,
     compile_formula,
     condense,
+    conjuncts,
     eval_kripke,
     eval_topo,
     find_falsifying_valuation,
@@ -162,7 +163,7 @@ def test_compile_shares_subformulas_and_groups_by_last_atom():
     assert prog.starts == (0, 2, 7)
     assert compile_formula(f("T & ~T")).starts == (3,)
     # T, p0, p0 & T, p1, ~p1, (p0 & T) & ~p1
-    assert sorted(compile_formula(f("(p0 & T) & ~p1")).conjuncts()) == [0, 1, 4]
+    assert sorted(conjuncts(compile_formula(f("(p0 & T) & ~p1")).code)) == [0, 1, 4]
 
 
 # every connected treelike frame on 1-4 nodes with 1 or 2 relations

@@ -173,7 +173,11 @@ def cmd_kripke(args) -> int:
 
 def cmd_embed(args) -> int:
     t = jframe_from_json(_load_json(args.tree))
-    sigma = tuple(int(ch) for ch in args.sigma.split(",")) if args.sigma else ()
+    try:
+        sigma = tuple(int(ch) for ch in args.sigma.split(",")) if args.sigma else ()
+    except ValueError:
+        raise ValueError("--sigma must be comma-separated integers, "
+                         f"not {args.sigma!r}")
     cm = embed(t, sigma)
     _write_out(args, countermodel_to_json(cm))
     return 0

@@ -1,13 +1,16 @@
 """Constructive countermodels over ordinal intervals.
 
-gl_embed builds the classical rank map from [1, w^h] onto a finite
-single-relation tree (root at the top, children repeating cyclically
-along blocks).  product assembles the two-projection cell structure
-whose upper part carries a prescribed order type.  embed recurses over
-a treelike polymodal frame and a modality sequence sigma and produces a
-map expression f: [1, Theta] -> T with f(Theta) = root, a witness table
-certifying surjectivity, and the fiber algebra (band preimages where
-they exist).
+The models lay copies of smaller intervals end to end, repeated with a
+period; a Tiling is one such layout, and the only code that sums
+segment lengths or divides by a period.  gl_embed builds the classical
+rank map from [1, w^h] onto a finite single-relation tree (root at the
+top, children repeating along the tiles of their thetas).  product
+assembles the two-projection cell structure, its cells the tiles of
+their lengths, whose upper part carries a prescribed order type.  embed
+recurses over a treelike polymodal frame and a modality sequence sigma
+and produces a map expression f: [1, Theta] -> T with f(Theta) = root,
+a witness table certifying surjectivity, and the fiber algebra (band
+preimages where they exist).
 
 Fibers of branching trees are genuinely periodic (every other block,
 say) and fall outside the band algebra; preimage calls on such sets
@@ -21,6 +24,7 @@ f(theta), which the d-map law makes exact.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -59,6 +63,7 @@ from .topology import (
     merge_bound,
     parse_bandset,
     sets_equal,
+    trim_last,
     union,
 )
 from .logic import (
@@ -134,6 +139,33 @@ def _ord_divmod(x: Ordinal, p: Ordinal) -> Tuple[int, Ordinal]:
         else:
             hi = mid - 1
     return lo, left_subtract(multiply(p, _nat(lo)), x)
+
+
+class Tiling:
+    """Segments of the given lengths laid end to end, repeated with a period.
+
+    With prefix sums P_0 = 0, P_{i+1} = P_i + L_i and period p = P_m, tile
+    (q, i) is the half-open interval (p*q + P_i, p*q + P_{i+1}]; the tiles
+    cover every x >= 1 below the first infinite multiple of p."""
+
+    def __init__(self, lengths):
+        pre = [ZERO]
+        for n in lengths:
+            pre.append(add(pre[-1], n))
+        self.prefix = tuple(pre)
+        self.period = pre[-1]
+
+    def start(self, q: int, i: int) -> Ordinal:
+        return add(multiply(self.period, _nat(q)), self.prefix[i])
+
+    def locate(self, x: Ordinal) -> Tuple[int, int, Ordinal]:
+        """(q, i, offset) with x = start(q, i) + offset, 0 < offset <= L_i;
+        x >= 1.  A zero remainder is the last tile of the previous period."""
+        q, rem = _ord_divmod(x, self.period)
+        if rem.is_zero():
+            q, rem = q - 1, self.period
+        i = bisect_left(self.prefix, rem) - 1
+        return q, i, left_subtract(self.prefix[i], rem)
 
 
 def _split_at(x: Ordinal, xi: Ordinal) -> Tuple[Ordinal, Ordinal]:
@@ -232,50 +264,36 @@ class OtypUpMap:
 
 
 class _Cells:
-    """Consecutive cells tiling [1, w^xi): cell iota is a copy of
-    [1, kappa_0] followed by a copy of [1, kappa_res(iota)]."""
+    """Consecutive cells tiling [1, w^xi): cell iota = m*q + j is a copy of
+    [1, kappa_m] followed by a copy of [1, kappa_res(iota)], of length
+    delta_j.  It is [1 + s, 1 + s + delta_j) for the tile (s, s + delta_j]
+    at s = tiles.start(q, j), so the cell holding u is the tile holding
+    (-1 + u) + 1."""
 
     def __init__(self, kappas: Tuple[Ordinal, ...]):
         self.kappas = tuple(kappas)
         self.m = len(self.kappas)
-        self.kappa0 = self.kappas[-1]
-        self.span0 = _span(self.kappa0)
-        marks = [ZERO]
-        for k in self.kappas:
-            marks.append(add(marks[-1], k))
-        self.marks = tuple(marks)  # partial sums K_0 = 0, K_1, ..., K_m
-        pre = [ZERO]
-        for j in range(self.m):
-            r = self.res(j)
-            delta = add(add(add(self.span0, ONE), _span(self.kappas[r - 1])), ONE)
-            pre.append(add(pre[-1], delta))
-        self.prefix = tuple(pre)
-        self.period = pre[-1]
+        self.span0 = _span(self.kappas[-1])
+        self.marks = Tiling(self.kappas).prefix  # K_0 = 0, K_1, ..., K_m
+        self.tiles = Tiling(
+            add(add(add(self.span0, ONE), _span(self.kappas[self.res(j) - 1])), ONE)
+            for j in range(self.m))
 
     def res(self, iota: int) -> int:
         r = iota % self.m
         return self.m if r == 0 else r
 
     def alpha(self, iota: int) -> Ordinal:
-        q, j = divmod(iota, self.m)
-        return add(add(ONE, multiply(self.period, _nat(q))), self.prefix[j])
+        return add(ONE, self.tiles.start(*divmod(iota, self.m)))
 
     def beta(self, iota: int) -> Ordinal:
-        r = self.res(iota)
-        return add(add(add(self.alpha(iota), self.span0), ONE),
-                   _span(self.kappas[r - 1]))
+        return trim_last(self.alpha(iota + 1))  # delta_j ends in + 1
 
     def locate(self, u: Ordinal) -> Tuple[int, Ordinal, Ordinal]:
         """Cell index and bounds for a base-block offset u in [1, w^xi)."""
-        q, _ = _ord_divmod(u, self.period)
-        if q and self.alpha(self.m * q) > u:
-            q -= 1
-        for j in range(self.m):
-            iota = self.m * q + j
-            a, b = self.alpha(iota), self.beta(iota)
-            if a <= u <= b:
-                return iota, a, b
-        raise EmbedError(f"offset {u} escaped the cell layout")
+        q, j, _ = self.tiles.locate(add(_span(u), ONE))
+        iota = self.m * q + j
+        return iota, self.alpha(iota), self.beta(iota)
 
 
 class Pi0Map:
@@ -372,12 +390,12 @@ def density_witness(prod: ProductStructure, i: int, u: Ordinal,
         raise ValueError("empty neighborhood")
     vg, voff = _split_at(v, prod.xi)
     if gamma.is_successor():
-        g = left_subtract(ONE, gamma)
+        g = trim_last(gamma)  # the block just below u
     else:
         g = add(vg, ONE)  # gamma is a limit: some block strictly past v
     base = multiply(prod.w, g)
     off_lo = voff if g == vg else ZERO
-    q_off = 0 if off_lo.is_zero() else _ord_divmod(off_lo, prod.cells.period)[0]
+    q_off = 0 if off_lo.is_zero() else prod.cells.tiles.locate(off_lo)[0]
     j = i % prod.cells.m
     for q in (q_off, q_off + 1, q_off + 2):
         iota = prod.cells.m * q + j
@@ -434,10 +452,11 @@ class GLEmbedMap:
     """The rank map onto a rooted single-relation tree.
 
     The root sits at theta = w^h (h the tree height); below it the
-    children repeat cyclically along consecutive blocks, child i getting
-    blocks of length w^{h_i}.  Fibers of whole rank classes are the rank
-    bands {x: l x = rho}; anything finer mixes positions of equal rank
-    and is not a band set.
+    children repeat cyclically: a point x < theta in tile (q, i) of the
+    tiling by the children's thetas w^{h_i} goes where child i sends its
+    offset.  Fibers of whole rank classes are the rank bands
+    {x: l x = rho}; anything finer mixes positions of equal rank and is
+    not a band set.
     """
 
     def __init__(self, root, children: List["GLEmbedMap"]):
@@ -445,11 +464,7 @@ class GLEmbedMap:
         self.children = list(children)
         self.height = 1 + max((c.height for c in self.children), default=-1)
         self.theta = omega_pow(_nat(self.height))
-        pre = [ZERO]
-        for c in self.children:
-            pre.append(add(pre[-1], c.theta))
-        self.prefix = tuple(pre)
-        self.period = pre[-1]
+        self.tiles = Tiling(c.theta for c in self.children)
         self.node_rank: Dict = {root: self.height}
         for c in self.children:
             self.node_rank.update(c.node_rank)
@@ -458,14 +473,8 @@ class GLEmbedMap:
         _in_domain(x, self.theta)
         if x == self.theta:
             return self.root
-        _, rem = _ord_divmod(x, self.period)
-        if rem.is_zero():
-            last = self.children[-1]
-            return last.apply(last.theta)
-        for i, c in enumerate(self.children):
-            if rem <= self.prefix[i + 1]:
-                return c.apply(left_subtract(self.prefix[i], rem))
-        raise EmbedError(f"{x} escaped the block layout")
+        _, i, off = self.tiles.locate(x)
+        return self.children[i].apply(off)
 
     def preimage(self, nodes) -> BandSet:
         want = set(nodes) & set(self.node_rank)
@@ -494,7 +503,7 @@ class GLEmbedMap:
         out = {self.root: self.theta}
         for i, c in enumerate(self.children):
             for v, w in c.witnesses().items():
-                out[v] = add(self.prefix[i], w)
+                out[v] = add(self.tiles.prefix[i], w)
         return out
 
     def to_json(self):
@@ -503,32 +512,32 @@ class GLEmbedMap:
 
 
 class SegmentSum:
-    """Maps glued side by side: segment i covers (K_{i-1}, K_i]."""
+    """Maps glued side by side: part i covers tile (0, i) of the tiling by
+    the parts' thetas."""
 
     def __init__(self, parts):
-        # parts: list of (k_prev, k_hi, fmap, own node frozenset)
-        self.parts = list(parts)
-        self.theta = self.parts[-1][1]
+        self.parts = list(parts)  # (fmap, own node frozenset)
+        self.tiles = Tiling(fm.theta for fm, _ in self.parts)
+        self.theta = self.tiles.period
 
     def apply(self, y: Ordinal):
-        for k_prev, k_hi, fm, _ in self.parts:
-            if y <= k_hi:
-                return fm.apply(left_subtract(k_prev, y))
-        raise ValueError(f"{y} outside [1, {self.theta}]")
+        _in_domain(y, self.theta)
+        _, i, off = self.tiles.locate(y)
+        return self.parts[i][0].apply(off)
 
     def preimage(self, nodes) -> BandSet:
         nodes = set(nodes)
         out = EMPTY
-        for k_prev, _, fm, own in self.parts:
+        for (fm, own), start in zip(self.parts, self.tiles.prefix):
             hit = nodes & own
             if hit:
-                out = union(out, _shift(fm.preimage(hit), k_prev))
+                out = union(out, _shift(fm.preimage(hit), start))
         return out
 
     def to_json(self):
         return {"map": "segments",
                 "parts": [{"nodes": sorted(own, key=repr), "fmap": fm.to_json()}
-                          for _, _, fm, own in self.parts]}
+                          for fm, own in self.parts]}
 
 
 class CaseIIMap:
@@ -627,12 +636,8 @@ def _embed(t: JFrame, sigma: Tuple[int, ...]):
     lam, f0, wit0 = _embed(subframe(t, alpha), sigma)
     prod = product([p[0] for p in parts], lam)
 
-    seg, k_prev = [], ZERO
-    for th_i, _, fm_i, own, _ in parts:
-        k_hi = add(k_prev, th_i)
-        seg.append((k_prev, k_hi, fm_i, own))
-        k_prev = k_hi
-    fmap = CaseIIMap(prod, SegmentSum(seg), f0, alpha)
+    fstar = SegmentSum([(fm_i, own) for _, _, fm_i, own, _ in parts])
+    fmap = CaseIIMap(prod, fstar, f0, alpha)
 
     wit = {v: multiply(prod.w, w) for v, w in wit0.items()}
     m = len(parts)
@@ -763,11 +768,13 @@ def verify_countermodel(cm: Countermodel, phi,
     f^-1(<>A) = d f^-1(A) on the tree a rank-family map is built over, in
     which each node sees its whole subtree (transfer_truth).  Proof:
     (i) a rank map is a d-map from I_1 on [1, w^h], by induction on h.  The
-      blocks (p*q + P_{i-1}, p*q + P_i] (period p, prefix sums P_i) tile
-      [1, w^h) and are clopen; on each, f is a child's map after a
-      translation by a positive offset, a homeomorphism keeping every l^k.
-      Every punctured neighbourhood of w^h, the root's one point, contains
-      whole periods, so it meets every fiber below the root.
+      tiles (q, i) = (p*q + P_i, p*q + P_{i+1}] of its Tiling (period p,
+      prefix sums P_i of the children's thetas) cover [1, w^h) and are
+      clopen; on tile (q, i), f is child i's map after the left
+      translation by start(q, i), a homeomorphism keeping every l^k on
+      positive offsets.  Every punctured neighbourhood of w^h, the root's
+      one point, contains whole periods, so it meets every fiber below
+      the root.
     (ii) l^delta, floored to 1 as EllIter does, is a d-map from
       I_{lam+delta} on [1, e^delta(theta)] to I_lam on [1, theta] (the
       paper's lemma; criterion 6 tests delta = 1): the floored points have
@@ -881,8 +888,9 @@ def _map_from_json(obj, path: str = "fmap", tags=NODE_MAPS, depth: int = 0):
     `liter` only as a compose's inner map.  A `rank` map names each node
     once, and a compose's `liter` theta is e^delta of its outer map's
     theta, as embed writes them; stage (c)'s transfer relies on both.  A
-    wrong one raises EmbedError naming its path, such as
-    'fmap.children[0].root'.
+    `product`'s fstar is `segments` with one part per kappa, part i of
+    theta kappa i, so that pi0 lands in its domain.  A wrong one raises
+    EmbedError naming its path, such as 'fmap.children[0].root'.
     """
     tag = obj.get("map") if isinstance(obj, dict) else None
     if tag not in tags:
@@ -925,15 +933,13 @@ def _map_from_json(obj, path: str = "fmap", tags=NODE_MAPS, depth: int = 0):
             raise EmbedError(f"countermodel field {path!r} names a node twice")
         return fm
     if tag == "segments":
-        seg, k_prev = [], ZERO
+        seg = []
         for i, part in enumerate(read("parts", _PARTS)):
             at = f"{path}.parts[{i}]"
             if not isinstance(part, dict):
                 raise EmbedError(f"countermodel field {at!r} must be a JSON object")
-            fm = inner(_field(part, at, "fmap"), f"{at}.fmap")
-            k_hi = add(k_prev, fm.theta)
-            seg.append((k_prev, k_hi, fm, frozenset(_field(part, at, "nodes", _NODES))))
-            k_prev = k_hi
+            seg.append((inner(_field(part, at, "fmap"), f"{at}.fmap"),
+                        frozenset(_field(part, at, "nodes", _NODES))))
         return SegmentSum(seg)
     kappas = [_parse_at(k, f"{path}.kappas[{i}]")
               for i, k in enumerate(read("kappas", _TEXTS))]
@@ -941,8 +947,17 @@ def _map_from_json(obj, path: str = "fmap", tags=NODE_MAPS, depth: int = 0):
         prod = product(kappas, ordinal("lam"))
     except EmbedError as exc:
         raise EmbedError(f"countermodel field {path!r}: {exc}")
-    return CaseIIMap(prod, inner(read("fstar"), f"{path}.fstar"),
-                     inner(read("f0"), f"{path}.f0"), frozenset(read("alpha", _NODES)))
+    fstar = inner(read("fstar"), f"{path}.fstar", ("segments",))
+    if len(fstar.parts) != len(kappas):
+        raise EmbedError(f"countermodel field {path + '.fstar'!r} must have "
+                         f"{len(kappas)} parts, one per kappa")
+    for i, ((fm, _), k) in enumerate(zip(fstar.parts, kappas)):
+        if fm.theta != k:
+            at = f"{path}.fstar.parts[{i}]"
+            raise EmbedError(f"countermodel field {at!r} must have theta "
+                             f"{ordinal_to_text(k)} = kappas[{i}]")
+    return CaseIIMap(prod, fstar, inner(read("f0"), f"{path}.f0"),
+                     frozenset(read("alpha", _NODES)))
 
 
 def countermodel_to_json(cm: Countermodel) -> dict:

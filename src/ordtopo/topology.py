@@ -347,7 +347,7 @@ def derived_set(s: BandSet, lam: int, theta: Ordinal) -> BandSet:
     pins l^ksi(y) into (c, l^ksi(x)) for arbitrarily large c.
     """
     if lam < 0:
-        raise UnsupportedLevel(str(lam))
+        raise UnsupportedLevel(f"level {lam}")
     return bandset(_derived_band(b, lam, theta) for b in s.bands)
 
 

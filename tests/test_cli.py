@@ -377,6 +377,14 @@ def test_verify_budget_too_small(capsys, tmp_path, nodes, rels):
               "outer": {"map": "rank", "root": "r", "children": [
                   {"map": "rank", "root": "a", "children": []}]}},
      "countermodel field 'fmap.inner.theta' must be e^1 of the outer map's theta"),
+    # the fan at sigma (1,2), its cells laid out for kappas 1, 2 but its second
+    # part of theta 1: pi0 would land outside fstar's domain
+    ("fmap", {"map": "product", "kappas": ["1", "2"], "lam": "1", "alpha": ["r"],
+              "f0": {"map": "const", "node": "r", "theta": "1"},
+              "fstar": {"map": "segments", "parts": [
+                  {"nodes": ["a"], "fmap": {"map": "const", "node": "a", "theta": "1"}},
+                  {"nodes": ["b"], "fmap": {"map": "const", "node": "b", "theta": "1"}}]}},
+     "countermodel field 'fmap.fstar.parts[1]' must have theta 2 = kappas[1]"),
 ])
 def test_verify_names_the_bad_map_or_tree_field(capsys, tmp_path, field, value, why):
     cmf = embed_file(capsys, tmp_path, "ra", [("r", "a")])
@@ -448,9 +456,11 @@ def _replaced(value, at, new):
     return value
 
 
-CM_BLOBS = [countermodel_to_json(embed(make_jframe(nodes, [rels]), (1,)))
-            for nodes, rels in (("ra", [("r", "a")]),                 # 2-chain
-                                ("rab", [("r", "a"), ("r", "b")]))]   # fan
+CM_BLOBS = [countermodel_to_json(embed(make_jframe(nodes, rels), sigma))
+            for nodes, rels, sigma in (
+                ("ra", [[("r", "a")]], (1,)),                      # 2-chain
+                ("rab", [[("r", "a"), ("r", "b")]], (1,)),         # fan
+                ("rab", [[("r", "a"), ("r", "b")], []], (1, 2)))]  # its product
 CM_WORDS = ["0", "1", "w", "w+1", "r", "a", "b", "map", "nodes", "rels", "rank",
             "liter", "const", "compose", "segments", "product", "otyp_up"]
 JSON_VALUES = st.recursive(
@@ -658,6 +668,17 @@ def test_nesting_cap_on_the_command_line():
 def test_levels_past_the_depth_cap(argv, want):
     code, out, err = run_quiet(argv)
     assert (code, out.strip(), err) == (0, want, "")
+
+
+@pytest.mark.parametrize("argv,why", [
+    (["embed", "--sigma", "1,,2", "--tree", "{frame}"],
+     "--sigma must be comma-separated integers, not '1,,2'"),
+    (["band", "[1,w]", "--derive", "-1"], "level -1"),
+])
+def test_bad_option_values_are_named(tmp_path, argv, why):
+    frame = fan_file(tmp_path)
+    code, out, err = run_quiet([a.format(frame=frame) for a in argv])
+    assert (code, out, err) == (2, "", f"error: {why}\n")
 
 
 @pytest.mark.parametrize("blob", [

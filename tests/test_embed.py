@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import itertools
 import json
 import random
@@ -19,6 +20,7 @@ from ordtopo.embed import (
     GLEmbedMap,
     NotAJTree,
     NotRepresentable,
+    Tiling,
     UnsupportedSigma,
     _ord_divmod,
     _split_at,
@@ -36,6 +38,7 @@ from ordtopo.jtree import (
     InvalidFrame,
     JFrame,
     _jtree_rels,
+    _jtree_shapes,
     block_table,
     frame_ranks,
     jmap_check,
@@ -74,6 +77,7 @@ from ordtopo.topology import (
     member,
     min_witness,
     sets_equal,
+    trim_last,
     union,
 )
 
@@ -104,6 +108,51 @@ def test_ord_divmod_properties():
         q, rem = _ord_divmod(x, p)
         assert add(multiply(p, Ordinal.from_int(q)), rem) == x
         assert rem < p
+
+
+TILINGS = [("1",), ("2", "3"), ("w",), ("1", "w"), ("w", "1"), ("3", "w", "2"),
+           ("w^2", "w+1", "w*2"), ("w^w", "1", "w^2+5")]
+
+
+def test_tiling_locate_and_start_match_a_walk():
+    # lay the tiles one at a time over three periods; each tile's first,
+    # last and some interior points must come back as (q, i, offset)
+    for texts in TILINGS:
+        lengths = [o(t) for t in texts]
+        tiles = Tiling(lengths)
+        top = ZERO
+        for q in range(3):
+            for i, n in enumerate(lengths):
+                assert tiles.start(q, i) == top, (texts, q, i)
+                offsets = {ONE, n} | {d for d in (o("2"), OMEGA, o("w+1"), o("w^2"))
+                                      if ONE < d < n}
+                for d in offsets:
+                    assert tiles.locate(add(top, d)) == (q, i, d), (texts, q, i, d)
+                top = add(top, n)
+        assert top == multiply(tiles.period, Ordinal.from_int(3))
+
+
+# sha256 of countermodel_to_json and of fmap.apply on endpoint_pool(theta) for
+# every shape frame below, recorded before the segmented maps (rank blocks,
+# product cells, side-by-side parts) shared one Tiling; verify rows are left
+# out, as making periodic fibers exact changes them by design
+EMBED_DIGEST = "02320b82bd25aa36c23b41baf90c2e64ab40c0c2ec22c112df461556dfa47271"
+
+
+def test_embed_outputs_match_the_recorded_digest():
+    h, models = hashlib.sha256(), 0
+    for n_rels, max_nodes, sigmas in ((1, 5, [(1,), (2,)]),
+                                      (2, 4, [(1, 2), (1, 3), (2, 3)])):
+        for n in range(1, max_nodes + 1):
+            for t in _jtree_shapes(n, n_rels):
+                for sigma in sigmas:
+                    cm = embed(t, sigma)
+                    h.update(json.dumps(countermodel_to_json(cm),
+                                        sort_keys=True).encode())
+                    for x in endpoint_pool(cm.theta):
+                        h.update(repr(cm.fmap.apply(x)).encode())
+                    models += 1
+    assert (models, h.hexdigest()) == (115, EMBED_DIGEST)
 
 
 def test_split_at():
@@ -257,7 +306,7 @@ def test_product_period_translates():
     m = p.cells.m
     for q in range(4):
         assert p.cells.alpha(m * q) == \
-            add(ONE, multiply(p.cells.period, Ordinal.from_int(q)))
+            add(ONE, multiply(p.cells.tiles.period, Ordinal.from_int(q)))
     # block translates: the cell pattern repeats above each multiple of w^xi
     a0, b0 = p.cells.alpha(1), p.cells.beta(1)
     a1, b1 = p.cell(1, ONE)
@@ -312,14 +361,15 @@ def test_pi1_preimage_exact():
 
 
 def test_density_witnesses():
+    # infinite successor lambdas: the block just below w^xi*(w+1) is w^xi*w
     for ks in KAPPA_LISTS:
-        for lam_t in LAMBDAS:
+        for lam_t in LAMBDAS + ["w+1", "w*2"]:
             p = product([o(k) for k in ks], o(lam_t))
             ups = {multiply(p.w, g) for g in (ONE, o("2"), p.lam)
                    if ONE <= g <= p.lam}
             for u in ups:
                 lows = [ZERO, left_subtract(ONE, u) if u.is_successor() else
-                        multiply(p.w, left_subtract(ONE, p.pi1.apply(u)))
+                        multiply(p.w, trim_last(p.pi1.apply(u)))
                         if p.pi1.apply(u).is_successor() else ZERO]
                 for v in {q for q in lows if q < u}:
                     for i in range(1, len(ks) + 1):

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from .ordinal import (
@@ -48,6 +49,7 @@ from .ordinal import (
 )
 from .topology import (
     EMPTY,
+    MEMO_SIZE,
     BandSet,
     NotRepresentable,
     TopologyError,
@@ -189,6 +191,32 @@ def _shift(s: BandSet, g: Ordinal) -> BandSet:
 
 # --- map expressions: ordinal-valued (preimage_set) ---------------------------------
 
+# The preimages of the ordinal-valued maps are pure functions of the
+# values their bodies read, so each is memoised by value: verify reads the
+# fibers that embed, or the JSON reader, computed for an equal map.  An
+# exception such as NotRepresentable is never memoised.
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _ell_iter_preimage(delta: int, theta: Ordinal, s: BandSet) -> BandSet:
+    if delta == 0:
+        return intersect(s, interval(ONE, theta))
+    out = EMPTY
+    for b in s.bands:
+        cons = {delta + k: (c, d) for k, c, d in b.cons}
+        cons[delta] = merge_bound(cons.get(delta, (None, None)), (None, b.hi))
+        part = bandset([make_band(ONE, theta, cons)])
+        if not b.lo.is_zero():
+            part = intersect(part, geq_set(delta, b.lo, theta))
+        if b.member(ONE):
+            # the floor: points whose l^delta collapses to 0 land on 1
+            part = union(
+                part,
+                bandset([make_band(ONE, theta, {delta: (None, ZERO)})]),
+            )
+        out = union(out, part)
+    return out
+
 
 class EllIter:
     """x -> l^delta(x) on [1, theta], floored to 1 when the orbit hits 0."""
@@ -202,28 +230,33 @@ class EllIter:
         return ONE if v.is_zero() else v
 
     def preimage_set(self, s: BandSet) -> BandSet:
-        if self.delta == 0:
-            return intersect(s, interval(ONE, self.theta))
-        d = self.delta
-        out = EMPTY
-        for b in s.bands:
-            cons = {d + k: (c, dd) for k, c, dd in b.cons}
-            cons[d] = merge_bound(cons.get(d, (None, None)), (None, b.hi))
-            part = bandset([make_band(ONE, self.theta, cons)])
-            if not b.lo.is_zero():
-                part = intersect(part, geq_set(d, b.lo, self.theta))
-            if b.member(ONE):
-                # the floor: points whose l^delta collapses to 0 land on 1
-                part = union(
-                    part,
-                    bandset([make_band(ONE, self.theta, {d: (None, ZERO)})]),
-                )
-            out = union(out, part)
-        return out
+        return _ell_iter_preimage(self.delta, self.theta, s)
 
     def to_json(self):
         return {"map": "liter", "delta": self.delta,
                 "theta": ordinal_to_text(self.theta)}
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _otyp_up_preimage(xi: Ordinal, theta: Ordinal, s: BandSet) -> BandSet:
+    w = omega_pow(xi)
+    out = EMPTY
+    for b in s.bands:
+        lo, hi = multiply(w, b.lo), multiply(w, b.hi)
+        if all(c is None for _, c, _ in b.cons):
+            # successor gammas: exactly the points with l x = xi
+            succ = intersect(
+                bandset([make_band(lo, hi, {1: (None, xi)})]),
+                geq_set(1, xi, theta),
+            )
+            out = union(out, succ)
+        # limit gammas: l x = xi + l gamma, deeper logarithms agree
+        c1, d1 = next(((c, d) for k, c, d in b.cons if k == 1), (None, None))
+        cons = {k: (c, d) for k, c, d in b.cons if k >= 2}
+        cons[1] = (xi if c1 is None else add(xi, c1),
+                   None if d1 is None else add(xi, d1))
+        out = union(out, bandset([make_band(lo, hi, cons)]))
+    return out
 
 
 class OtypUpMap:
@@ -231,7 +264,6 @@ class OtypUpMap:
 
     def __init__(self, xi: Ordinal, theta: Ordinal):
         self.xi = xi
-        self.w = omega_pow(xi)
         self.theta = theta
 
     def apply(self, x: Ordinal) -> Ordinal:
@@ -241,23 +273,7 @@ class OtypUpMap:
         return gamma
 
     def preimage_set(self, s: BandSet) -> BandSet:
-        out = EMPTY
-        for b in s.bands:
-            lo, hi = multiply(self.w, b.lo), multiply(self.w, b.hi)
-            if all(c is None for _, c, _ in b.cons):
-                # successor gammas: exactly the points with l x = xi
-                succ = intersect(
-                    bandset([make_band(lo, hi, {1: (None, self.xi)})]),
-                    geq_set(1, self.xi, self.theta),
-                )
-                out = union(out, succ)
-            # limit gammas: l x = xi + l gamma, deeper logarithms agree
-            c1, d1 = next(((c, d) for k, c, d in b.cons if k == 1), (None, None))
-            cons = {k: (c, d) for k, c, d in b.cons if k >= 2}
-            cons[1] = (self.xi if c1 is None else add(self.xi, c1),
-                       None if d1 is None else add(self.xi, d1))
-            out = union(out, bandset([make_band(lo, hi, cons)]))
-        return out
+        return _otyp_up_preimage(self.xi, self.theta, s)
 
 
 # --- the cell layout and projections -------------------------------------------------
@@ -296,6 +312,18 @@ class _Cells:
         return iota, self.alpha(iota), self.beta(iota)
 
 
+@lru_cache(maxsize=MEMO_SIZE)
+def _pi0_preimage(kappa: Ordinal, theta: Ordinal, x_down: BandSet,
+                  s: BandSet) -> BandSet:
+    widened = bandset(make_band(ONE, kappa, b.cons_dict()) for b in s.bands)
+    if not sets_equal(s, widened, kappa):
+        raise NotRepresentable(
+            f"{bandset_to_text(s)} is position-dependent on [1,"
+            f"{ordinal_to_text(kappa)}]")
+    lifted = bandset(make_band(ONE, theta, b.cons_dict()) for b in s.bands)
+    return intersect(x_down, lifted)
+
+
 class Pi0Map:
     """Collapse every cell of the lower part onto [1, kappa_1+...+kappa_m]."""
 
@@ -322,15 +350,7 @@ class Pi0Map:
         """Exact when s does not depend on the position inside [1, kappa]:
         the projection preserves every l^k pointwise, so position-free sets
         pull back to their own l-constraints over the lower part."""
-        kappa = self.cells.marks[-1]
-        widened = bandset(make_band(ONE, kappa, b.cons_dict()) for b in s.bands)
-        if not sets_equal(s, widened, kappa):
-            raise NotRepresentable(
-                f"{bandset_to_text(s)} is position-dependent on [1,"
-                f"{ordinal_to_text(kappa)}]")
-        lifted = bandset(make_band(ONE, self.theta, b.cons_dict())
-                         for b in s.bands)
-        return intersect(self.x_down, lifted)
+        return _pi0_preimage(self.cells.marks[-1], self.theta, self.x_down, s)
 
 
 @dataclass
@@ -889,7 +909,8 @@ def _map_from_json(obj, path: str = "fmap", tags=NODE_MAPS, depth: int = 0):
     once, and a compose's `liter` theta is e^delta of its outer map's
     theta, as embed writes them; stage (c)'s transfer relies on both.  A
     `product`'s fstar is `segments` with one part per kappa, part i of
-    theta kappa i, so that pi0 lands in its domain.  A wrong one raises
+    theta kappa i, so that pi0 lands in its domain, and its f0 has theta
+    lam, as pi1 maps the upper part onto [1, lam].  A wrong one raises
     EmbedError naming its path, such as 'fmap.children[0].root'.
     """
     tag = obj.get("map") if isinstance(obj, dict) else None
@@ -956,8 +977,11 @@ def _map_from_json(obj, path: str = "fmap", tags=NODE_MAPS, depth: int = 0):
             at = f"{path}.fstar.parts[{i}]"
             raise EmbedError(f"countermodel field {at!r} must have theta "
                              f"{ordinal_to_text(k)} = kappas[{i}]")
-    return CaseIIMap(prod, fstar, inner(read("f0"), f"{path}.f0"),
-                     frozenset(read("alpha", _NODES)))
+    f0 = inner(read("f0"), f"{path}.f0")
+    if f0.theta != prod.lam:
+        raise EmbedError(f"countermodel field {path + '.f0'!r} must have theta "
+                         f"{ordinal_to_text(prod.lam)} = lam")
+    return CaseIIMap(prod, fstar, f0, frozenset(read("alpha", _NODES)))
 
 
 def countermodel_to_json(cm: Countermodel) -> dict:

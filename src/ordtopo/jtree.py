@@ -764,8 +764,8 @@ def jmap_check(fmap, space, t: JFrame) -> JMapReport:
             bad = f"f^-1(rank >= {rho}) is not a band set"
             break
         want = geq_set(lam, Ordinal.from_int(rho), theta)
-        x = min_witness(union(_minus(got, want, theta), _minus(want, got, theta)))
-        if x is not None:
+        if not sets_equal(got, want, theta):
+            x = min_witness(union(_minus(got, want, theta), _minus(want, got, theta)))
             bad = f"f^-1(rank >= {rho}) differs from l^{lam} >= {rho} at x={x}"
             break
     rep.add("(j1) rank preservation", "EXACT", bad is None, bad or "")

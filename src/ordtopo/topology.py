@@ -14,7 +14,7 @@ I_lam is l^lam.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, Iterable, Optional, Tuple
 
 from .ordinal import (
@@ -105,20 +105,35 @@ def _min_sol_memo(lo: Ordinal, hi: Optional[Ordinal], cons_key: tuple) -> Option
 
 @dataclass(frozen=True)
 class Band:
-    """[lo, hi] plus constraints lower < l^k(x) <= upper; never empty."""
+    """[lo, hi] plus constraints lower < l^k(x) <= upper; never empty.
+
+    Bands key every memo, so each computes its hash and its constraint
+    dict once."""
 
     lo: Ordinal
     hi: Ordinal
     cons: Tuple[Tuple[int, Optional[Ordinal], Optional[Ordinal]], ...]
 
-    def cons_dict(self) -> Dict[int, Bound]:
+    @cached_property
+    def _cons(self) -> Dict[int, Bound]:  # shared: never mutate
         return {k: (c, d) for k, c, d in self.cons}
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.lo, self.hi, self.cons))
+
+    def __hash__(self):
+        return self._hash
+
+    def cons_dict(self) -> Dict[int, Bound]:
+        """A fresh copy of the constraints, which the caller may change."""
+        return dict(self._cons)
+
     def member(self, x: Ordinal) -> bool:
-        return self.lo <= x <= self.hi and _sat(x, self.cons_dict())
+        return self.lo <= x <= self.hi and _sat(x, self._cons)
 
     def min(self) -> Ordinal:
-        m = _min_sol(self.lo, self.hi, self.cons_dict())
+        m = _min_sol(self.lo, self.hi, self._cons)
         if m is None:  # make_band drops empty bands
             raise TopologyError(f"empty band {band_to_text(self)}")
         return m
@@ -179,8 +194,8 @@ def _band_subsumes(a: Band, b: Band) -> bool:
     """Syntactic check that a contains b."""
     if not (a.lo <= b.lo and b.hi <= a.hi):
         return False
-    bc = b.cons_dict()
-    for k, (c, d) in a.cons_dict().items():
+    bc = b._cons
+    for k, (c, d) in a._cons.items():
         if k not in bc:
             return False
         c2, d2 = bc[k]
@@ -228,7 +243,7 @@ def union(s: BandSet, t: BandSet) -> BandSet:
 @lru_cache(maxsize=MEMO_SIZE)
 def _band_intersect(a: Band, b: Band) -> Optional[Band]:
     cons = a.cons_dict()
-    for k, bound in b.cons_dict().items():
+    for k, bound in b._cons.items():
         cons[k] = merge_bound(cons.get(k, (None, None)), bound)
     return make_band(max(a.lo, b.lo), min(a.hi, b.hi), cons)
 
@@ -303,11 +318,34 @@ def complement_within(s: BandSet, lo: Ordinal, hi: Ordinal) -> BandSet:
 
 
 def subset_of(s: BandSet, t: BandSet, theta: Ordinal) -> bool:
-    return is_empty(intersect(s, complement_within(t, ONE, theta)))
+    """Whether the points of s in [1, theta] all lie in t.
+
+    s <= t on [1, theta] iff, for every band b of s, the rest
+    b n [1, theta] n C(c_1) n ... n C(c_n) is empty, where c_1..c_n are
+    the bands of t and C(c) is the complement of c in [1, theta].  This
+    decides it band by band: a b that some c contains syntactically is
+    skipped, and the others are cut by one memoised C(c) at a time until
+    the rest is empty.  make_band solves emptiness eagerly, so an empty
+    rest is empty and a non-empty one holds a point of s in [1, theta]
+    outside t, whatever the order of the c; the answer is
+    is_empty(intersect(s, complement_within(t, ONE, theta))) exactly.
+    """
+    dom = interval(ONE, theta)
+    for b in s.bands:
+        if any(_band_subsumes(c, b) for c in t.bands):
+            continue
+        rest = intersect(BandSet((b,)), dom)
+        for c in t.bands:
+            if is_empty(rest):
+                break
+            rest = intersect(rest, _band_complement(c, ONE, theta))
+        if not is_empty(rest):
+            return False
+    return True
 
 
 def sets_equal(s: BandSet, t: BandSet, theta: Ordinal) -> bool:
-    return subset_of(s, t, theta) and subset_of(t, s, theta)
+    return s.bands == t.bands or (subset_of(s, t, theta) and subset_of(t, s, theta))
 
 
 def rank(x: Ordinal, lam: int) -> Ordinal:
@@ -316,7 +354,7 @@ def rank(x: Ordinal, lam: int) -> Ordinal:
 
 def _deep_min(b: Band, lam: int) -> Optional[Ordinal]:
     """Least feasible value of l^lam on points of b, ignoring shallower levels."""
-    cd = b.cons_dict()
+    cd = b._cons
     c0, d0 = cd.get(lam, (None, None))
     inner = {k - lam: bound for k, bound in cd.items() if k > lam}
     return _min_sol(add(c0, ONE) if c0 is not None else ZERO, d0, inner)
@@ -330,7 +368,7 @@ def _derived_band(b: Band, lam: int, theta: Ordinal) -> Optional[Band]:
     m = _deep_min(b, lam)
     if m is None:
         return None
-    cons = {k: bound for k, bound in b.cons_dict().items() if k < lam}
+    cons = {k: bound for k, bound in b._cons.items() if k < lam}
     cons[lam] = (m, None)
     return make_band(add(b.lo, ONE), min(b.hi, theta), cons)
 
@@ -353,7 +391,7 @@ def derived_set(s: BandSet, lam: int, theta: Ordinal) -> BandSet:
 
 def _approaches(b: Band, x: Ordinal, lam: int) -> bool:
     """Pointwise: every I_lam-neighborhood of x meets b \\ {x}."""
-    cd = b.cons_dict()
+    cd = b._cons
     lo: Optional[Ordinal] = b.lo
     hi: Optional[Ordinal] = b.hi
     t = x

@@ -247,6 +247,18 @@ def random_bandset_u(rng: random.Random, universe, max_bands=3, max_level=3):
     return bandset(bands)
 
 
+def oracle_subset_of(s, t, theta: Ordinal) -> bool:
+    """s <= t on [1, theta], read off t's whole complement within [1, theta]."""
+    from ordtopo.ordinal import ONE
+    from ordtopo.topology import complement_within, intersect, is_empty
+
+    return is_empty(intersect(s, complement_within(t, ONE, theta)))
+
+
+def oracle_sets_equal(s, t, theta: Ordinal) -> bool:
+    return oracle_subset_of(s, t, theta) and oracle_subset_of(t, s, theta)
+
+
 def ell_preimage(a, theta: Ordinal):
     """Preimage of a codomain BandSet under l: [1, theta] -> [0, L(theta)]."""
     from ordtopo.topology import (
@@ -267,10 +279,12 @@ def ell_preimage(a, theta: Ordinal):
 
 def memos():
     """The package's memoised functions, for tests that inspect or clear them."""
-    from ordtopo import jtree, logic, topology
+    from ordtopo import embed, jtree, logic, topology
 
     return (topology._min_sol_memo, topology._make_band_memo,
             topology._band_intersect, topology._band_complement,
+            embed._ell_iter_preimage, embed._otyp_up_preimage,
+            embed._pi0_preimage,
             logic.endpoint_pool, jtree._diamonds, jtree._kernel)
 
 

@@ -385,6 +385,14 @@ def test_verify_budget_too_small(capsys, tmp_path, nodes, rels):
                   {"nodes": ["a"], "fmap": {"map": "const", "node": "a", "theta": "1"}},
                   {"nodes": ["b"], "fmap": {"map": "const", "node": "b", "theta": "1"}}]}},
      "countermodel field 'fmap.fstar.parts[1]' must have theta 2 = kappas[1]"),
+    # the same fan with lam 2 but f0 still of theta 1: pi1 maps the upper part
+    # onto [1, 2], past f0's domain
+    ("fmap", {"map": "product", "kappas": ["1", "1"], "lam": "2", "alpha": ["r"],
+              "f0": {"map": "const", "node": "r", "theta": "1"},
+              "fstar": {"map": "segments", "parts": [
+                  {"nodes": ["a"], "fmap": {"map": "const", "node": "a", "theta": "1"}},
+                  {"nodes": ["b"], "fmap": {"map": "const", "node": "b", "theta": "1"}}]}},
+     "countermodel field 'fmap.f0' must have theta 2 = lam"),
 ])
 def test_verify_names_the_bad_map_or_tree_field(capsys, tmp_path, field, value, why):
     cmf = embed_file(capsys, tmp_path, "ra", [("r", "a")])

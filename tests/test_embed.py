@@ -344,8 +344,12 @@ def test_pi0_preimage_matches_pointwise_membership():
 
 def test_pi0_position_dependent_set_rejected():
     p = product([ONE, o("2")], ONE)
-    with pytest.raises(NotRepresentable):
-        p.pi0.preimage_set(interval(o("2"), o("2")))  # {2} inside [1,3]
+    helpers.clear_memos()
+    p.pi0.preimage_set(interval(ONE, o("3")))  # position-free: memoised
+    for _ in range(2):  # an exception is not memoised
+        with pytest.raises(NotRepresentable):
+            p.pi0.preimage_set(interval(o("2"), o("2")))  # {2} inside [1,3]
+    assert embed_module._pi0_preimage.cache_info().currsize == 1
 
 
 def test_pi1_preimage_exact():
@@ -831,8 +835,11 @@ def test_verify_map_check_reports(tree, sigma, want):
 HEIGHT4 = frame(range(6), [(a, b) for a in range(4) for b in range(a + 1, 6)])
 
 
-@pytest.mark.parametrize("tree,sigma", [(t, s) for t, s, _ in MAP_CHECK_REPORTS]
-                         + [(HEIGHT4, (1,))])
+@pytest.mark.parametrize("tree,sigma", [(t, s) for t, s, _ in MAP_CHECK_REPORTS] + [
+    (HEIGHT4, (1,)),
+    (frame("rab", [("r", "a"), ("r", "b")]), (2,)),  # a liter lift of a rank map
+    (frame("rab", [("r", "a"), ("r", "b")], []), (2, 3)),  # ... of a product
+])
 def test_verify_reports_do_not_depend_on_the_memos(tree, sigma):
     phi = tree_formula(tree)
 

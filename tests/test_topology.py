@@ -12,6 +12,7 @@ from ordtopo.ordinal import (
     ONE,
     Ordinal,
     ZERO,
+    add,
     ell_iter,
     omega_pow,
     parse_ordinal,
@@ -24,6 +25,7 @@ from ordtopo.topology import (
     NonStabilizing,
     TopologyError,
     UnsupportedLevel,
+    _band_subsumes,
     _pred,
     band_to_text,
     bandset,
@@ -296,6 +298,35 @@ def test_dmap_law_for_ell():
         lhs = helpers.ell_preimage(derived_set(a, 1, ltheta), theta)
         rhs = derived_set(helpers.ell_preimage(a, theta), 2, theta)
         assert sets_equal(lhs, rhs, theta), a
+
+
+def test_set_relations_match_the_complement_oracle():
+    """subset_of and sets_equal decide band by band; the oracle reads the
+    whole complement of t within [1, theta]."""
+    rng = random.Random(14)
+    universe = helpers.finite_universe()
+    no_containment = 0
+    for theta in (OMEGA, o("w*2+1"), W2, o("w^2*3+w")):
+        past = bandset([make_band(add(theta, ONE), W3)])
+        fixed = [EMPTY, interval(theta, theta), interval(ONE, theta), past,
+                 union(interval(theta, theta), past),
+                 bandset([make_band(ZERO, ZERO)])]
+        sets = fixed + [helpers.random_bandset_u(rng, universe) for _ in range(14)]
+        pairs = [(s, t) for s in fixed for t in sets] + [
+            (rng.choice(sets), rng.choice(sets)) for _ in range(150)]
+        for _ in range(20):
+            # t holds s's points in [1, theta], cut into pieces by a random a,
+            # so no band of t need contain a band of s
+            s, a = (helpers.random_bandset_u(rng, universe) for _ in range(2))
+            t = union(intersect(s, a), intersect(s, complement_within(a, ONE, theta)))
+            pairs += [(s, t), (t, s), (union(s, past), t)]
+            no_containment += not all(
+                any(_band_subsumes(c, b) for c in t.bands) for b in s.bands)
+        for s, t in pairs:
+            why = (bandset_to_text(s), bandset_to_text(t), theta)
+            assert subset_of(s, t, theta) == helpers.oracle_subset_of(s, t, theta), why
+            assert sets_equal(s, t, theta) == helpers.oracle_sets_equal(s, t, theta), why
+    assert no_containment >= 20
 
 
 # --- invariants raise, also under python -O -----------------------------------------

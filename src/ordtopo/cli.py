@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from typing import List, Optional
 
 from .ordinal import (
@@ -82,7 +83,19 @@ def _emit(args, record: dict, text: str) -> None:
 
 
 def _levels(text: str):
-    return tuple(parse_ordinal(ch.strip()) for ch in text.split(","))
+    s = Scanner(text)
+    out = [s.ordinal()]
+    while s.eat(","):
+        out.append(s.ordinal())
+    return tuple(s.done(out))
+
+
+def _flag(name: str, read, text: str):
+    """read(text), where a parse error names the flag and its text."""
+    try:
+        return read(text)
+    except OrdinalError as exc:
+        raise ValueError(f"{name} {text!r}: {exc}")
 
 
 def _load_json(path: str):
@@ -140,7 +153,7 @@ def cmd_ord(args) -> int:
 def cmd_band(args) -> int:
     s = parse_bandset(args.expr)
     if args.derive is not None:
-        theta = parse_ordinal(args.theta) if args.theta else \
+        theta = _flag("--theta", parse_ordinal, args.theta) if args.theta else \
             max((b.hi for b in s.bands), default=OMEGA)
         s = derived_set(s, args.derive, theta)
     mw = min_witness(s)
@@ -152,7 +165,8 @@ def cmd_band(args) -> int:
 
 def cmd_eval(args) -> int:
     phi = parse_formula(args.formula)
-    space = PolySpace(parse_ordinal(args.theta), _levels(args.levels))
+    space = PolySpace(_flag("--theta", parse_ordinal, args.theta),
+                      _flag("--levels", _levels, args.levels))
     v = _load_valuation(args.val, _BANDSET_TEXT, parse_bandset) if args.val else {}
     got = eval_topo(phi, space, v)
     record = {"set": bandset_to_text(got), "empty": is_empty(got),
@@ -195,6 +209,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
+    if args.max_nodes < 1:
+        raise ValueError(f"--max-nodes must be at least 1, not {args.max_nodes}")
     phi, idxs = condense(parse_formula(args.formula))
     if any(not i.is_finite() for i in idxs):
         print("error: transfinite modality indices are out of scope",
@@ -220,7 +236,10 @@ def cmd_search(args) -> int:
 # --- entry point ----------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused: parse_args keeps no
+    state between calls."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true")
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, FrozenSet, List, Tuple
 
 from .ordinal import (
@@ -65,6 +65,12 @@ class Formula:
 
     def __str__(self):
         return formula_to_text(self)
+
+    @cached_property
+    def _program(self) -> "Program":
+        # cached on the object, so no AST is hashed: hashing a long flat
+        # chain would recurse past the interpreter's limit
+        return _compile(self)
 
 
 @dataclass(frozen=True)
@@ -420,6 +426,13 @@ def _emit(phi: Formula) -> list:
 
 
 def compile_formula(phi: Formula) -> Program:
+    """phi as a Program, compiled once per formula object."""
+    if not isinstance(phi, Formula):
+        raise LogicError(f"unknown node {phi!r}")
+    return phi._program
+
+
+def _compile(phi: Formula) -> Program:
     """phi as a Program; equal subformulas are found by hashing each
     instruction once, keyed by the slots it reads."""
     raw = _emit(phi)

@@ -279,9 +279,9 @@ def ell_preimage(a, theta: Ordinal):
 
 def memos():
     """The package's memoised functions, for tests that inspect or clear them."""
-    from ordtopo import embed, jtree, logic, topology
+    from ordtopo import cli, embed, jtree, logic, topology
 
-    return (topology._min_sol_memo, topology._make_band_memo,
+    return (cli._build_parser, topology._min_sol_memo, topology._make_band_memo,
             topology._band_intersect, topology._band_complement,
             embed._ell_iter_preimage, embed._otyp_up_preimage,
             embed._pi0_preimage,

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ordtopo import cli
 from ordtopo.cli import main
 from ordtopo.embed import countermodel_to_json, embed
 from ordtopo.jtree import jframe_to_json, make_jframe
@@ -604,7 +605,10 @@ TOKENS = ["0", "1", "2", "12", "w", "^", "+", "*", "(", ")", ",", " ", "e", "l",
 def run_quiet(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors and --help
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -682,6 +686,15 @@ def test_levels_past_the_depth_cap(argv, want):
     (["embed", "--sigma", "1,,2", "--tree", "{frame}"],
      "--sigma must be comma-separated integers, not '1,,2'"),
     (["band", "[1,w]", "--derive", "-1"], "level -1"),
+    # a parse position counts from the start of the flag's text
+    (["eval", "<0>T", "--theta", "w", "--levels", "1,,2"],
+     "--levels '1,,2': expected a number, 'w' or '(' at position 2"),
+    (["eval", "<0>T", "--theta", "w+", "--levels", "1"],
+     "--theta 'w+': expected a number, 'w' or '(' at position 2"),
+    (["band", "[1,w]", "--derive", "1", "--theta", "w+"],
+     "--theta 'w+': expected a number, 'w' or '(' at position 2"),
+    (["search", "T", "--max-nodes", "0"], "--max-nodes must be at least 1, not 0"),
+    (["search", "T", "--max-nodes", "-1"], "--max-nodes must be at least 1, not -1"),
 ])
 def test_bad_option_values_are_named(tmp_path, argv, why):
     frame = fan_file(tmp_path)
@@ -721,6 +734,31 @@ def test_no_subcommand_takes_seed_or_budget(capsys, argv):
     err = capsys.readouterr().err
     assert exc.value.code == 2
     assert err.startswith("usage:") and "Traceback" not in err
+
+
+def test_the_reused_parser_answers_as_a_fresh_process(tmp_path, monkeypatch):
+    # argparse is asked again after usage errors, help and every subcommand;
+    # each answer must be what a new process gives
+    monkeypatch.setenv("COLUMNS", "80")  # the width of help text
+    cmf = tmp_path / "cm.json"
+    assert run_quiet(["embed", "--tree", chain_file(tmp_path), "--sigma", "1",
+                      "--out", str(cmf)])[0] == 0
+    calls = [[], ["--help"], ["ord", "--help"], ["ord", "w+1"], ["ord", "w+1", "--json"],
+             ["eval", "<0>T", "--theta", "w", "--levels", "1"],
+             ["eval", "<0>T", "--theta", "w", "--levels", "1", "--json"],
+             ["search", "<0>T"], ["search", "<0>T", "--json"], ["frob"],
+             ["verify", "F", "--cm", str(cmf)], ["ord", "w +"], ["search", "T", "-x"]]
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    want = []
+    for argv in calls:
+        p = subprocess.run([sys.executable, "-m", "ordtopo", *argv], capture_output=True,
+                           text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+        want.append((p.returncode, p.stdout, p.stderr))
+    assert {w[0] for w in want} == {0, 1, 2}
+    cli._build_parser.cache_clear()
+    for _ in range(2):
+        assert [run_quiet(argv) for argv in calls] == want
 
 
 def test_missing_file(capsys):

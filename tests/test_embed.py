@@ -10,6 +10,7 @@ import pytest
 import helpers
 from ordtopo import embed as embed_module
 from ordtopo import jtree as jtree_module
+from ordtopo import logic as logic_module
 from ordtopo.embed import (
     CaseIIMap,
     ComposeMap,
@@ -40,6 +41,7 @@ from ordtopo.jtree import (
     _jtree_rels,
     _jtree_shapes,
     block_table,
+    find_jtree_model,
     frame_ranks,
     jmap_check,
     make_jframe,
@@ -773,6 +775,43 @@ def test_transfer_needs_the_map_level_and_its_domain():
     up = dataclasses.replace(cm, theta=add(cm.theta, ONE))
     assert transfer_truth(up, f("<0>p0"), val) == (
         False, "theta w^w+1 is outside [1, w^w]")
+
+
+@pytest.fixture
+def compiled(monkeypatch):
+    """The formulas compiled from here on, one entry per compilation."""
+    seen = []
+    real = logic_module._compile
+
+    def counted(phi):
+        seen.append(phi)
+        return real(phi)
+
+    monkeypatch.setattr(logic_module, "_compile", counted)
+    return seen
+
+
+def test_verify_compiles_its_formula_once(compiled):
+    # stage (a) searches, stage (c) reads band sets
+    rep = verify_countermodel(embed(frame("ra", [("r", "a")]), (1,)), f("<0>p0 & ~p0"))
+    assert rep.ok and rep.checks[-1][1:3] == ("EXACT", True)
+    assert len(compiled) == 1
+    # stage (a) evaluates the given valuation, stage (c) reads phi on the
+    # map's own tree
+    cm = embed(frame("rab", [("r", "a"), ("r", "b")]), (1,))
+    val = {0: frozenset("r"), 1: frozenset("a"), 2: frozenset("b")}
+    phi = f("<0>p1 & <0>p2")
+    rep = verify_countermodel(cm, phi, t_val=val)
+    assert rep.ok and rep.checks[-1][3] == "f(theta) = 'r' on the map's own tree"
+    assert transfer_truth(cm, phi, val) == (True, rep.checks[-1][3])
+    assert len(compiled) == 2
+
+
+def test_search_embed_verify_compiles_once(compiled):
+    phi = f("<0>(p0 & <1>T) & ~p0")
+    res = find_jtree_model(phi, 5)
+    rep = verify_countermodel(embed(res.frame, (1, 2)), phi)
+    assert rep.ok and compiled == [phi]
 
 
 MAP_CHECK_REPORTS = [

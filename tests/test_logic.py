@@ -166,6 +166,13 @@ def test_compile_shares_subformulas_and_groups_by_last_atom():
     assert sorted(conjuncts(compile_formula(f("(p0 & T) & ~p1")).code)) == [0, 1, 4]
 
 
+def test_a_compiled_formula_equals_an_uncompiled_one():
+    a, b = f("p0 & <0>(p1 -> p0)"), f("p0 & <0>(p1 -> p0)")
+    assert compile_formula(a) is compile_formula(a)
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert compile_formula(b) == compile_formula(a)
+
+
 # every connected treelike frame on 1-4 nodes with 1 or 2 relations
 JFRAMES = [(n, rels) for k in (1, 2) for n in range(1, 5)
            for rels in _jtree_rels(tuple(range(n)), k)]

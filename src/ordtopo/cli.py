@@ -84,10 +84,7 @@ def _emit(args, record: dict, text: str) -> None:
 
 def _levels(text: str):
     s = Scanner(text)
-    out = [s.ordinal()]
-    while s.eat(","):
-        out.append(s.ordinal())
-    return tuple(s.done(out))
+    return tuple(s.done(s.args()))
 
 
 def _flag(name: str, read, text: str):

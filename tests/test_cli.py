@@ -605,10 +605,7 @@ TOKENS = ["0", "1", "2", "12", "w", "^", "+", "*", "(", ")", ",", " ", "e", "l",
 def run_quiet(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse's usage errors and --help
-            code = exc.code
+        code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -756,9 +753,19 @@ def test_the_reused_parser_answers_as_a_fresh_process(tmp_path, monkeypatch):
                            text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
         want.append((p.returncode, p.stdout, p.stderr))
     assert {w[0] for w in want} == {0, 1, 2}
+
+    def answer(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage errors and --help
+                code = exc.code
+        return code, out.getvalue(), err.getvalue()
+
     cli._build_parser.cache_clear()
     for _ in range(2):
-        assert [run_quiet(argv) for argv in calls] == want
+        assert [answer(argv) for argv in calls] == want
 
 
 def test_missing_file(capsys):

@@ -37,6 +37,7 @@ from .logic import (
     OP_OR,
     OP_TOP,
     OP_VAR,
+    Diamonds,
     Formula,
     Program,
     compile_formula,
@@ -45,6 +46,7 @@ from .logic import (
     node_bits,
     node_mask,
     relation_succ,
+    run_program,
 )
 from .topology import (
     EMPTY,
@@ -380,7 +382,11 @@ def _shape_key(nodes, rels, k: int = 0) -> tuple:
 def _jtree_shapes(n: int, n_mods: int) -> Tuple[JFrame, ...]:
     """One connected treelike frame on the nodes 0..n-1 per shape: the
     first of its shape in _jtree_rels order.  Kept for the life of the
-    process, one entry per (n, n_mods) searched."""
+    process, one entry per (n, n_mods) searched, with no bound: an entry
+    costs far more time to build than memory to keep (641 frames on 7
+    nodes with two relations take 1.7 s, 17,582 labelled frames), so a
+    process holds only the few entries it could afford to build, and an
+    evicted one would be paid for again by the next search of its size."""
     nodes = tuple(range(n))
     seen, out = set(), []
     for rels in _jtree_rels(nodes, n_mods):
@@ -391,44 +397,29 @@ def _jtree_shapes(n: int, n_mods: int) -> Tuple[JFrame, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _supports(n_atoms: int, n: int) -> Tuple[int, ...]:
     """The node masks each atom runs through, in search order: every subset
     by size, then lexicographically; only the empty, singleton and full
     sets when atoms x nodes > 12, each once (on one node the full set is
-    the singleton)."""
+    the singleton); none without atoms, where no scan reads them.  The 32
+    most recent pairs are kept, at most 4,096 masks each."""
+    if not n_atoms:
+        return ()
     if n_atoms * n <= 12:
         return tuple(sum(1 << i for i in c)
                      for r in range(n + 1) for c in itertools.combinations(range(n), r))
     return tuple(dict.fromkeys((0,) + tuple(1 << i for i in range(n)) + ((1 << n) - 1,)))
 
 
-class _Diamonds(dict):
-    """<k>A by the mask of A, for one relation given by its relation_succ
-    pairs; each entry is computed on first use, so a frame costs only the
-    masks that searches on it meet."""
-
-    def __init__(self, succ):
-        super().__init__()
-        self.succ = succ
-
-    def __missing__(self, a: int) -> int:
-        out = 0
-        for b, s in self.succ:
-            if s & a:
-                out |= b
-        self[a] = out
-        return out
-
-
 @lru_cache(maxsize=256)
-def _diamonds(frame: JFrame, idx: Ordinal) -> _Diamonds:
+def _diamonds(frame: JFrame, idx: Ordinal) -> Diamonds:
     """The diamond memo of frame's relation at modality index idx, shared by
     every search on frame; the 256 most recent pairs are kept, more than
     the 187 of the shape tables up to 5 nodes and 2 relations.
     relation_succ raises IndexOutOfRange for an index past the relations
     and LogicError for an edge leaving the frame."""
-    return _Diamonds(relation_succ(frame, idx, node_bits(frame.nodes)))
+    return Diamonds(relation_succ(frame, idx, node_bits(frame.nodes)))
 
 
 # one expression per opcode that reads slots: x and y name the slots read,
@@ -512,6 +503,21 @@ def _kernel(code, starts) -> tuple:
     return (scope["fill"],) + tuple(scope[f"scan{k}"] for k in range(len(starts) - 1))
 
 
+# A scan runs interpreted until it has executed this many passes' worth of
+# its program's instructions, then generates the program's kernel and goes
+# on with it: the ski-rental rule, renting (interpreting) until the rent
+# paid equals the price of buying (generating).  Measured with CPython 3.11
+# on a 2-CPU container, over the 31 scans long enough to time among tree
+# formulas checked at the roots of 3- to 5-node trees and random
+# one-relation formulas on 3 and 4 nodes (programs of about 200 slots): a
+# cold _kernel call costs what 66 to 190 interpreted passes cost, median
+# 105-110 in three runs.  Past the budget the kernel runs a pass in about
+# 0.3 of the interpreter's time, so a tiered scan costs at most about
+# twice what a cold kernel would, and one that ends within the budget costs
+# less than generating the kernel alone.
+_TIER_UP_PASSES = 100
+
+
 def find_valuation(prog: Program, frame: JFrame, target=None
                    ) -> Optional[Tuple[Dict[int, FrozenSet], FrozenSet]]:
     """The first valuation under which prog's formula holds at some node of
@@ -524,23 +530,60 @@ def find_valuation(prog: Program, frame: JFrame, target=None
     step reruns only the slots that read the atom that changed or a later
     one, and a prefix under which a top-level conjunct misses target is
     not extended, so the first hit is the one the full enumeration finds.
-    The steps run in _kernel's generated scans, one per slot group, over
-    the frame's diamond memos (_diamonds).
+    The steps run interpreted, one slot group at a time (run_program over
+    the frame's diamond memos, _diamonds).  A scan that outlasts
+    _TIER_UP_PASSES passes over the program generates its kernel (_kernel)
+    and runs the rest of the odometer in it; a short scan generates none.
     """
+    return _scan(prog, frame, target, None)
+
+
+def _scan(prog: Program, frame: JFrame, target, kernel):
+    """find_valuation, run from the start in kernel (a _kernel result) or,
+    when kernel is None, interpreted until it tiers up."""
     nodes = tuple(frame.nodes)
     full = (1 << len(nodes)) - 1
     want = full if target is None else node_mask(target, node_bits(nodes))
     dia = tuple(_diamonds(frame, idx) for idx in prog.mods)
-    fill, *scans = _kernel(prog.code, prog.starts)
-    opts = _supports(len(scans), len(nodes))
-    vals = [0] * len(prog.code)
-    bound = [fill(vals, full, dia)]     # bound[k]: the conjuncts up to atom k - 1
-    if not bound[0] & want:
+    code, starts, n_atoms = prog.code, prog.starts, len(prog.atoms)
+    opts = _supports(n_atoms, len(nodes))
+    vals = [0] * len(code)
+    if kernel is None:
+        scans, masks, left = None, [0] * n_atoms, _TIER_UP_PASSES * len(code)
+        tops: List[List[int]] = [[] for _ in starts]  # conjuncts per slot group
+        for s in conjuncts(code):
+            tops[bisect.bisect_right(starts, s)].append(s)
+        run_program(code, 0, starts[0], vals, masks, dia, full)
+        c = full
+        for s in tops[0]:
+            c &= vals[s]
+    else:
+        fill, *scans = kernel
+        c = fill(vals, full, dia)
+    bound = [c]                         # bound[k]: the conjuncts up to atom k - 1
+    if not c & want:
         return None
     pick: List[int] = []
     i = 0
-    while len(pick) < len(scans):
-        hit = scans[len(pick)](i, opts, vals, bound[-1], want, full, dia)
+    while len(pick) < n_atoms:
+        k = len(pick)
+        if scans is None and left < 0:
+            scans = _kernel(code, starts)[1:]
+        if scans is not None:
+            hit = scans[k](i, opts, vals, bound[-1], want, full, dia)
+        elif i < len(opts):
+            masks[k] = opts[i]
+            run_program(code, starts[k], starts[k + 1], vals, masks, dia, full)
+            left -= starts[k + 1] - starts[k]
+            c = bound[-1]
+            for s in tops[k + 1]:
+                c &= vals[s]
+            if not c & want:
+                i += 1
+                continue
+            hit = i, c
+        else:
+            hit = None
         if hit is not None:
             pick.append(hit[0])
             bound.append(hit[1])
@@ -579,16 +622,18 @@ def find_jtree_model(phi: Formula, max_nodes: int) -> Optional[SearchResult]:
     Hence the first labelled frame with a model is the first copy of its
     shape, the frames before it have none, and the search over the first
     copies reaches that same frame and makes the same find_valuation call.
-    Every frame runs the same generated kernel (_kernel), and the table's
-    frames keep their diamond memos (_diamonds) from formula to formula.
+    The scans on many frames repay a kernel, so every frame runs prog's
+    generated kernel (_kernel) from its first step, and the table's frames
+    keep their diamond memos (_diamonds) from formula to formula.
     """
     prog = compile_formula(phi)
     if any(not o.is_finite() for o in prog.mods):
         raise FrameError("modality indices must be condensed naturals")
     n_mods = 1 + max((o.to_int() for o in prog.mods), default=-1)
+    kernel = _kernel(prog.code, prog.starts)
     for n in range(1, max_nodes + 1):
         for frame in _jtree_shapes(n, n_mods):
-            hit = find_valuation(prog, frame)
+            hit = _scan(prog, frame, None, kernel)
             if hit is None:
                 continue
             v, got = hit

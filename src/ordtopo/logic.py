@@ -359,10 +359,10 @@ class Program:
     atom position they read: the atom-free ones come first, and group k
     (the slots that read atom k and no later atom) is
     code[starts[k]:starts[k + 1]], with starts[len(atoms)] == len(code).
-    Valuation search (jtree.find_valuation) turns each group into one
-    generated scan, so a new mask for atom k reruns group k alone, over
-    the groups before it held fixed; eval_kripke runs the whole program
-    once in run_program.
+    Valuation search (jtree.find_valuation) reruns group k alone for a new
+    mask of atom k, over the groups before it held fixed, in run_program
+    or in a generated scan; eval_kripke runs the whole program once in
+    run_program.
     """
     code: Tuple[Tuple[int, int, int], ...]
     atoms: Tuple[int, ...]          # variable indices, ascending
@@ -504,39 +504,51 @@ def relation_succ(frame, idx: Ordinal, bit: Dict) -> List[Tuple[int, int]]:
     return list(succ.items())
 
 
-def run_program(code, atoms: List[int], succ, full: int) -> List[int]:
-    """The mask of every slot of code.
+class Diamonds(dict):
+    """<k>A by the mask of A, for one relation given by its relation_succ
+    pairs; each entry is computed on first use, so a frame costs only the
+    masks that evaluations on it meet."""
 
-    atoms[k] is the mask of atom position k, succ[m] the relation_succ
-    pairs of modality position m and full the mask of all nodes.
+    def __init__(self, succ):
+        super().__init__()
+        self.succ = succ
+
+    def __missing__(self, a: int) -> int:
+        out = 0
+        for b, s in self.succ:
+            if s & a:
+                out |= b
+        self[a] = out
+        return out
+
+
+def run_program(code, start: int, stop: int, vals: List[int], atoms, dia,
+                full: int) -> None:
+    """Fill vals[start:stop] with the masks of those slots of code, reading
+    the earlier slots from vals.
+
+    atoms[k] is the mask of atom position k, dia[m] the Diamonds of
+    modality position m ([k]A is the complement of <k> of A's complement)
+    and full the mask of all nodes.
     """
-    vals = [0] * len(code)
-    for i, (op, x, y) in enumerate(code):
+    for i in range(start, stop):
+        op, x, y = code[i]
         if op == OP_AND:
             vals[i] = vals[x] & vals[y]
         elif op == OP_NOT:
             vals[i] = full ^ vals[x]
         elif op == OP_DIA:
-            a, out = vals[x], 0
-            for b, s in succ[y]:
-                if s & a:
-                    out |= b
-            vals[i] = out
+            vals[i] = dia[y][vals[x]]
         elif op == OP_BOX:
-            a, out = full ^ vals[x], full
-            for b, s in succ[y]:
-                if s & a:
-                    out ^= b
-            vals[i] = out
+            vals[i] = full ^ dia[y][full ^ vals[x]]
         elif op == OP_IMP:
             vals[i] = (full ^ vals[x]) | vals[y]
         elif op == OP_OR:
             vals[i] = vals[x] | vals[y]
         elif op == OP_VAR:
             vals[i] = atoms[x]
-        elif op == OP_TOP:
-            vals[i] = full
-    return vals                 # an OP_BOT slot keeps its initial 0
+        else:
+            vals[i] = full if op == OP_TOP else 0
 
 
 def eval_kripke(phi: Formula, frame, v: Dict[int, FrozenSet]) -> FrozenSet:
@@ -549,8 +561,9 @@ def eval_kripke(phi: Formula, frame, v: Dict[int, FrozenSet]) -> FrozenSet:
     nodes = tuple(frame.nodes)
     bit = node_bits(nodes)
     atoms = [node_mask(v[a], bit) for a in prog.atoms]
-    succ = [relation_succ(frame, idx, bit) for idx in prog.mods]
-    vals = run_program(prog.code, atoms, succ, (1 << len(nodes)) - 1)
+    dia = [Diamonds(relation_succ(frame, idx, bit)) for idx in prog.mods]
+    vals = [0] * len(prog.code)
+    run_program(prog.code, 0, len(vals), vals, atoms, dia, (1 << len(nodes)) - 1)
     return mask_nodes(vals[-1], nodes)
 
 

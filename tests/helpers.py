@@ -285,7 +285,7 @@ def memos():
             topology._band_intersect, topology._band_complement,
             embed._ell_iter_preimage, embed._otyp_up_preimage,
             embed._pi0_preimage,
-            logic.endpoint_pool, jtree._diamonds, jtree._kernel)
+            logic.endpoint_pool, jtree._diamonds, jtree._kernel, jtree._supports)
 
 
 def clear_memos():

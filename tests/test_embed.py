@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import random
+import time
 
 import pytest
 
@@ -935,6 +936,31 @@ def test_verify_stage_a_on_a_twenty_node_chain():
     rep = verify_countermodel(embed(chain, (1,)), tree_formula(chain))
     assert rep.checks[0] == ("(a) satisfied at the root", "EXACT", True, "")
     assert len(jtree_module._diamonds(chain, ZERO)) < 1000
+
+
+def test_verify_an_atom_free_formula_on_a_twenty_four_node_chain():
+    # without atoms stage (a) builds no supports; every subset of the 24
+    # nodes would be 2^24 masks
+    chain = frame(range(24), [(i, j) for i in range(24) for j in range(24) if i < j])
+    cm = embed(chain, (1,))
+    start = time.perf_counter()
+    rep = verify_countermodel(cm, f("<0>T"))
+    assert rep.ok, str(rep)
+    assert time.perf_counter() - start < 5
+    assert jtree_module._supports(0, 24) == ()
+
+
+def test_verify_of_a_tree_formula_generates_no_kernel():
+    # stage (a) on a small tree scans too few valuations to repay a kernel
+    jtree_module._kernel.cache_clear()
+    trees = [make_jframe(kf.nodes, kf.rels) for kf, _ in helpers.all_trees(4)]
+    trees.append(frame(range(5), [(i, j) for i in range(5) for j in range(5) if i < j]))
+    for t in trees:
+        rep = verify_countermodel(embed(t, (1,)), tree_formula(t))
+        assert rep.checks[0] == ("(a) satisfied at the root", "EXACT", True, ""), t
+        rep = verify_countermodel(embed(t, (1,)), f("<0>p0 & [0]~p0"))
+        assert rep.checks[0][2:] == (False, "no valuation found"), t
+    assert jtree_module._kernel.cache_info().misses == 0
 
 
 @pytest.mark.parametrize("tree", [

@@ -49,6 +49,7 @@ from ordtopo.jtree import (
     validate_jframe,
     _jtree_rels,
     _jtree_shapes,
+    _kernel,
     _shape_key,
     _supports,
 )
@@ -542,13 +543,13 @@ def test_search_tries_each_shape_once(monkeypatch, text, calls):
     # with two relations and 1 + 1 + 2 + 4 + 9 with one, against 273 and 34
     # labelled frames
     tried = []
-    real = jtree_module.find_valuation
+    real = jtree_module._scan
 
-    def counted(prog, frame, target=None):
+    def counted(prog, frame, target, kernel):
         tried.append(frame)
-        return real(prog, frame, target)
+        return real(prog, frame, target, kernel)
 
-    monkeypatch.setattr(jtree_module, "find_valuation", counted)
+    monkeypatch.setattr(jtree_module, "_scan", counted)
     assert find_jtree_model(f(text), 5) is None
     assert len(tried) == calls
 
@@ -665,9 +666,54 @@ def oracle_find_valuation(prog, frame, target=None):
 
 
 def same_search(prog, frame, target=None):
+    """The oracle's answer, which both scan paths must give: find_valuation
+    (interpreted until it tiers up) and prog's kernel run from the first
+    step, as find_jtree_model runs it."""
     want = oracle_find_valuation(prog, frame, target)
     assert find_valuation(prog, frame, target) == want, (prog, frame, target)
+    kernel = _kernel(prog.code, prog.starts)
+    assert jtree_module._scan(prog, frame, target, kernel) == want, (prog, frame, target)
     return want
+
+
+def count_kernels(monkeypatch):
+    """The list of the programs whose kernels find_valuation and
+    find_jtree_model ask for from now on."""
+    asked, real = [], jtree_module._kernel
+    monkeypatch.setattr(jtree_module, "_kernel",
+                        lambda code, starts: asked.append(code) or real(code, starts))
+    return asked
+
+
+@pytest.mark.parametrize("passes", [0, 1, 3])
+def test_find_valuation_tiers_up_mid_scan(monkeypatch, passes):
+    # a short budget hands the odometer to the kernel after a few steps,
+    # with the interpreter's vals, bound, pick and option index
+    monkeypatch.setattr(jtree_module, "_TIER_UP_PASSES", passes)
+    kernels = count_kernels(monkeypatch)
+    rng = random.Random(31 + passes)
+    cases = 0
+    for n_rels in (1, 2):
+        for n in range(1, 5):
+            for g in _jtree_shapes(n, n_rels):
+                for _ in range(4):
+                    prog = compile_formula(_random_formula(rng, 3, n_rels, 4))
+                    target = rng.sample(g.nodes, rng.randint(1, n))
+                    assert find_valuation(prog, g, target) == \
+                        oracle_find_valuation(prog, g, target), (prog, g, target)
+                    cases += 1
+    assert 0 < len(kernels) < cases
+
+
+def test_search_generates_one_kernel_per_program_structure(monkeypatch):
+    # one kernel lookup per search, not one per frame, and one generation
+    # per program structure: renumbered atoms share a kernel
+    _kernel.cache_clear()
+    asked = count_kernels(monkeypatch)
+    for text in ("<0>p0 & <1>[0]~p0", "<0>p3 & <1>[0]~p3", "<0>T & [0]F"):
+        assert find_jtree_model(f(text), 4) is None
+    assert len(asked) == 3
+    assert _kernel.cache_info().misses == 2
 
 
 def test_find_valuation_matches_the_oracle_on_every_small_shape():

@@ -7,10 +7,10 @@ rank map from [1, w^h] onto a finite single-relation tree (root at the
 top, children repeating along the tiles of their thetas).  product
 assembles the two-projection cell structure, its cells the tiles of
 their lengths, whose upper part carries a prescribed order type.  embed
-recurses over a treelike polymodal frame and a modality sequence sigma
-and produces a map expression f: [1, Theta] -> T with f(Theta) = root,
-a witness table certifying surjectivity, and the fiber algebra (band
-preimages where they exist).
+checks a frame once (jtree.as_jtree), recurses over the JTree's split
+and a modality sequence sigma, and produces a map expression
+f: [1, Theta] -> T with f(Theta) = root, a witness table certifying
+surjectivity, and the fiber algebra (band preimages where they exist).
 
 Fibers of branching trees are genuinely periodic (every other block,
 say) and fall outside the band algebra; preimage calls on such sets
@@ -78,16 +78,13 @@ from .jtree import (
     InvalidFrame,
     JFrame,
     JMapReport,
+    JTree,
+    as_jtree,
     find_valuation,
-    is_jtree,
     is_node_id,
     jframe_from_json,
     jframe_to_json,
     jmap_check,
-    make_jframe,
-    root_of,
-    root_split,
-    subframe,
 )
 
 
@@ -606,26 +603,23 @@ def gl_embed(t) -> Tuple[Ordinal, GLEmbedMap]:
         raise EmptyTree("cannot embed an empty tree")
     if len(t.rels) != 1:
         raise NotAJTree(f"expected one relation, got {len(t.rels)}")
-    root_of(t)  # raises InvalidFrame unless t is a rooted tree
-    fm = _rank_map(t)
+    fm = _rank_map(as_jtree(t))
     return fm.theta, fm
 
 
-def _rank_map(t: JFrame) -> GLEmbedMap:
-    """gl_embed's map, on a checked tree; children by the reprs of their roots."""
-    (root,), subtrees = root_split(t)
-    children = sorted(map(_rank_map, subtrees), key=lambda c: repr(c.root))
-    return GLEmbedMap(root, children)
+def _rank_map(t: JTree) -> GLEmbedMap:
+    """gl_embed's map on a one-relation tree; children by the reprs of their roots."""
+    children = sorted(map(_rank_map, t.split[1]), key=lambda c: repr(c.root))
+    return GLEmbedMap(t.root, children)
 
 
 # --- the recursive embedding ------------------------------------------------------------
 
 
-def _embed(t: JFrame, sigma: Tuple[int, ...]):
-    """(theta, fmap, witnesses) for a treelike frame t that embed() checked."""
-    nodes = tuple(t.nodes)
-    if len(nodes) == 1:
-        return ONE, ConstMap(nodes[0], ONE), {nodes[0]: ONE}
+def _embed(t: JTree, sigma: Tuple[int, ...]):
+    """(theta, fmap, witnesses) for a tree t and a sigma that embed() checked."""
+    if len(t.nodes) == 1:
+        return ONE, ConstMap(t.root, ONE), {t.root: ONE}
     if sigma[0] > 1:
         delta = sigma[0] - 1
         th, fm, wit = _embed(t, tuple(s - delta for s in sigma))
@@ -635,29 +629,28 @@ def _embed(t: JFrame, sigma: Tuple[int, ...]):
     if len(t.rels) == 1:
         fm = _rank_map(t)
         return fm.theta, fm, fm.witnesses()
-    if not t.rels[0]:
-        # the first relation is empty: drop it and lift by one logarithm
-        th, fm, wit = _embed(JFrame(nodes, t.rels[1:]),
-                             tuple(s - 1 for s in sigma[1:]))
-        theta = e(th)
-        return (theta, ComposeMap(fm, EllIter(1, theta)),
-                {v: e(w) for v, w in wit.items()})
 
-    # the root plane alpha has subtrees below it, ordered by their thetas,
-    # then by the reprs of their own root planes
-    alpha, subtrees = root_split(t)
+    # the root plane (on R_1 and up), lifted by a logarithm unless one node
+    plane, subtrees = t.split
+    lam, f0, wit0 = _embed(plane, tuple(s - 1 for s in sigma[1:]))
+    if len(plane.nodes) > 1:
+        lam = e(lam)
+        f0, wit0 = ComposeMap(f0, EllIter(1, lam)), {v: e(w) for v, w in wit0.items()}
+    if not subtrees:  # R_0 is empty, and t is its root plane
+        return lam, f0, wit0
+
+    # the subtrees below the plane, ordered by their thetas, then by the
+    # reprs of their own root planes
     parts = []
     for sub in subtrees:
         th_i, fm_i, wit_i = _embed(sub, sigma)
-        beta = sorted(map(repr, root_split(sub)[0]))
+        beta = sorted(map(repr, sub.split[0].nodes))
         parts.append((th_i, beta, fm_i, frozenset(sub.nodes), wit_i))
     parts.sort(key=lambda p: (p[0], p[1]))
-
-    lam, f0, wit0 = _embed(subframe(t, alpha), sigma)
     prod = product([p[0] for p in parts], lam)
 
     fstar = SegmentSum([(fm_i, own) for _, _, fm_i, own, _ in parts])
-    fmap = CaseIIMap(prod, fstar, f0, alpha)
+    fmap = CaseIIMap(prod, fstar, f0, plane.nodes)
 
     wit = {v: multiply(prod.w, w) for v, w in wit0.items()}
     m = len(parts)
@@ -673,7 +666,7 @@ def _embed(t: JFrame, sigma: Tuple[int, ...]):
 class Countermodel:
     theta: Ordinal
     fmap: object
-    tree: JFrame
+    tree: JTree
     sigma: Tuple[int, ...]
     witnesses: Dict
     algebra: Dict  # node -> fiber BandSet, or None where not representable
@@ -701,17 +694,13 @@ def _check_sigma(sigma, n_rels: int) -> Tuple[int, ...]:
 
 
 def embed(t, sigma) -> Countermodel:
-    t = make_jframe(t.nodes, t.rels)
     if not t.nodes:
         raise EmptyTree("cannot embed an empty tree")
     sigma = _check_sigma(sigma, len(t.rels))
     try:
-        treelike = is_jtree(t)
+        t = as_jtree(t)
     except InvalidFrame as exc:
         raise NotAJTree(str(exc))
-    if not treelike:
-        raise NotAJTree("planes do not nest as a tree")
-    root = root_of(t)
 
     theta, fmap, wit = _embed(t, sigma)
 
@@ -722,7 +711,7 @@ def embed(t, sigma) -> Countermodel:
     for v, w in wit.items():
         if not (ONE <= w <= theta and fmap.apply(w) == v):
             raise EmbedError(f"witness {w} does not map to {v}")
-    if not sets_equal(fmap.preimage([root]), interval(theta, theta), theta):
+    if not sets_equal(fmap.preimage([t.root]), interval(theta, theta), theta):
         raise EmbedError("the root fiber is not {theta}")
 
     algebra = {}
@@ -810,7 +799,7 @@ def verify_countermodel(cm: Countermodel, phi,
     [1, fmap.theta] fails stage (c); where neither path applies, it is
     SKIPPED."""
     rep = JMapReport()
-    root = root_of(cm.tree)
+    root = cm.tree.root
 
     if t_val is not None:
         found = t_val if root in eval_kripke(phi, cm.tree, t_val) else None
@@ -1028,6 +1017,10 @@ def countermodel_from_json(obj) -> Countermodel:
         levels = tuple(_parse_at(s, f"levels[{i}]")
                        for i, s in enumerate(obj["levels"]))
         tree = jframe_from_json(obj["tree"], at="tree.")
+        try:
+            tree = as_jtree(tree)
+        except InvalidFrame as exc:
+            raise EmbedError(f"countermodel field 'tree': {exc}")
         sigma = _check_sigma(obj["sigma"], len(tree.rels))
         fmap = _map_from_json(obj["fmap"])
         wit = {v: _parse_at(w, f"witnesses[{i}][1]")

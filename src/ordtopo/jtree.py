@@ -8,10 +8,9 @@ relations R_0..R_{n-1} subject to two monotonicity conditions:
 
 The k-planes are the components under R_k and above.  A treelike frame is
 a root plane with subtrees hanging below it under R_0, each plane again a
-treelike frame on the higher relations.  root_split reads that structure
-off the in-edges: the root plane is the set of nodes that no R_0 edge
-enters.  Tree recognition and the hereditary roots read the frame the same
-way, and the embedding recurses through root_split.
+treelike frame on the higher relations.  as_jtree checks a frame once;
+the JTree it returns reads that structure off the in-edges (split), as
+JTrees that are not checked again, and the embedding recurses through it.
 
 The module also checks the map conditions (j1)-(j4) for maps from a band-set
 space onto a treelike frame, and does bounded search for a treelike
@@ -23,7 +22,7 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .ordinal import ONE, Ordinal, ZERO
@@ -182,27 +181,29 @@ class FrameReport:
 
 
 def validate_jframe(f: JFrame) -> FrameReport:
+    """The frame's violations, in repr order: equal frames give one report."""
     rep = FrameReport()
     succ = [_succ_table(r) for r in f.rels]
+    edges = [sorted(r, key=repr) for r in f.rels]
     empty: FrozenSet = frozenset()
     for k, r in enumerate(f.rels):
-        for a, b in r:
+        for a, b in edges[k]:
             if a == b:
                 rep.violations.append((f"irreflexivity of R_{k}", (a,)))
-            for c in succ[k].get(b, empty):
-                if (a, c) not in r:
-                    rep.violations.append((f"transitivity of R_{k}", (a, b, c)))
+            for c in sorted((c for c in succ[k].get(b, empty) if (a, c) not in r),
+                            key=repr):
+                rep.violations.append((f"transitivity of R_{k}", (a, b, c)))
     for m in range(len(f.rels)):
         for n in range(m + 1, len(f.rels)):
-            for x, y in f.rels[n]:
+            for x, y in edges[n]:
                 sx, sy = succ[m].get(x, empty), succ[m].get(y, empty)
                 if sx != sy:
-                    z = next(iter(sx ^ sy))
+                    z = min(sx ^ sy, key=repr)
                     rep.violations.append((f"(I) at m={m}, n={n}", (x, y, z)))
-            for x, y in f.rels[m]:
-                for z in succ[n].get(y, empty):
-                    if (x, z) not in f.rels[m]:
-                        rep.violations.append((f"(J) at m={m}, n={n}", (x, y, z)))
+            for x, y in edges[m]:
+                for z in sorted((z for z in succ[n].get(y, empty)
+                                 if (x, z) not in f.rels[m]), key=repr):
+                    rep.violations.append((f"(J) at m={m}, n={n}", (x, y, z)))
     return rep
 
 
@@ -238,72 +239,73 @@ def _split(nodes, rels) -> Tuple[FrozenSet, List[FrozenSet]]:
     return alpha, _components([x for x in nodes if x in entered], rels)
 
 
-def root_split(f: JFrame) -> Tuple[FrozenSet, List[JFrame]]:
-    """The root plane of f, the nodes that no R_0 edge enters, and the child
-    subtrees, the connected components of the other nodes.
+class JTree(JFrame):
+    """A connected treelike frame and its root, the node no edge enters.
+    as_jtree checks a frame once; split and find_jtree_model build trees
+    unchecked, as their lemmas allow."""
 
-    In a treelike frame, (i) R_k never joins two points of one (k+1)-plane:
-    by (I), they have equal R_k-successor sets, so x R_k y gives y R_k y;
-    and (ii) a plane sees every point of a plane it sees at all.  So a
-    (k+1)-plane is entered by R_k exactly when each of its points is.
-    Hence the root plane is the set of nodes that no R_0 edge enters, and
-    once it is removed, each child plane and everything below it form one
-    component."""
-    alpha, rest = _split(f.nodes, f.rels)
-    return alpha, [subframe(f, c) for c in rest]
+    def __init__(self, nodes, rels):
+        super().__init__(nodes, rels)
+        (root,) = self.hereditary_roots(0)
+        object.__setattr__(self, "root", root)
+
+    @cached_property
+    def split(self) -> Tuple[JTree, Tuple[JTree, ...]]:
+        """The root plane (the nodes that no R_0 edge enters) as a tree on R_1
+        and up, and the child subtrees (the components of the rest) as trees.
+
+        In a treelike frame, (i) R_k never joins two points of one (k+1)-plane:
+        by (I), they have equal R_k-successor sets, so x R_k y gives y R_k y;
+        and (ii) a plane sees every point of a plane it sees at all.  So a
+        (k+1)-plane is entered by R_k exactly when each of its points is.
+        Hence the root plane is the set of nodes that no R_0 edge enters, and
+        once it is removed, each child plane and everything below it form one
+        component.  Computed on first read."""
+        alpha, rest = _split(self.nodes, self.rels)
+
+        def tree(keep, rels):
+            g = subframe(JFrame(self.nodes, rels), keep)
+            return JTree(g.nodes, g.rels)
+
+        return tree(alpha, self.rels[1:]), tuple(tree(c, self.rels) for c in rest)
+
+    def hereditary_roots(self, k: int) -> FrozenSet:
+        """Nodes whose (j+1)-plane is the root plane of its j-plane for all
+        j >= k: by split's lemma, those that no R_j edge, j >= k, enters."""
+        entered = {b for r in self.rels[k:] for _, b in r}
+        return frozenset(x for x in self.nodes if x not in entered)
 
 
-def is_jtree(f: JFrame) -> bool:
-    """Whether the frame f is treelike (InvalidFrame if it is not valid):
-    each component at level k splits as root_split splits f, alpha goes on
-    to level k+1, each component of the rest stays at level k, and f is
-    treelike iff alpha is one node at the last level.  Were alpha to fall
-    apart at level k+1, its pieces would keep points apart down to the last
-    level; so alpha lies in one plane, whose points have equal
+def as_jtree(f: JFrame) -> JTree:
+    """f as a JTree (a JTree as it is), checked once: InvalidFrame unless f
+    is valid, connected and treelike, asked in that order.
+
+    f is treelike iff each component at level k splits as JTree.split
+    splits f, alpha goes on to level k+1, each component of the rest stays
+    at level k, and alpha is one node at the last level.  Were alpha to
+    fall apart at level k+1, its pieces would keep points apart down to the
+    last level; so alpha lies in one plane, whose points have equal
     R_k-successors by (I), and by transitivity alpha sees the rest."""
+    if isinstance(f, JTree):
+        return f
+    f = make_jframe(f.nodes, f.rels)
     rep = validate_jframe(f)
     if not rep.ok:
         raise InvalidFrame(str(rep))
-    n = len(f.rels)
-    stack = [(c, 0) for c in _components(f.nodes, f.rels)]
+    if not f.rels and len(f.nodes) != 1:
+        raise InvalidFrame("a frame without relations must be a single node")
+    if len(_components(f.nodes, f.rels)) != 1:
+        raise InvalidFrame("frame is not connected")
+    n, stack = len(f.rels), [(f.nodes, 0)]
     while stack:
         comp, k = stack.pop()
         alpha, rest = _split(comp, f.rels[k:])
         if k + 1 < n:
             stack.append((alpha, k + 1))
         elif len(alpha) != 1:
-            return False
+            raise InvalidFrame("frame is not treelike")
         stack.extend((c, k) for c in rest)
-    return True
-
-
-def _unentered(f: JFrame, k: int) -> FrozenSet:
-    """The nodes that no R_j edge with j >= k enters."""
-    entered = {b for r in f.rels[k:] for _, b in r}
-    return frozenset(x for x in f.nodes if x not in entered)
-
-
-def hereditary_roots(f: JFrame, k: int) -> FrozenSet:
-    """Nodes whose (j+1)-plane is the root plane of its j-plane for all
-    j >= k: by root_split's lemma, those that no R_j edge, j >= k, enters."""
-    if not is_jtree(f):
-        raise InvalidFrame("hereditary roots need a treelike frame")
-    return _unentered(f, k)
-
-
-def root_of(f: JFrame):
-    """The unique node of a connected treelike frame that no edge enters."""
-    if not f.rels:
-        if len(f.nodes) != 1:
-            raise InvalidFrame("a frame without relations must be a single node")
-        return f.nodes[0]
-    treelike = is_jtree(f)  # a frame that is not valid fails here first
-    if len(_components(f.nodes, f.rels)) != 1:
-        raise InvalidFrame("frame is not connected")
-    if not treelike:
-        raise InvalidFrame("frame is not treelike")
-    (root,) = _unentered(f, 0)
-    return root
+    return JTree(f.nodes, f.rels)
 
 
 # --- bounded model search ----------------------------------------------------------
@@ -366,7 +368,7 @@ def _shape_key(nodes, rels, k: int = 0) -> tuple:
     """The shape of a component of a treelike frame at level k, in the
     style of the Aho-Hopcroft-Ullman tree encoding: (the key of its root
     plane at level k+1, the sorted keys of its child components at level
-    k); () for a node past the last level.  By root_split's lemma, R_k runs
+    k); () for a node past the last level.  By JTree.split's lemma, R_k runs
     from each node of the root plane to each node of the rest, the higher
     relations stay inside (k+1)-planes, and no edge joins two child
     components; so two components have equal keys iff they are isomorphic,
@@ -599,7 +601,7 @@ def _scan(prog: Program, frame: JFrame, target, kernel):
 
 @dataclass(frozen=True)
 class SearchResult:
-    frame: JFrame
+    frame: JTree
     node: object
     valuation: Dict[int, FrozenSet]
 
@@ -625,6 +627,13 @@ def find_jtree_model(phi: Formula, max_nodes: int) -> Optional[SearchResult]:
     The scans on many frames repay a kernel, so every frame runs prog's
     generated kernel (_kernel) from its first step, and the table's frames
     keep their diamond memos (_diamonds) from formula to formula.
+
+    The result is a JTree built unchecked: the subframe of a treelike
+    frame generated at w is a tree with root w.  By induction, it is the
+    plane's own generated subframe with every child subtree below, if w
+    is in the root plane, else that of w's subtree, as no edge leaves a
+    subtree; no edge enters w, as the union of the relations is
+    irreflexive and, by (I) and (J), transitive.
     """
     prog = compile_formula(phi)
     if any(not o.is_finite() for o in prog.mods):
@@ -639,10 +648,8 @@ def find_jtree_model(phi: Formula, max_nodes: int) -> Optional[SearchResult]:
             v, got = hit
             w = min(got)
             sub = generated_subframe(frame, w)
-            if not is_jtree(sub):
-                raise FrameError(f"generated subframe at {w} is not treelike")
-            kept = set(sub.nodes)
-            return SearchResult(sub, w, {i: s & kept for i, s in v.items()})
+            return SearchResult(JTree(sub.nodes, sub.rels), w,
+                                {i: s.intersection(sub.nodes) for i, s in v.items()})
     return None
 
 
@@ -687,7 +694,7 @@ class JMapReport:
         return "\n".join(lines)
 
 
-def block_table(fmap, space, t: JFrame
+def block_table(fmap, space, t: JTree
                 ) -> Tuple[Dict, List[Tuple[FrozenSet, BandSet]]]:
     """Each node's fiber fmap.preimage([y]), None for a missing node (where
     that raises NotRepresentable), and the blocks (nodes, preimage): each
@@ -716,7 +723,7 @@ def block_table(fmap, space, t: JFrame
 
 
 def jmap_check(fmap, space, t: JFrame) -> JMapReport:
-    """Check the map conditions (j1)-(j4) for fmap: [1, theta] -> t.
+    """Check the map conditions (j1)-(j4) for fmap: [1, theta] -> t (a tree).
 
     fmap must provide preimage(nodes) -> BandSet and is asked for each
     fiber (block_table) and each rank upset, nothing else; the preimage of
@@ -749,8 +756,7 @@ def jmap_check(fmap, space, t: JFrame) -> JMapReport:
     open, p in U and f(p) R y: p is in f^{-1}(down_k y), so in the closure
     of F_y, and U meets F_y, so y is in f(U).
     """
-    if not is_jtree(t):
-        raise InvalidFrame("target is not a treelike frame")
+    t = as_jtree(t)
     nn = len(t.rels)
     if len(space.levels) < nn:
         raise InvalidFrame("space has fewer levels than the frame has relations")
@@ -831,7 +837,7 @@ def jmap_check(fmap, space, t: JFrame) -> JMapReport:
     # (j3)/(j4): hereditary-root conditions at each lower level
     for k in range(nn - 1):
         lam_k = space.level_at(Ordinal.from_int(k))
-        for x in sorted(_unentered(t, k), key=repr):
+        for x in sorted(t.hereditary_roots(k), key=repr):
             below = frozenset(y for r in t.rels[k:] for a, y in r if a == x)
             name = f"(j3) root {x!r} at level {k}"
             for s in (below, below | {x}):

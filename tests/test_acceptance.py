@@ -43,7 +43,7 @@ from ordtopo.logic import (
     parse_formula,
     tree_formula,
 )
-from ordtopo.jtree import find_jtree_model, make_jframe, root_of
+from ordtopo.jtree import as_jtree, find_jtree_model, make_jframe
 from ordtopo.embed import density_witness, embed, gl_embed, product, \
     verify_countermodel
 
@@ -240,7 +240,7 @@ def test_criterion_8_end_to_end_countermodels(capsys):
             failures.append(("search", phi))
             continue
         cm = embed(res.frame, sigma)
-        root = root_of(cm.tree)
+        root = as_jtree(cm.tree).root
         fiber = cm.algebra[root]
         if fiber is None or not sets_equal(
                 fiber, interval(cm.theta, cm.theta), cm.theta):

@@ -394,6 +394,12 @@ def test_verify_budget_too_small(capsys, tmp_path, nodes, rels):
                   {"nodes": ["a"], "fmap": {"map": "const", "node": "a", "theta": "1"}},
                   {"nodes": ["b"], "fmap": {"map": "const", "node": "b", "theta": "1"}}]}},
      "countermodel field 'fmap.f0' must have theta 2 = lam"),
+    # a tree that is read but is not a tree: rejected as the file is read
+    ("tree", {"nodes": ["r", "a", "b"], "rels": [[["r", "a"]]]},
+     "countermodel field 'tree': frame is not connected"),
+    ("tree", {"nodes": ["r", "a", "b"], "rels": [[["r", "a"], ["a", "b"]]]},
+     "countermodel field 'tree': 1 violation(s)\n"
+     "  transitivity of R_0: witness ('r', 'a', 'b')"),
 ])
 def test_verify_names_the_bad_map_or_tree_field(capsys, tmp_path, field, value, why):
     cmf = embed_file(capsys, tmp_path, "ra", [("r", "a")])
@@ -579,6 +585,28 @@ def test_python_m_ordtopo_keeps_the_exit_contract(text, code):
                          env=dict(os.environ, PYTHONPATH=src))
     assert run.returncode == code, run.stderr
     assert "Traceback" not in run.stderr
+
+
+def test_frame_errors_do_not_depend_on_the_hash_seed(tmp_path):
+    # string node ids hash differently under each seed; the error text of
+    # a frame that is not transitive must not follow them
+    ff = tmp_path / "tree.json"
+    ff.write_text(json.dumps({"nodes": ["a", "b", "c", "d"], "rels": [[
+        ["b", "c"], ["c", "a"], ["a", "c"], ["b", "a"], ["d", "a"], ["d", "c"],
+        ["c", "d"]]]}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    got = set()
+    for seed in ("1", "2"):
+        p = subprocess.run([sys.executable, "-m", "ordtopo", "embed", "--tree", str(ff),
+                            "--sigma", "1"], capture_output=True, text=True, timeout=60,
+                           env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed))
+        got.add((p.returncode, p.stdout, p.stderr))
+    assert len(got) == 1
+    (code, out, err), = got
+    assert (code, out) == (2, "")
+    assert err.splitlines()[:3] == ["error: 6 violation(s)",
+                                    "  transitivity of R_0: witness ('a', 'c', 'a')",
+                                    "  transitivity of R_0: witness ('a', 'c', 'd')"]
 
 
 def test_search_sparse_indices(capsys, tmp_path):

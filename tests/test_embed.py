@@ -44,9 +44,9 @@ from ordtopo.jtree import (
     block_table,
     find_jtree_model,
     frame_ranks,
+    as_jtree,
     jmap_check,
     make_jframe,
-    root_of,
 )
 from ordtopo.logic import (
     PolySpace,
@@ -235,9 +235,9 @@ def test_gl_embed_errors():
            [("a", "b"), ("c", "d")]), (1, 2)),            # two relations
 ])
 def test_validation_runs_at_most_twice_per_entry_point(monkeypatch, t, sigma):
-    # embed() and verify_countermodel each validate in is_jtree (embed's own
-    # check, or jmap_check's) and in root_of; the recursion of _embed and
-    # the (j3)/(j4) loops read the checked frame without validating again
+    # embed() and countermodel_from_json each validate once, in as_jtree;
+    # the recursion of _embed reads the tree's split, and verify_countermodel
+    # and jmap_check read the checked tree without validating again
     calls = []
     real = jtree_module.validate_jframe
 
@@ -247,10 +247,18 @@ def test_validation_runs_at_most_twice_per_entry_point(monkeypatch, t, sigma):
 
     monkeypatch.setattr(jtree_module, "validate_jframe", counted)
     cm = embed(t, sigma)
-    assert len(calls) <= 2
+    assert len(calls) == 1
+    cm2 = countermodel_from_json(json.loads(json.dumps(countermodel_to_json(cm))))
+    assert len(calls) == 2
+    assert verify_countermodel(cm, f("T")).ok and verify_countermodel(cm2, f("T")).ok
+    assert len(calls) == 2
+    # a search result is a tree already: neither the search nor the embed
+    # and verify of its result validate
     calls.clear()
-    assert verify_countermodel(cm, f("T")).ok
-    assert len(calls) <= 2
+    phi = f("<0>p0 & <0>~p0 & <1>T")
+    res = find_jtree_model(phi, 4)
+    verify_countermodel(embed(res.frame, (1, 2)), phi, t_val=res.valuation)
+    assert calls == []
 
 
 # --- the product structure -------------------------------------------------------------
@@ -636,7 +644,7 @@ def test_rank_row_is_exact_beyond_the_map():
 def test_apply_rejects_points_outside_the_domain(nodes, rels, sigma, kind):
     cm = embed(frame(nodes, *rels), sigma)
     assert type(cm.fmap) is kind
-    assert cm.fmap.apply(cm.theta) == root_of(cm.tree)
+    assert cm.fmap.apply(cm.theta) == as_jtree(cm.tree).root
     for x in (ZERO, add(cm.theta, ONE)):
         with pytest.raises(ValueError, match="outside"):
             cm.fmap.apply(x)

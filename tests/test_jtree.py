@@ -33,19 +33,17 @@ from ordtopo import jtree as jtree_module
 from ordtopo.jtree import (
     InvalidFrame,
     JFrame,
+    JTree,
     SearchResult,
+    as_jtree,
     find_jtree_model,
     find_valuation,
     frame_ranks,
     generated_subframe,
-    hereditary_roots,
-    is_jtree,
     jframe_from_json,
     jframe_to_json,
     jmap_check,
     make_jframe,
-    root_of,
-    root_split,
     validate_jframe,
     _jtree_rels,
     _jtree_shapes,
@@ -90,6 +88,22 @@ def test_validate_transitivity_irreflexivity():
     assert any(name.startswith("irreflexivity") for name, _ in rep.violations)
 
 
+def test_frame_errors_do_not_depend_on_set_order():
+    # equal frames whose edge sets iterate in different orders give one
+    # text: edges are read in repr order, and (I) names its least witness
+    r = frozenset({(2, 3), (3, 1), (1, 3), (2, 1)})
+    g = JFrame((0, 1, 2, 3), (r,))
+    h = make_jframe(g.nodes, g.rels)
+    assert g == h
+    want = ("2 violation(s)\n  transitivity of R_0: witness (1, 3, 1)\n"
+            "  transitivity of R_0: witness (3, 1, 3)")
+    assert str(validate_jframe(g)) == str(validate_jframe(h)) == want
+    assert outcome(as_jtree, g) == outcome(as_jtree, h) == (InvalidFrame, want)
+    g = frame("wxyz", [("w", "z"), ("w", "y")], [("w", "x")])
+    assert str(validate_jframe(g)) == \
+        "1 violation(s)\n  (I) at m=0, n=1: witness ('w', 'x', 'y')"
+
+
 def oracle_valid(nodes, rels):
     """Direct quantifier translation of the frame conditions."""
     for r in rels:
@@ -132,8 +146,8 @@ def test_validate_matches_oracle_on_random_frames():
 
 # --- the plane-based definition, kept as an oracle ---------------------------------
 #
-# The package reads a treelike frame through its root split (root_split, and
-# is_jtree's pass over in-edges).  The definition it replaced decomposes the
+# The package reads a treelike frame through its root split (as_jtree's pass
+# over in-edges, and JTree.split).  The definition it replaced decomposes the
 # frame into planes at every level and asks that they nest as a tree; the
 # tests below hold the package to it.
 
@@ -296,6 +310,28 @@ def treelike_and_mutant(n_nodes, n_rels, rng):
             yield JFrame(nodes, tuple(mutant))
 
 
+def root_of(g):
+    return as_jtree(g).root
+
+
+def assert_split_matches_the_planes(t):
+    """t's split against the planes: the root plane is the 1-plane of the
+    root, the subtrees are the components of the rest, and every piece, read
+    unchecked, is a tree that as_jtree accepts with the same root."""
+    plane, subtrees = t.split
+    if t.rels:
+        assert set(plane.nodes) == next(s for s in oracle_planes(t, 0)[1] if t.root in s)
+    rest = [x for x in t.nodes if x not in plane.nodes]
+    assert {frozenset(s.nodes) for s in subtrees} == \
+        set(oracle_classes(rest, [p for r in t.rels for p in r
+                                  if p[0] in rest and p[1] in rest]))
+    for piece in (plane, *subtrees):
+        assert type(piece) is JTree
+        assert as_jtree(JFrame(piece.nodes, piece.rels)).root == piece.root
+        if len(piece.nodes) < len(t.nodes):
+            assert_split_matches_the_planes(piece)
+
+
 def test_root_split_matches_the_plane_oracle():
     rng = random.Random(3)
     frames = [g for n_rels, top in ((1, 4), (2, 3), (3, 2))
@@ -304,73 +340,82 @@ def test_root_split_matches_the_plane_oracle():
                for n in range(1, top + 1) for g in treelike_and_mutant(n, n_rels, rng)]
     treelike = 0
     for g in frames:
-        got = outcome(is_jtree, g)
-        assert got == outcome(oracle_is_jtree, g), g
-        treelike += got is True
         assert outcome(root_of, g) == outcome(oracle_root_of, g), g
+        try:
+            t = as_jtree(g)
+        except InvalidFrame:
+            continue
+        treelike += 1
         for k in range(len(g.rels) + 1):
-            assert outcome(hereditary_roots, g, k) == \
-                outcome(oracle_hereditary_roots, g, k), (g, k)
+            assert t.hereditary_roots(k) == oracle_hereditary_roots(g, k), (g, k)
+        assert_split_matches_the_planes(t)
     assert len(frames) > 9000 and treelike > 300
 
 
 def test_root_split_of_the_mixed_frame():
-    # R_0 enters only c, and c stands alone below the root plane {a, b}
-    alpha, subtrees = root_split(MIXED)
-    assert alpha == frozenset("ab")
+    # R_0 enters only c, and c stands alone below the root plane {a, b},
+    # a tree on R_1
+    plane, subtrees = as_jtree(MIXED).split
+    assert (plane.nodes, plane.rels) == (("a", "b"), (frozenset({("a", "b")}),))
     assert [(g.nodes, g.rels) for g in subtrees] == \
         [(("c",), (frozenset(), frozenset()))]
     fan = frame("rab", [("r", "a"), ("r", "b")])
-    alpha, subtrees = root_split(fan)
-    assert alpha == frozenset("r") and [g.nodes for g in subtrees] == [("a",), ("b",)]
-    assert root_split(frame("x")) == (frozenset("x"), [])
+    plane, subtrees = as_jtree(fan).split
+    assert plane.nodes == ("r",) and [g.nodes for g in subtrees] == [("a",), ("b",)]
+    plane, subtrees = as_jtree(frame("x")).split
+    assert plane.nodes == ("x",) and subtrees == ()
 
 
 # --- tree recognition ------------------------------------------------------------
 
 
 def test_is_jtree_pure_trees():
-    for kf, _root in helpers.all_trees(4):
-        assert is_jtree(JFrame(kf.nodes, kf.rels))
+    for kf, root in helpers.all_trees(4):
+        assert root_of(JFrame(kf.nodes, kf.rels)) == root
 
 
 def test_is_jtree_shared_successor():
     # two incomparable planes seeing the same plane: not a tree
     g = frame("abc", [("a", "c"), ("b", "c")])
     assert validate_jframe(g).ok
-    assert not is_jtree(g)
+    with pytest.raises(InvalidFrame, match="^frame is not treelike$"):
+        as_jtree(g)
 
 
 def test_is_jtree_uniformity():
     # x sees one point of the plane {y, y2} but not the other
     g = frame(("x", "y", "y2"), [("x", "y")], [("y2", "y")])
     assert validate_jframe(g).ok
-    assert not is_jtree(g)
+    with pytest.raises(InvalidFrame, match="^frame is not treelike$"):
+        as_jtree(g)
 
 
 def test_is_jtree_mixed():
-    assert is_jtree(MIXED)
+    t = as_jtree(MIXED)
+    assert type(t) is JTree and (t.nodes, t.rels) == (MIXED.nodes, MIXED.rels)
+    assert as_jtree(t) is t
 
 
 # --- hereditary roots -------------------------------------------------------------
 
 
 def test_hereditary_roots_goldens():
-    t = frame("rab", [("r", "a"), ("r", "b")])
-    assert hereditary_roots(t, 0) == frozenset("r")
+    t = as_jtree(frame("rab", [("r", "a"), ("r", "b")]))
+    assert t.hereditary_roots(0) == frozenset("r")
     # "a" is a root at both levels; "b" loses at level 1, "c" at level 0
-    assert hereditary_roots(MIXED, 0) == frozenset("a")
-    assert hereditary_roots(MIXED, 1) == frozenset("ac")
-    single = frame("x")
+    mixed = as_jtree(MIXED)
+    assert mixed.hereditary_roots(0) == frozenset("a")
+    assert mixed.hereditary_roots(1) == frozenset("ac")
+    single = as_jtree(frame("x"))
     for k in range(3):
-        assert hereditary_roots(single, k) == frozenset("x")
+        assert single.hereditary_roots(k) == frozenset("x")
 
 
 def test_root_of():
     assert root_of(MIXED) == "a"
     assert root_of(frame("rab", [("r", "a"), ("r", "b")])) == "r"
     assert root_of(frame("x")) == "x"
-    with pytest.raises(InvalidFrame):
+    with pytest.raises(InvalidFrame, match="^frame is not connected$"):
         root_of(frame("xy", [], []))  # two components, no root
 
 
@@ -381,14 +426,14 @@ def test_find_model_diamond_top():
     res = find_jtree_model(f("<0>T"), 3)
     assert res is not None
     assert len(res.frame.nodes) == 2
-    assert res.node == root_of(res.frame)
+    assert res.node == res.frame.root
 
 
 def test_find_model_branching():
     phi = f("<0>p0 & <0>~p0")
     res = find_jtree_model(phi, 4)
     assert res is not None
-    assert is_jtree(res.frame)
+    assert root_of(JFrame(res.frame.nodes, res.frame.rels)) == res.frame.root
     assert res.node in eval_kripke(phi, res.frame, res.valuation)
 
 
@@ -402,13 +447,27 @@ def test_find_model_two_modalities():
     assert res is not None
     assert len(res.frame.nodes) == 3
     assert res.node in eval_kripke(phi, res.frame, res.valuation)
-    assert is_jtree(res.frame)
+    assert root_of(JFrame(res.frame.nodes, res.frame.rels)) == res.frame.root
 
 
 def test_generated_subframe_roots_witness():
     res = find_jtree_model(f("<1>T"), 4)
     assert res is not None
-    assert root_of(res.frame) == res.node
+    assert type(res.frame) is JTree and res.frame.root == res.node
+    assert root_of(JFrame(res.frame.nodes, res.frame.rels)) == res.node
+
+
+def test_generated_subframes_of_trees_are_trees():
+    # find_jtree_model's lemma: at every node x of a connected treelike
+    # frame, the generated subframe is connected and treelike with root x
+    checked = 0
+    for n_rels, top in ((1, 5), (2, 5), (3, 4)):
+        for n in range(1, top + 1):
+            for g in _jtree_shapes(n, n_rels):
+                for x in g.nodes:
+                    assert as_jtree(generated_subframe(g, x)).root == x, (g, x)
+                    checked += 1
+    assert checked > 600
 
 
 # The first model in the search order: (frame nodes, relations, node,
@@ -803,7 +862,7 @@ def test_jtrees_validate_axioms():
     extra = [("[0]p0 -> [1][0]p0", f("[0]p0 -> [1][0]p0")),
              ("[0]p0 -> [0][1]p0", f("[0]p0 -> [0][1]p0"))]
     for g in frames:
-        assert is_jtree(g)
+        assert root_of(g) == 0
         nodes = frozenset(g.nodes)
         for _ in range(3):
             v = {i: frozenset(x for x in g.nodes if rng.random() < 0.5)
@@ -820,7 +879,7 @@ def test_jtrees_validate_axioms():
 
 def test_monotonicity_fails_on_some_jtree():
     g = JFrame((0, 1), (frozenset(), frozenset({(0, 1)})))
-    assert is_jtree(g)
+    assert root_of(g) == 0
     got = eval_kripke(f("[0]p0 -> [1]p0"), g, {0: frozenset()})
     assert got != frozenset(g.nodes)
 

@@ -1007,6 +1007,17 @@ _FIELD_SHAPES = {
 }
 
 
+def _node_table(obj: dict, key: str, parse) -> dict:
+    """{node: parse(text, path)} for the [node, text] pairs of obj[key]; a
+    node listed twice names the field of its second listing."""
+    out: dict = {}
+    for i, (v, text) in enumerate(obj[key]):
+        if v in out:
+            raise EmbedError(f"countermodel field '{key}[{i}][0]' names node {v!r} twice")
+        out[v] = parse(text, f"{key}[{i}][1]")
+    return out
+
+
 def countermodel_from_json(obj) -> Countermodel:
     if not isinstance(obj, dict):
         raise EmbedError("a countermodel must be a JSON object")
@@ -1023,11 +1034,9 @@ def countermodel_from_json(obj) -> Countermodel:
             raise EmbedError(f"countermodel field 'tree': {exc}")
         sigma = _check_sigma(obj["sigma"], len(tree.rels))
         fmap = _map_from_json(obj["fmap"])
-        wit = {v: _parse_at(w, f"witnesses[{i}][1]")
-               for i, (v, w) in enumerate(obj["witnesses"])}
-        algebra = {v: None if s is None
-                   else _parse_at(s, f"algebra[{i}][1]", parse_bandset)
-                   for i, (v, s) in enumerate(obj["algebra"])}
+        wit = _node_table(obj, "witnesses", _parse_at)
+        algebra = _node_table(obj, "algebra", lambda s, path: None if s is None
+                              else _parse_at(s, path, parse_bandset))
     except (KeyError, TypeError, ValueError) as exc:
         raise EmbedError(f"malformed countermodel object: {exc!r}")
     cm = Countermodel(theta, fmap, tree, sigma, wit, algebra)

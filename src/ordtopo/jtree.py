@@ -20,6 +20,7 @@ model of a formula.
 from __future__ import annotations
 
 import bisect
+import collections
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -83,8 +84,13 @@ class JFrame:
 
 
 def make_jframe(nodes, rels) -> JFrame:
+    """A frame on nodes, each listed once, whose relations' edges join nodes;
+    InvalidFrame otherwise."""
     nodes = tuple(nodes)
     known = set(nodes)
+    if len(known) != len(nodes):
+        twice = next(x for i, x in enumerate(nodes) if x in nodes[:i])
+        raise InvalidFrame(f"node {twice!r} is listed twice")
     out = []
     for r in rels:
         r = frozenset((a, b) for a, b in r)
@@ -103,7 +109,8 @@ def is_node_id(v) -> bool:
 def jframe_from_json(obj, at: str = "") -> JFrame:
     """A frame from {"nodes": [...], "rels": [[[a, b], ...], ...]} or from a
     record holding one under "frame", as `search` writes.  Any other shape
-    raises InvalidFrame naming the field, prefixed by at (as "tree.")."""
+    raises InvalidFrame naming the field, prefixed by at (as "tree."), and
+    so does a make_jframe error, naming the field at when there is one."""
     if isinstance(obj, dict) and "frame" in obj:
         obj = obj["frame"]
     if not isinstance(obj, dict) or "nodes" not in obj or "rels" not in obj:
@@ -124,7 +131,10 @@ def jframe_from_json(obj, at: str = "") -> JFrame:
             if not (isinstance(pair, list) and len(pair) == 2
                     and all(map(is_node_id, pair))):
                 raise bad(f"rels[{k}][{i}]", "a [node, node] pair")
-    return make_jframe(nodes, [[tuple(pair) for pair in r] for r in rels])
+    try:
+        return make_jframe(nodes, [[tuple(pair) for pair in r] for r in rels])
+    except InvalidFrame as exc:
+        raise InvalidFrame(f"frame field {at[:-1]!r}: {exc}") if at else exc
 
 
 def jframe_to_json(f: JFrame) -> dict:
@@ -311,91 +321,62 @@ def as_jtree(f: JFrame) -> JTree:
 # --- bounded model search ----------------------------------------------------------
 
 
-def _partitions(items):
-    if not items:
-        yield []
-        return
-    head, rest = items[0], items[1:]
-    for part in _partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[head] + part[i]] + part[i + 1:]
-        yield [[head]] + part
+@lru_cache(maxsize=None)
+def _shapes(n: int, r: int) -> Tuple[tuple, ...]:
+    """The shapes of connected treelike frames on n nodes with r relations,
+    each once: () for a node past the last relation, else (plane, kids),
+    the root plane's shape on the higher relations and the subtrees' shapes
+    as a multiset, non-decreasing by (size, index).  By JTree.split's lemma
+    a frame is its root plane with subtrees below, so this is the
+    Aho-Hopcroft-Ullman tree encoding read forwards: no frames are compared."""
+    if r == 0:
+        return ((),) if n == 1 else ()
+    return tuple((plane, kids) for a in range(n, 0, -1) for plane in _shapes(a, r - 1)
+                 for kids in _multisets(n - a, r, 1, 0))
 
 
-def _block_trees(b: int):
-    """Parent arrays (parent of block i is parents[i-1] < i) for rooted trees."""
-    if b == 1:
-        yield []
-        return
-    for rest in _block_trees(b - 1):
-        for p in range(b - 1):
-            yield rest + [p]
+def _multisets(total: int, r: int, size: int, index: int):
+    """Multisets of _shapes(., r) entries of total nodes, non-decreasing by
+    (size, index) from (size, index) on."""
+    if total == 0:
+        yield ()
+    for s in range(size, total + 1):
+        kids = _shapes(s, r)
+        for i in range(index if s == size else 0, len(kids)):
+            for rest in _multisets(total - s, r, s, i):
+                yield (kids[i],) + rest
 
 
-def _jtree_rels(nodes, n_mods: int):
-    """All relation tuples making the nodes a connected treelike frame.
-
-    Recursive: a treelike frame on n relations is a rooted tree of blocks,
-    each block a treelike frame on the remaining n-1 relations, with R_0
-    running uniformly from ancestor blocks to descendant blocks.
-    """
-    if n_mods == 0:
-        if len(nodes) == 1:
-            yield ()
-        return
-    for part in _partitions(list(nodes)):
-        blocks = sorted(sorted(p) for p in part)
-        inner = [list(_jtree_rels(tuple(bl), n_mods - 1)) for bl in blocks]
-        if any(not c for c in inner):
-            continue
-        for parents in _block_trees(len(blocks)):
-            anc_of = {0: set()}
-            for i, p in enumerate(parents, start=1):
-                anc_of[i] = {p} | anc_of[p]
-            r0 = frozenset((x, y)
-                           for i, anc in anc_of.items()
-                           for j in anc
-                           for x in blocks[j] for y in blocks[i])
-            for combo in itertools.product(*inner):
-                rest = [set() for _ in range(n_mods - 1)]
-                for rels in combo:
-                    for k, r in enumerate(rels):
-                        rest[k] |= r
-                yield (r0,) + tuple(frozenset(r) for r in rest)
-
-
-def _shape_key(nodes, rels, k: int = 0) -> tuple:
-    """The shape of a component of a treelike frame at level k, in the
-    style of the Aho-Hopcroft-Ullman tree encoding: (the key of its root
-    plane at level k+1, the sorted keys of its child components at level
-    k); () for a node past the last level.  By JTree.split's lemma, R_k runs
-    from each node of the root plane to each node of the rest, the higher
-    relations stay inside (k+1)-planes, and no edge joins two child
-    components; so two components have equal keys iff they are isomorphic,
-    and no permutation of the nodes is tried."""
+def _label(shape, k: int, rels, first: int) -> int:
+    """Label a component of the given shape at level k with the ids from
+    first on, add its edges to rels[k:], and return the next free id:
+    breadth-first over its blocks, each plane labelled recursively at level
+    k + 1 and its kids queued last to first, R_k running from every plane
+    to every plane below it."""
     if k == len(rels):
-        return ()
-    alpha, rest = _split(nodes, rels[k:])
-    return (_shape_key(alpha, rels, k + 1),
-            tuple(sorted(_shape_key(c, rels, k) for c in rest)))
+        return first + 1
+    queue = collections.deque([(shape, ())])
+    while queue:
+        (plane, kids), above = queue.popleft()
+        mine = range(first, _label(plane, k + 1, rels, first))
+        rels[k].update((x, y) for x in above for y in mine)
+        queue.extend((kid, above + tuple(mine)) for kid in reversed(kids))
+        first = mine.stop
+    return first
 
 
 @lru_cache(maxsize=None)
 def _jtree_shapes(n: int, n_mods: int) -> Tuple[JFrame, ...]:
-    """One connected treelike frame on the nodes 0..n-1 per shape: the
-    first of its shape in _jtree_rels order.  Kept for the life of the
-    process, one entry per (n, n_mods) searched, with no bound: an entry
-    costs far more time to build than memory to keep (641 frames on 7
-    nodes with two relations take 1.7 s, 17,582 labelled frames), so a
-    process holds only the few entries it could afford to build, and an
-    evicted one would be paid for again by the next search of its size."""
-    nodes = tuple(range(n))
-    seen, out = set(), []
-    for rels in _jtree_rels(nodes, n_mods):
-        key = _shape_key(nodes, rels)
-        if key not in seen:
-            seen.add(key)
-            out.append(JFrame(nodes, rels))
+    """One connected treelike frame on the nodes 0..n-1 per shape, labelled
+    by _label in _shapes order.  Kept for the life of the process, one
+    entry per (n, n_mods) searched, with no bound: a search can afford only
+    small tables (641 frames on 7 nodes with two relations, 16,892 on 8
+    with three), and an evicted one would be built again by the next."""
+    out = []
+    for shape in _shapes(n, n_mods):
+        rels = [set() for _ in range(n_mods)]
+        _label(shape, 0, rels, 0)
+        out.append(JFrame(tuple(range(n)), tuple(map(frozenset, rels))))
     return tuple(out)
 
 
@@ -610,20 +591,19 @@ def find_jtree_model(phi: Formula, max_nodes: int) -> Optional[SearchResult]:
     """Bounded search for a treelike model of phi.
 
     Tries one connected treelike frame per shape on 1..max_nodes nodes, in
-    _jtree_rels order (_jtree_shapes), and, on each, the valuations in
+    the order of _jtree_shapes, and, on each, the valuations in
     find_valuation's order; returns the generated subframe at the least
     node satisfying phi under the first valuation that works.  None means
     unknown, not unsatisfiable: besides the node bound, when atoms x nodes
     > 12 only the empty, singleton and full supports are tried.  phi must
     use condensed modality indices 0..n-1.
 
-    Searching one frame per shape returns what searching every labelled
-    frame returns.  Each _supports slice is closed under relabelling (a
-    node permutation keeps the size of a subset), so a frame has a
-    valuation making phi true somewhere iff every isomorphic copy has one.
-    Hence the first labelled frame with a model is the first copy of its
-    shape, the frames before it have none, and the search over the first
-    copies reaches that same frame and makes the same find_valuation call.
+    A model is found iff searching every labelled frame finds one, and at
+    the same least size.  Each _supports slice is closed under relabelling
+    (a node permutation keeps the size of a subset), so a frame has a
+    valuation making phi true somewhere iff every isomorphic copy has one,
+    and the table holds a copy of every shape.  Which model is returned
+    depends on the table's order and labels.
     The scans on many frames repay a kernel, so every frame runs prog's
     generated kernel (_kernel) from its first step, and the table's frames
     keep their diamond memos (_diamonds) from formula to formula.

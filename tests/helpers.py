@@ -331,6 +331,95 @@ def all_trees(max_nodes):
     return out
 
 
+# --- every labelled treelike frame ---------------------------------------------
+# The search's frame table used to be built from these: every labelled frame,
+# keyed by shape, the first of each key kept.  They are now the oracle that
+# the table, generated from the shape grammar, is checked against.
+
+
+def partitions(items):
+    if not items:
+        yield []
+        return
+    head, rest = items[0], items[1:]
+    for part in partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [[head] + part[i]] + part[i + 1:]
+        yield [[head]] + part
+
+
+def block_trees(b: int):
+    """Parent arrays (parent of block i is parents[i-1] < i) for rooted trees."""
+    if b == 1:
+        yield []
+        return
+    for rest in block_trees(b - 1):
+        for p in range(b - 1):
+            yield rest + [p]
+
+
+def jtree_rels(nodes, n_mods: int):
+    """All relation tuples making the nodes a connected treelike frame.
+
+    Recursive: a treelike frame on n relations is a rooted tree of blocks,
+    each block a treelike frame on the remaining n-1 relations, with R_0
+    running uniformly from ancestor blocks to descendant blocks.
+    """
+    if n_mods == 0:
+        if len(nodes) == 1:
+            yield ()
+        return
+    for part in partitions(list(nodes)):
+        blocks = sorted(sorted(p) for p in part)
+        inner = [list(jtree_rels(tuple(bl), n_mods - 1)) for bl in blocks]
+        if any(not c for c in inner):
+            continue
+        for parents in block_trees(len(blocks)):
+            anc_of = {0: set()}
+            for i, p in enumerate(parents, start=1):
+                anc_of[i] = {p} | anc_of[p]
+            r0 = frozenset((x, y)
+                           for i, anc in anc_of.items()
+                           for j in anc
+                           for x in blocks[j] for y in blocks[i])
+            for combo in itertools.product(*inner):
+                rest = [set() for _ in range(n_mods - 1)]
+                for rels in combo:
+                    for k, r in enumerate(rels):
+                        rest[k] |= r
+                yield (r0,) + tuple(frozenset(r) for r in rest)
+
+
+def shape_key(nodes, rels, k: int = 0) -> tuple:
+    """The shape of a component of a treelike frame at level k, in the
+    style of the Aho-Hopcroft-Ullman tree encoding: (the key of its root
+    plane at level k+1, the sorted keys of its child components at level
+    k); () for a node past the last level.  By JTree.split's lemma, R_k runs
+    from each node of the root plane to each node of the rest, the higher
+    relations stay inside (k+1)-planes, and no edge joins two child
+    components; so two components have equal keys iff they are isomorphic,
+    and no permutation of the nodes is tried."""
+    from ordtopo.jtree import _split
+
+    if k == len(rels):
+        return ()
+    alpha, rest = _split(nodes, rels[k:])
+    return (shape_key(alpha, rels, k + 1),
+            tuple(sorted(shape_key(c, rels, k) for c in rest)))
+
+
+def first_of_each_shape(n: int, n_mods: int):
+    """The first frame of each shape on the nodes 0..n-1 in jtree_rels
+    order: the search's frame table before it was generated."""
+    from ordtopo.jtree import JFrame
+
+    nodes = tuple(range(n))
+    firsts = {}
+    for rels in jtree_rels(nodes, n_mods):
+        firsts.setdefault(shape_key(nodes, rels), rels)
+    return [JFrame(nodes, rels) for rels in firsts.values()]
+
+
 def kripke_oracle(phi, frame, v):
     """The nodes of frame where phi holds under v, from the set definitions
     <k>A = {a : some b with a R_k b is in A} and [k]A = ~<k>~A."""

@@ -283,6 +283,12 @@ def test_verify_witness_of_another_node_fails(capsys, tmp_path):
      "'algebra[0][1]': expected ']' at position 4"),
     ("theta", "w+", "'theta': expected a number, 'w' or '(' at position 2"),
     ("levels", ["x"], "'levels[0]': unknown name 'x' at position 0"),
+    # a node listed twice: the later entry would silently win
+    ("witnesses", [["a", "w+5"], ["a", "1"], ["r", "w"]],
+     "'witnesses[1][0]' names node 'a' twice"),
+    ("algebra", [["r", "empty"], ["a", "[1,w] & l^1 in (-1,0]"],
+                 ["r", "[1,w] & l^1 in (0,1]"]],
+     "'algebra[2][0]' names node 'r' twice"),
 ])
 def test_verify_names_a_malformed_field(capsys, tmp_path, field, value, why):
     cmf = embed_file(capsys, tmp_path, "ra", [("r", "a")])
@@ -400,6 +406,8 @@ def test_verify_budget_too_small(capsys, tmp_path, nodes, rels):
     ("tree", {"nodes": ["r", "a", "b"], "rels": [[["r", "a"], ["a", "b"]]]},
      "countermodel field 'tree': 1 violation(s)\n"
      "  transitivity of R_0: witness ('r', 'a', 'b')"),
+    ("tree", {"nodes": ["r", "r", "a"], "rels": [[["r", "a"]]]},
+     "frame field 'tree': node 'r' is listed twice"),
 ])
 def test_verify_names_the_bad_map_or_tree_field(capsys, tmp_path, field, value, why):
     cmf = embed_file(capsys, tmp_path, "ra", [("r", "a")])
@@ -539,6 +547,16 @@ def test_embed_rejects_non_tree(capsys, tmp_path):
     code, _, err = run(capsys, "embed", "--tree", str(ff), "--sigma", "1")
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("argv", [["kripke", "<0>T", "--frame"],
+                                  ["embed", "--sigma", "1", "--tree"]])
+@pytest.mark.parametrize("blob", [{"nodes": [0, 0, 1], "rels": [[[0, 1]]]},
+                                  {"nodes": [0, 0], "rels": [[]]}])
+def test_a_frame_file_listing_a_node_twice_is_rejected(capsys, tmp_path, argv, blob):
+    ff = tmp_path / "frame.json"
+    ff.write_text(json.dumps(blob))
+    assert run(capsys, *argv, str(ff)) == (2, "", "error: node 0 is listed twice\n")
 
 
 def test_embed_determinism(capsys, tmp_path):

@@ -39,8 +39,6 @@ from ordtopo.embed import (
 from ordtopo.jtree import (
     InvalidFrame,
     JFrame,
-    _jtree_rels,
-    _jtree_shapes,
     block_table,
     find_jtree_model,
     frame_ranks,
@@ -136,7 +134,8 @@ def test_tiling_locate_and_start_match_a_walk():
 
 
 # sha256 of countermodel_to_json and of fmap.apply on endpoint_pool(theta) for
-# every shape frame below, recorded before the segmented maps (rank blocks,
+# the first labelled frame of each shape below (the search's frame table when
+# the digest was recorded), recorded before the segmented maps (rank blocks,
 # product cells, side-by-side parts) shared one Tiling; verify rows are left
 # out, as making periodic fibers exact changes them by design
 EMBED_DIGEST = "02320b82bd25aa36c23b41baf90c2e64ab40c0c2ec22c112df461556dfa47271"
@@ -147,7 +146,7 @@ def test_embed_outputs_match_the_recorded_digest():
     for n_rels, max_nodes, sigmas in ((1, 5, [(1,), (2,)]),
                                       (2, 4, [(1, 2), (1, 3), (2, 3)])):
         for n in range(1, max_nodes + 1):
-            for t in _jtree_shapes(n, n_rels):
+            for t in helpers.first_of_each_shape(n, n_rels):
                 for sigma in sigmas:
                     cm = embed(t, sigma)
                     h.update(json.dumps(countermodel_to_json(cm),
@@ -520,7 +519,7 @@ def test_preimages_are_unions_of_band_fibers():
     checked = 0
     for n_rels, sigmas in ((1, [(1,), (2,)]), (2, [(1, 2), (1, 3), (2, 3)])):
         frames = [JFrame(tuple(range(n)), rels) for n in range(1, 5)
-                  for rels in _jtree_rels(tuple(range(n)), n_rels)]
+                  for rels in helpers.jtree_rels(tuple(range(n)), n_rels)]
         for i, t in enumerate(frames):
             cm = embed(t, sigmas[i % len(sigmas)])
             fiber = cm.algebra
@@ -540,7 +539,7 @@ def test_embedded_small_jtrees_pass_the_exact_openness_check():
         for lift in (0, 1):
             sigma = tuple(range(1 + lift, m + 1 + lift))
             for n in range(1, 4):
-                for rels in _jtree_rels(tuple(range(n)), m):
+                for rels in helpers.jtree_rels(tuple(range(n)), m):
                     cm = embed(JFrame(tuple(range(n)), rels), sigma)
                     rep = jmap_check(cm.fmap, cm.space(), cm.tree)
                     assert rep.ok, (rels, sigma, str(rep))
@@ -553,7 +552,7 @@ def small_models(m, lift):
     sigma = (1 + lift, ..., m + lift)."""
     sigma = tuple(range(1 + lift, m + 1 + lift))
     for n in range(1, 5):
-        for rels in _jtree_rels(tuple(range(n)), m):
+        for rels in helpers.jtree_rels(tuple(range(n)), m):
             yield embed(JFrame(tuple(range(n)), rels), sigma)
 
 

@@ -45,10 +45,9 @@ from ordtopo.jtree import (
     jmap_check,
     make_jframe,
     validate_jframe,
-    _jtree_rels,
     _jtree_shapes,
     _kernel,
-    _shape_key,
+    _shapes,
     _supports,
 )
 from ordtopo.ordinal import ONE, OMEGA, parse_ordinal
@@ -102,6 +101,14 @@ def test_frame_errors_do_not_depend_on_set_order():
     g = frame("wxyz", [("w", "z"), ("w", "y")], [("w", "x")])
     assert str(validate_jframe(g)) == \
         "1 violation(s)\n  (I) at m=0, n=1: witness ('w', 'x', 'y')"
+
+
+def test_a_node_listed_twice_is_rejected():
+    for nodes, rels in (((0, 0, 1), [[(0, 1)]]), ((0, 0), [[]])):
+        assert outcome(make_jframe, nodes, rels) == \
+            (InvalidFrame, "node 0 is listed twice")
+        g = JFrame(nodes, tuple(map(frozenset, rels)))
+        assert outcome(as_jtree, g) == (InvalidFrame, "node 0 is listed twice")
 
 
 def oracle_valid(nodes, rels):
@@ -298,10 +305,10 @@ def every_frame(n_nodes, n_rels):
 
 
 def treelike_and_mutant(n_nodes, n_rels, rng):
-    """Each _jtree_rels frame, and a copy with one edge toggled."""
+    """Each helpers.jtree_rels frame, and a copy with one edge toggled."""
     nodes = tuple(range(n_nodes))
     pairs = [(a, b) for a in nodes for b in nodes if a != b]
-    for rels in _jtree_rels(nodes, n_rels):
+    for rels in helpers.jtree_rels(nodes, n_rels):
         yield JFrame(nodes, rels)
         if pairs:
             k = rng.randrange(n_rels)
@@ -533,21 +540,59 @@ def oracle_canonical(n, rels):
 
 # shapes of connected treelike frames on 1, 2, ... nodes, per relation count
 SHAPE_COUNTS = {1: [1, 1, 2, 4, 9], 2: [1, 2, 6, 18, 58], 3: [1, 3, 12, 48]}
+# and on up to 8 nodes
+MORE_SHAPE_COUNTS = {1: [20, 48, 115], 2: [189, 641, 2207], 3: [202, 863, 3789, 16892]}
 
 
 def test_shape_key_counts_and_separates_shapes():
     for n_rels, counts in SHAPE_COUNTS.items():
+        assert [len(_shapes(n, n_rels)) for n in range(1, 9)] == \
+            counts + MORE_SHAPE_COUNTS[n_rels], n_rels
         for n, count in enumerate(counts, start=1):
-            nodes = tuple(range(n))
             kept = _jtree_shapes(n, n_rels)
             assert len(kept) == count, (n_rels, n)
-            # the first frame of each shape, in _jtree_rels order
-            firsts = {}
-            for rels in _jtree_rels(nodes, n_rels):
-                firsts.setdefault(_shape_key(nodes, rels), rels)
-            assert [g.rels for g in kept] == list(firsts.values())
             canon = {oracle_canonical(n, g.rels) for g in kept}
             assert len(canon) == count, (n_rels, n)
+            assert all(as_jtree(g).root == 0 for g in kept), (n_rels, n)
+
+
+def test_the_table_has_each_shape_of_the_oracle():
+    # the table's frames have the shape keys of every labelled frame, each once
+    for n_rels, top in ((1, 7), (2, 6), (3, 5)):
+        for n in range(1, top + 1):
+            nodes = tuple(range(n))
+            keys = [helpers.shape_key(nodes, g.rels) for g in _jtree_shapes(n, n_rels)]
+            assert len(set(keys)) == len(keys), (n_rels, n)
+            assert set(keys) == {helpers.shape_key(nodes, rels)
+                                 for rels in helpers.jtree_rels(nodes, n_rels)}, (n_rels, n)
+
+
+def test_a_shape_has_a_model_iff_every_labelling_has_one():
+    # find_jtree_model's lemma: each _supports slice is closed under
+    # relabelling, so find_valuation finds a valuation on the table's frame
+    # exactly when it finds one on every labelled frame of its shape
+    phis = [f(text) for text in SEARCH_GOLDENS]
+    phis += [condense(f(text))[0] for text in J_UNSAT]
+    phis += [tree_formula(kf) for kf, _ in helpers.all_trees(4)]
+    progs = [compile_formula(phi) for phi in phis]
+    outcomes = set()
+    for n_rels in (1, 2):
+        for n in range(1, 5):
+            nodes = tuple(range(n))
+            copies = {}
+            for rels in helpers.jtree_rels(nodes, n_rels):
+                copies.setdefault(helpers.shape_key(nodes, rels), []).append(rels)
+            for g in _jtree_shapes(n, n_rels):
+                same = copies.get(helpers.shape_key(nodes, g.rels))
+                assert same, ("no labelled frame has the shape of", g)
+                for prog in progs:
+                    if any(o.to_int() >= n_rels for o in prog.mods):
+                        continue
+                    has = find_valuation(prog, g) is not None
+                    assert all((find_valuation(prog, JFrame(nodes, rels)) is not None)
+                               == has for rels in same), (prog, g)
+                    outcomes.add(has)
+    assert outcomes == {True, False}
 
 
 def test_shape_key_ignores_labels():
@@ -555,21 +600,21 @@ def test_shape_key_ignores_labels():
     for n_rels, counts in SHAPE_COUNTS.items():
         for n in range(1, len(counts) + 1):
             nodes = tuple(range(n))
-            for rels in _jtree_rels(nodes, n_rels):
+            for rels in helpers.jtree_rels(nodes, n_rels):
                 perm = list(nodes)
                 rng.shuffle(perm)
-                assert _shape_key(nodes, relabel(rels, perm)) == \
-                    _shape_key(nodes, rels), (rels, perm)
+                assert helpers.shape_key(nodes, relabel(rels, perm)) == \
+                    helpers.shape_key(nodes, rels), (rels, perm)
 
 
 def every_frame_search(phi, max_nodes):
-    """The search over every labelled frame in _jtree_rels order, which
+    """The search over every labelled frame in helpers.jtree_rels order, which
     find_jtree_model's search over one frame per shape must match."""
     prog = compile_formula(phi)
     n_mods = 1 + max((o.to_int() for o in prog.mods), default=-1)
     for n in range(1, max_nodes + 1):
         nodes = tuple(range(n))
-        for rels in _jtree_rels(nodes, n_mods):
+        for rels in helpers.jtree_rels(nodes, n_mods):
             frame = JFrame(nodes, rels)
             hit = find_valuation(prog, frame)
             if hit is not None:
@@ -856,9 +901,9 @@ def test_jtrees_validate_axioms():
     # see the counterexample test below.
     rng = random.Random(13)
     frames = [JFrame(tuple(range(3)), rels)
-              for rels in itertools.islice(_jtree_rels(tuple(range(3)), 2), 40)]
+              for rels in itertools.islice(helpers.jtree_rels(tuple(range(3)), 2), 40)]
     frames += [JFrame(tuple(range(4)), rels)
-               for rels in itertools.islice(_jtree_rels(tuple(range(4)), 2), 40)]
+               for rels in itertools.islice(helpers.jtree_rels(tuple(range(4)), 2), 40)]
     extra = [("[0]p0 -> [1][0]p0", f("[0]p0 -> [1][0]p0")),
              ("[0]p0 -> [0][1]p0", f("[0]p0 -> [0][1]p0"))]
     for g in frames:

@@ -41,7 +41,7 @@ from ordtopo.logic import (
     parse_formula,
     tree_formula,
 )
-from ordtopo.jtree import JFrame, _jtree_rels
+from ordtopo.jtree import JFrame
 from ordtopo.topology import (
     EMPTY,
     complement_within,
@@ -175,7 +175,7 @@ def test_a_compiled_formula_equals_an_uncompiled_one():
 
 # every connected treelike frame on 1-4 nodes with 1 or 2 relations
 JFRAMES = [(n, rels) for k in (1, 2) for n in range(1, 5)
-           for rels in _jtree_rels(tuple(range(n)), k)]
+           for rels in helpers.jtree_rels(tuple(range(n)), k)]
 
 
 def _formulas(n_mods):

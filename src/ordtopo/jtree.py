@@ -41,7 +41,6 @@ from .logic import (
     Formula,
     Program,
     compile_formula,
-    conjuncts,
     mask_nodes,
     node_bits,
     node_mask,
@@ -421,28 +420,26 @@ def _reads(op: int, x: int, y: int) -> Tuple[int, ...]:
 
 
 @lru_cache(maxsize=32)
-def _kernel(code, starts) -> tuple:
-    """find_valuation's search kernel for the programs with this code and
-    these slot groups, generated as straight-line Python: (fill, scan_0,
-    ..., scan_{n-1}), n the number of atoms.  Programs that differ only in
-    their atom or modality indices share one kernel.
+def _kernel(code, starts, tops) -> tuple:
+    """find_valuation's search kernel for the programs with this code,
+    these slot groups and these top-level conjuncts (Program.tops),
+    generated as straight-line Python: (scan_0, ..., scan_{n-1}), n the
+    number of atoms.  Programs that differ only in their atom or modality
+    indices share one kernel.
 
-    fill(vals, full, dia) computes the atom-free slots and returns the
-    meet of the atom-free top-level conjuncts.  scan_k(i, opts, vals, c,
-    want, full, dia) runs atom k through opts[i:], computes group k in
-    locals, meets c with each conjunct of the group, and returns (index,
-    meet) for the first option whose meet hits want, else None.  dia[m] is
-    the diamond memo of modality position m.  Each function reads the
-    earlier groups' slots from vals and stores there only the slots that
-    later groups read.  A slot that no conjunct depends on, such as an AND
-    above the conjuncts, is not computed.
+    scan_k(i, opts, vals, c, want, full, dia) runs atom k through opts[i:],
+    computes group k + 1 in locals, meets c with each of the group's tops,
+    and returns (index, meet) for the first option whose meet hits want,
+    else None.  dia[m] is the diamond memo of modality position m.  Each
+    scan reads the earlier groups' slots from vals and stores there only
+    the slots that later groups read.  A slot that no conjunct depends on,
+    such as an AND above the conjuncts, is not computed.
 
     The source is built from slot numbers, modality positions and the
     fixed templates above; no formula text or node id reaches exec.  The
     32 most recent structures keep their kernels, a few KiB of code each."""
     group = [bisect.bisect_right(starts, s) for s in range(len(code))]
-    tops = set(conjuncts(code))
-    live = set(tops)
+    live = {s for t in tops for s in t}
     for s in range(len(code) - 1, -1, -1):
         if s in live:
             live.update(_reads(*code[s]))
@@ -456,34 +453,30 @@ def _kernel(code, starts) -> tuple:
         return "a" if op == OP_VAR and group[s] == g else f"s{s}"
 
     scope = {"__builtins__": {}, "range": range, "len": len}
-    for g in range(len(starts)):
-        mine = [s for s in range(starts[g - 1] if g else 0, starts[g]) if s in live]
+    for g in range(1, len(starts)):
+        mine = [s for s in range(starts[g - 1], starts[g]) if s in live]
         body = [f"d{m} = dia[{m}]" for m in sorted(
             {code[s][2] for s in mine if code[s][0] in (OP_DIA, OP_BOX)})]
         body += [f"s{r} = vals[{r}]" for r in sorted(
             {r for s in mine for r in _reads(*code[s])} & later) if group[r] < g]
-        step = []
+        step = ["a = opts[i]"]
         for s in mine:
             op, x, y = code[s]
             if op in _TEMPLATE:
                 y = name(y, g) if op in (OP_AND, OP_OR, OP_IMP) else y
                 step.append(f"s{s} = " + _TEMPLATE[op].format(x=name(x, g), y=y))
-        step.append("c = c0" if g else "c = full")
-        step += [f"c &= {name(s, g)}" for s in mine if s in tops]
-        store = [f"vals[{s}] = {name(s, g)}" for s in mine if s in later]
-        if g == 0:
-            head = "def fill(vals, full, dia):"
-            body += step + store + ["return c"]
-        else:
-            head = f"def scan{g - 1}(i, opts, vals, c0, want, full, dia):"
-            body.append("for i in range(i, len(opts)):")
-            body += ["    " + line for line in ["a = opts[i]"] + step + ["if c & want:"]]
-            body += ["        " + line for line in store + ["return i, c"]]
-            body.append("return None")
+        step.append("c = c0")
+        step += [f"c &= {name(s, g)}" for s in tops[g]]
+        step.append("if c & want:")
+        step += ["    " + line for line in
+                 [f"vals[{s}] = {name(s, g)}" for s in mine if s in later] + ["return i, c"]]
+        body.append("for i in range(i, len(opts)):")
+        body += ["    " + line for line in step]
+        body.append("return None")
         # one function per compile keeps the compiler's peak memory small
-        src = "\n    ".join([head] + body)
+        src = "\n    ".join([f"def scan{g - 1}(i, opts, vals, c0, want, full, dia):"] + body)
         exec(compile(src, "<search kernel>", "exec"), scope)
-    return (scope["fill"],) + tuple(scope[f"scan{k}"] for k in range(len(starts) - 1))
+    return tuple(scope[f"scan{k}"] for k in range(len(starts) - 1))
 
 
 # A scan runs interpreted until it has executed this many passes' worth of
@@ -509,49 +502,44 @@ def find_valuation(prog: Program, frame: JFrame, target=None
     Valuations are tried in a fixed order: the atoms, ascending, count
     like the digits of an odometer, the last one fastest, each through
     _supports.  None means that no valuation in that order works, which
-    is "unsatisfiable on this frame" only when atoms x nodes <= 12.  Each
-    step reruns only the slots that read the atom that changed or a later
-    one, and a prefix under which a top-level conjunct misses target is
-    not extended, so the first hit is the one the full enumeration finds.
-    The steps run interpreted, one slot group at a time (run_program over
-    the frame's diamond memos, _diamonds).  A scan that outlasts
-    _TIER_UP_PASSES passes over the program generates its kernel (_kernel)
-    and runs the rest of the odometer in it; a short scan generates none.
+    is "unsatisfiable on this frame" only when atoms x nodes <= 12.  The
+    atom-free slots run once; each step reruns only the slot group of the
+    atom that changed, and a prefix under which a top-level conjunct
+    (prog.tops) misses target is not extended, so the first hit is the one
+    the full enumeration finds.  The steps run interpreted, one slot group
+    at a time (run_program over the frame's diamond memos, _diamonds).  A
+    scan that outlasts _TIER_UP_PASSES passes over the program generates
+    its kernel (_kernel) and runs the rest of the odometer in it; a short
+    scan generates none.
     """
     return _scan(prog, frame, target, None)
 
 
 def _scan(prog: Program, frame: JFrame, target, kernel):
-    """find_valuation, run from the start in kernel (a _kernel result) or,
-    when kernel is None, interpreted until it tiers up."""
+    """find_valuation, with the odometer run from its first step in kernel
+    (a _kernel result) or, when kernel is None, interpreted until it tiers
+    up.  Group 0, which reads no atom, is run once, interpreted."""
     nodes = tuple(frame.nodes)
     full = (1 << len(nodes)) - 1
     want = full if target is None else node_mask(target, node_bits(nodes))
     dia = tuple(_diamonds(frame, idx) for idx in prog.mods)
-    code, starts, n_atoms = prog.code, prog.starts, len(prog.atoms)
+    code, starts, tops, n_atoms = prog.code, prog.starts, prog.tops, len(prog.atoms)
     opts = _supports(n_atoms, len(nodes))
-    vals = [0] * len(code)
-    if kernel is None:
-        scans, masks, left = None, [0] * n_atoms, _TIER_UP_PASSES * len(code)
-        tops: List[List[int]] = [[] for _ in starts]  # conjuncts per slot group
-        for s in conjuncts(code):
-            tops[bisect.bisect_right(starts, s)].append(s)
-        run_program(code, 0, starts[0], vals, masks, dia, full)
-        c = full
-        for s in tops[0]:
-            c &= vals[s]
-    else:
-        fill, *scans = kernel
-        c = fill(vals, full, dia)
-    bound = [c]                         # bound[k]: the conjuncts up to atom k - 1
+    vals, masks = [0] * len(code), [0] * n_atoms
+    run_program(code, 0, starts[0], vals, masks, dia, full)
+    c = full
+    for s in tops[0]:
+        c &= vals[s]
     if not c & want:
         return None
+    bound = [c]                         # bound[k]: the conjuncts up to atom k - 1
+    scans, left = kernel, _TIER_UP_PASSES * len(code)
     pick: List[int] = []
     i = 0
     while len(pick) < n_atoms:
         k = len(pick)
         if scans is None and left < 0:
-            scans = _kernel(code, starts)[1:]
+            scans = _kernel(code, starts, tops)
         if scans is not None:
             hit = scans[k](i, opts, vals, bound[-1], want, full, dia)
         elif i < len(opts):
@@ -619,7 +607,7 @@ def find_jtree_model(phi: Formula, max_nodes: int) -> Optional[SearchResult]:
     if any(not o.is_finite() for o in prog.mods):
         raise FrameError("modality indices must be condensed naturals")
     n_mods = 1 + max((o.to_int() for o in prog.mods), default=-1)
-    kernel = _kernel(prog.code, prog.starts)
+    kernel = _kernel(prog.code, prog.starts, prog.tops)
     for n in range(1, max_nodes + 1):
         for frame in _jtree_shapes(n, n_mods):
             hit = _scan(prog, frame, None, kernel)

@@ -54,15 +54,6 @@ class FormulaSyntaxError(LogicError):
 
 @dataclass(frozen=True)
 class Formula:
-    def __and__(self, other):
-        return And(self, other)
-
-    def __or__(self, other):
-        return Or(self, other)
-
-    def __invert__(self):
-        return Not(self)
-
     def __str__(self):
         return formula_to_text(self)
 
@@ -359,28 +350,17 @@ class Program:
     atom position they read: the atom-free ones come first, and group k
     (the slots that read atom k and no later atom) is
     code[starts[k]:starts[k + 1]], with starts[len(atoms)] == len(code).
-    Valuation search (jtree.find_valuation) reruns group k alone for a new
-    mask of atom k, over the groups before it held fixed, in run_program
-    or in a generated scan; eval_kripke runs the whole program once in
-    run_program.
+    tops[g] holds the top-level conjuncts in group g, sorted, each once.
+    Valuation search (jtree.find_valuation) runs group 0 once and reruns
+    group k + 1 alone for a new mask of atom k, over the groups before it
+    held fixed, in run_program or in a generated scan, meeting the group's
+    tops; eval_kripke runs the whole program once in run_program.
     """
     code: Tuple[Tuple[int, int, int], ...]
     atoms: Tuple[int, ...]          # variable indices, ascending
     mods: Tuple[Ordinal, ...]       # modality indices, ascending
     starts: Tuple[int, ...]
-
-
-def conjuncts(code) -> List[int]:
-    """The slots of the top-level conjuncts of a program's formula."""
-    out, todo = [], [len(code) - 1]
-    while todo:
-        slot = todo.pop()
-        op, x, y = code[slot]
-        if op == OP_AND:
-            todo += (x, y)
-        else:
-            out.append(slot)
-    return out
+    tops: Tuple[Tuple[int, ...], ...]
 
 
 def _emit(phi: Formula) -> list:
@@ -470,7 +450,17 @@ def _compile(phi: Formula) -> Program:
     for g in group:
         counts[g + 1] += 1
     starts = list(itertools.accumulate(counts))
-    return Program(tuple(code), atoms, mods, tuple(starts))
+    tops: List[set] = [set() for _ in starts]
+    todo = [len(code) - 1]
+    while todo:
+        slot = todo.pop()
+        op, x, y = code[slot]
+        if op == OP_AND:
+            todo += (x, y)
+        else:
+            tops[group[order[slot]] + 1].add(slot)
+    return Program(tuple(code), atoms, mods, tuple(starts),
+                   tuple(tuple(sorted(t)) for t in tops))
 
 
 def node_bits(nodes) -> Dict:
@@ -656,17 +646,17 @@ def _schema_instances(n_mods: int, phi: Formula, psi: Formula):
                    Implies(Dia(xi, phi), Box(zeta, Dia(xi, phi))))
 
 
-def check_axioms(space: PolySpace, trials: int = 200, seed: int = 0,
-                 n_vars: int = 2) -> AxiomReport:
-    """Validity of the four schemata under random band valuations."""
+def check_axioms(space: PolySpace, trials: int = 200, seed: int = 0) -> AxiomReport:
+    """Validity of the four schemata under random band valuations, with
+    phi and psi random formulas over p0 and p1."""
     rng = random.Random(seed)
     full = interval(ONE, space.theta)
     report = AxiomReport(trials=trials)
     n_mods = len(space.levels)
     for _ in range(trials):
-        v = random_valuation(rng, space.theta, n_vars)
-        phi = _random_formula(rng, n_vars, n_mods, 1)
-        psi = _random_formula(rng, n_vars, n_mods, 1)
+        v = random_valuation(rng, space.theta, 2)
+        phi = _random_formula(rng, 2, n_mods, 1)
+        psi = _random_formula(rng, 2, n_mods, 1)
         for name, inst in _schema_instances(n_mods, phi, psi):
             report.checked += 1
             if not topology.sets_equal(eval_topo(inst, space, v), full, space.theta):
@@ -677,12 +667,13 @@ def check_axioms(space: PolySpace, trials: int = 200, seed: int = 0,
 
 
 def find_falsifying_valuation(phi: Formula, space: PolySpace, trials: int = 200,
-                              seed: int = 0, n_vars: int = 1):
-    """Random search for a band valuation where phi is not valid."""
+                              seed: int = 0):
+    """Random search for a band valuation of p0 where phi (over p0) is not
+    valid."""
     rng = random.Random(seed)
     full = interval(ONE, space.theta)
     for _ in range(trials):
-        v = random_valuation(rng, space.theta, n_vars)
+        v = random_valuation(rng, space.theta, 1)
         if not topology.sets_equal(eval_topo(phi, space, v), full, space.theta):
             return v
     return None
@@ -691,7 +682,7 @@ def find_falsifying_valuation(phi: Formula, space: PolySpace, trials: int = 200,
 # --- tree-characterizing formula and the Gamma fragment --------------------------------
 
 
-def tree_formula(tree, root=None) -> Formula:
+def tree_formula(tree) -> Formula:
     """The single-modality formula satisfiable exactly at the root of `tree`.
 
     `tree` needs .nodes and .rels[0] as the strict (transitive) tree order;
@@ -700,12 +691,11 @@ def tree_formula(tree, root=None) -> Formula:
     """
     nodes = list(tree.nodes)
     lt = set(tree.rels[0]) if tree.rels else set()
-    if root is None:
-        non_roots = {b for _, b in lt}
-        roots = [n for n in nodes if n not in non_roots]
-        if len(roots) != 1 and len(nodes) > 1:
-            raise LogicError("tree must have a unique root")
-        root = roots[0] if roots else nodes[0]
+    non_roots = {b for _, b in lt}
+    roots = [n for n in nodes if n not in non_roots]
+    if len(roots) != 1 and len(nodes) > 1:
+        raise LogicError("tree must have a unique root")
+    root = roots[0] if roots else nodes[0]
     p = {n: Var(i) for i, n in enumerate(nodes)}
     z = ZERO
 

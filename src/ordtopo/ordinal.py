@@ -45,10 +45,6 @@ class OutOfRange(OrdinalError):
     """Index outside the declared range (e.g. char_seq)."""
 
 
-class NotationSupport(OrdinalError):
-    """Operation would need an ordinal >= epsilon_0."""
-
-
 class OrdinalSyntaxError(OrdinalError):
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} at position {pos}")
@@ -151,22 +147,6 @@ class Ordinal:
             return self.key >= other.key
         k = _key_of(other)
         return NotImplemented if k is None else self.key >= k
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = Ordinal.from_int(other)
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(Ordinal.from_int(other), self)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            other = Ordinal.from_int(other)
-        return multiply(self, other)
-
-    def __rmul__(self, other):
-        return multiply(Ordinal.from_int(other), self)
 
     def __str__(self) -> str:
         return ordinal_to_text(self)

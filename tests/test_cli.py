@@ -79,6 +79,11 @@ def test_band_normalizes(capsys):
     assert out.strip() == "[1,w]"
 
 
+def test_band_folds_a_level_zero_constraint_into_the_interval(capsys):
+    # l^0(x) in (2,5] is 2 < x <= 5
+    assert run(capsys, "band", "[1,w^2] & l^0 in (2,5]") == (0, "[3,5]\n", "")
+
+
 def test_band_derive(capsys):
     code, out, _ = run(capsys, "band", "[1,w^2]", "--derive", "1",
                        "--theta", "w^2", "--json")
@@ -634,6 +639,11 @@ def test_search_sparse_indices(capsys, tmp_path):
     rec = json.loads(outf.read_text())
     assert rec["sigma"] == [3]
     assert rec["formula"] == "<0>T"
+
+
+def test_search_rejects_transfinite_indices(capsys):
+    assert run(capsys, "search", "<w>p0") == \
+        (2, "", "error: transfinite modality indices are out of scope\n")
 
 
 # --- text surfaces -----------------------------------------------------------------

@@ -77,6 +77,7 @@ from ordtopo.topology import (
     is_open,
     member,
     min_witness,
+    parse_bandset,
     sets_equal,
     trim_last,
     union,
@@ -785,6 +786,16 @@ def test_transfer_needs_the_map_level_and_its_domain():
         False, "theta w^w+1 is outside [1, w^w]")
 
 
+def test_transfer_reads_a_formula_without_modalities_on_one_node():
+    # sigma = (1, 2) with R_1 empty: no rank map, and {r, a} splits the rank
+    # class {a, b}, so stage (c) reads p0 at f(theta) alone
+    cm = embed(frame("rab", [("r", "a"), ("r", "b")], []), (1, 2))
+    rep = verify_countermodel(cm, f("p0"), t_val={0: frozenset("ra")})
+    assert rep.ok
+    assert rep.checks[-1] == ("(c) theta satisfies phi", "EXACT", True,
+                              "f(theta) = 'r' on one node, as phi has no modality")
+
+
 @pytest.fixture
 def compiled(monkeypatch):
     """The formulas compiled from here on, one entry per compilation."""
@@ -877,6 +888,25 @@ MAP_CHECK_REPORTS = [
 def test_verify_map_check_reports(tree, sigma, want):
     rep = verify_countermodel(embed(tree, sigma), f("<0>T"))
     assert rep.checks == want
+
+
+def test_map_check_counts_the_blocks_it_skips():
+    # the rank map of r -> {a, b, c, d}, a -> c, b -> d with c's fiber
+    # given as all of rank 0: d's block is then empty and a, b share one,
+    # which <>{c} = {r, a} and <>{d} = {r, b} both split
+    t = frame("rabcd", [("r", x) for x in "abcd"] + [("a", "c"), ("b", "d")])
+    theta, fm = gl_embed(t)
+
+    class FiberOfC:
+        def preimage(self, nodes):
+            nodes = list(nodes)
+            if nodes == ["c"]:
+                return parse_bandset(f"[1,{theta}] & l in (-1,0]")
+            return fm.preimage(nodes)
+
+    rep = jmap_check(FiberOfC(), PolySpace(theta, (ONE,)), t)
+    assert ("(j1) d-map law on representable subsets", "EXACT-WHERE-DEFINED", True,
+            "multi-node blocks ['a', 'b']; 2 skipped") in rep.checks
 
 
 HEIGHT4 = frame(range(6), [(a, b) for a in range(4) for b in range(a + 1, 6)])

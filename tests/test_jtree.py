@@ -22,7 +22,6 @@ from ordtopo.logic import (
     compile_formula,
     condense,
     conj,
-    conjuncts,
     eval_kripke,
     parse_formula,
     PolySpace,
@@ -31,6 +30,7 @@ from ordtopo.logic import (
 )
 from ordtopo import jtree as jtree_module
 from ordtopo.jtree import (
+    FrameError,
     InvalidFrame,
     JFrame,
     JTree,
@@ -525,6 +525,11 @@ def test_search_goldens():
         assert find_jtree_model(condense(f(text))[0], 5) is None, text
 
 
+def test_search_needs_condensed_indices():
+    with pytest.raises(FrameError, match="^modality indices must be condensed naturals$"):
+        find_jtree_model(f("<w>p0"), 3)
+
+
 # --- one frame per shape ------------------------------------------------------------
 
 
@@ -737,8 +742,14 @@ def oracle_find_valuation(prog, frame, target=None):
     vals, masks = [0] * len(code), [0] * n_atoms
     oracle_run(code, 0, starts[0], vals, masks, succ, full)
     conj_at = [[] for _ in range(n_atoms + 1)]
-    for s in conjuncts(code):
-        conj_at[bisect.bisect_right(starts, s)].append(s)
+    todo = [len(code) - 1]          # the top-level conjuncts, maybe repeated
+    while todo:
+        op, x, y = code[todo[-1]]
+        if op == OP_AND:
+            todo[-1:] = [x, y]
+        else:
+            s = todo.pop()
+            conj_at[bisect.bisect_right(starts, s)].append(s)
     bound = [full] * (n_atoms + 1)
     for s in conj_at[0]:
         bound[0] &= vals[s]
@@ -775,7 +786,7 @@ def same_search(prog, frame, target=None):
     step, as find_jtree_model runs it."""
     want = oracle_find_valuation(prog, frame, target)
     assert find_valuation(prog, frame, target) == want, (prog, frame, target)
-    kernel = _kernel(prog.code, prog.starts)
+    kernel = _kernel(prog.code, prog.starts, prog.tops)
     assert jtree_module._scan(prog, frame, target, kernel) == want, (prog, frame, target)
     return want
 
@@ -785,7 +796,7 @@ def count_kernels(monkeypatch):
     find_jtree_model ask for from now on."""
     asked, real = [], jtree_module._kernel
     monkeypatch.setattr(jtree_module, "_kernel",
-                        lambda code, starts: asked.append(code) or real(code, starts))
+                        lambda code, starts, tops: asked.append(code) or real(code, starts, tops))
     return asked
 
 

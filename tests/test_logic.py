@@ -29,10 +29,11 @@ from ordtopo.logic import (
     Var,
     BOT,
     TOP,
+    _random_formula,
     check_axioms,
     compile_formula,
     condense,
-    conjuncts,
+    conj,
     eval_kripke,
     eval_topo,
     find_falsifying_valuation,
@@ -163,7 +164,36 @@ def test_compile_shares_subformulas_and_groups_by_last_atom():
     assert prog.starts == (0, 2, 7)
     assert compile_formula(f("T & ~T")).starts == (3,)
     # T, p0, p0 & T, p1, ~p1, (p0 & T) & ~p1
-    assert sorted(conjuncts(compile_formula(f("(p0 & T) & ~p1")).code)) == [0, 1, 4]
+    assert compile_formula(f("(p0 & T) & ~p1")).tops == ((0,), (1,), (4,))
+    # p0, p1, p0 & p1, p1 & p0, ...: each conjunct once
+    assert compile_formula(f("(p0 & p1) & (p1 & p0) & (p0 & p1)")).tops == ((), (0,), (1,))
+    # T, <0>T, p0, ~p0, p1, p1 & <0>T, ...: the atom-free <0>T in group 0
+    assert compile_formula(f("p1 & <0>T & (p1 & <0>T) & ~p0")).tops == ((1,), (3,), (4,))
+
+
+def top_conjuncts(code):
+    """The slots of the top-level conjuncts, walking the ANDs down from the
+    last slot, in no order and maybe repeated."""
+    out, todo = [], [len(code) - 1]
+    while todo:
+        op, x, y = code[todo[-1]]
+        if op == OP_AND:
+            todo[-1:] = [x, y]
+        else:
+            out.append(todo.pop())
+    return out
+
+
+def test_tops_group_the_top_level_conjuncts():
+    rng = random.Random(41)
+    for _ in range(300):
+        prog = compile_formula(conj([_random_formula(rng, 3, 2, 3)
+                                     for _ in range(rng.randint(1, 4))]))
+        bounds = (0,) + prog.starts
+        want = tuple(tuple(sorted({s for s in top_conjuncts(prog.code)
+                                   if lo <= s < hi}))
+                     for lo, hi in zip(bounds, bounds[1:]))
+        assert prog.tops == want, prog
 
 
 def test_a_compiled_formula_equals_an_uncompiled_one():

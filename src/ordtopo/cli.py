@@ -210,9 +210,7 @@ def cmd_search(args) -> int:
         raise ValueError(f"--max-nodes must be at least 1, not {args.max_nodes}")
     phi, idxs = condense(parse_formula(args.formula))
     if any(not i.is_finite() for i in idxs):
-        print("error: transfinite modality indices are out of scope",
-              file=sys.stderr)
-        return 2
+        raise ValueError("transfinite modality indices are out of scope")
     sigma = [1 + i.to_int() for i in idxs]
     res = find_jtree_model(phi, args.max_nodes)
     if res is None:

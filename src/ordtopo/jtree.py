@@ -421,7 +421,7 @@ def _reads(op: int, x: int, y: int) -> Tuple[int, ...]:
 
 @lru_cache(maxsize=32)
 def _kernel(code, starts, tops) -> tuple:
-    """find_valuation's search kernel for the programs with this code,
+    """find_jtree_model's search kernel for the programs with this code,
     these slot groups and these top-level conjuncts (Program.tops),
     generated as straight-line Python: (scan_0, ..., scan_{n-1}), n the
     number of atoms.  Programs that differ only in their atom or modality
@@ -479,21 +479,6 @@ def _kernel(code, starts, tops) -> tuple:
     return tuple(scope[f"scan{k}"] for k in range(len(starts) - 1))
 
 
-# A scan runs interpreted until it has executed this many passes' worth of
-# its program's instructions, then generates the program's kernel and goes
-# on with it: the ski-rental rule, renting (interpreting) until the rent
-# paid equals the price of buying (generating).  Measured with CPython 3.11
-# on a 2-CPU container, over the 31 scans long enough to time among tree
-# formulas checked at the roots of 3- to 5-node trees and random
-# one-relation formulas on 3 and 4 nodes (programs of about 200 slots): a
-# cold _kernel call costs what 66 to 190 interpreted passes cost, median
-# 105-110 in three runs.  Past the budget the kernel runs a pass in about
-# 0.3 of the interpreter's time, so a tiered scan costs at most about
-# twice what a cold kernel would, and one that ends within the budget costs
-# less than generating the kernel alone.
-_TIER_UP_PASSES = 100
-
-
 def find_valuation(prog: Program, frame: JFrame, target=None
                    ) -> Optional[Tuple[Dict[int, FrozenSet], FrozenSet]]:
     """The first valuation under which prog's formula holds at some node of
@@ -507,18 +492,16 @@ def find_valuation(prog: Program, frame: JFrame, target=None
     atom that changed, and a prefix under which a top-level conjunct
     (prog.tops) misses target is not extended, so the first hit is the one
     the full enumeration finds.  The steps run interpreted, one slot group
-    at a time (run_program over the frame's diamond memos, _diamonds).  A
-    scan that outlasts _TIER_UP_PASSES passes over the program generates
-    its kernel (_kernel) and runs the rest of the odometer in it; a short
-    scan generates none.
+    at a time (run_program over the frame's diamond memos, _diamonds); no
+    kernel is generated, however long the scan.
     """
     return _scan(prog, frame, target, None)
 
 
 def _scan(prog: Program, frame: JFrame, target, kernel):
-    """find_valuation, with the odometer run from its first step in kernel
-    (a _kernel result) or, when kernel is None, interpreted until it tiers
-    up.  Group 0, which reads no atom, is run once, interpreted."""
+    """find_valuation, with each atom's options scanned by kernel (a _kernel
+    result) or, when kernel is None, by run_program in scans of the same
+    signature.  Group 0, which reads no atom, is run once, interpreted."""
     nodes = tuple(frame.nodes)
     full = (1 << len(nodes)) - 1
     want = full if target is None else node_mask(target, node_bits(nodes))
@@ -532,29 +515,26 @@ def _scan(prog: Program, frame: JFrame, target, kernel):
         c &= vals[s]
     if not c & want:
         return None
+
+    def interpret(k):
+        def scan(i, opts, vals, c0, want, full, dia):
+            for i in range(i, len(opts)):
+                masks[k] = opts[i]
+                run_program(code, starts[k], starts[k + 1], vals, masks, dia, full)
+                c = c0
+                for s in tops[k + 1]:
+                    c &= vals[s]
+                if c & want:
+                    return i, c
+            return None
+        return scan
+
+    scans = kernel if kernel is not None else [interpret(k) for k in range(n_atoms)]
     bound = [c]                         # bound[k]: the conjuncts up to atom k - 1
-    scans, left = kernel, _TIER_UP_PASSES * len(code)
     pick: List[int] = []
     i = 0
     while len(pick) < n_atoms:
-        k = len(pick)
-        if scans is None and left < 0:
-            scans = _kernel(code, starts, tops)
-        if scans is not None:
-            hit = scans[k](i, opts, vals, bound[-1], want, full, dia)
-        elif i < len(opts):
-            masks[k] = opts[i]
-            run_program(code, starts[k], starts[k + 1], vals, masks, dia, full)
-            left -= starts[k + 1] - starts[k]
-            c = bound[-1]
-            for s in tops[k + 1]:
-                c &= vals[s]
-            if not c & want:
-                i += 1
-                continue
-            hit = i, c
-        else:
-            hit = None
+        hit = scans[len(pick)](i, opts, vals, bound[-1], want, full, dia)
         if hit is not None:
             pick.append(hit[0])
             bound.append(hit[1])

@@ -351,10 +351,11 @@ class Program:
     (the slots that read atom k and no later atom) is
     code[starts[k]:starts[k + 1]], with starts[len(atoms)] == len(code).
     tops[g] holds the top-level conjuncts in group g, sorted, each once.
-    Valuation search (jtree.find_valuation) runs group 0 once and reruns
-    group k + 1 alone for a new mask of atom k, over the groups before it
-    held fixed, in run_program or in a generated scan, meeting the group's
-    tops; eval_kripke runs the whole program once in run_program.
+    Valuation search (jtree._scan) runs group 0 once and reruns group
+    k + 1 alone for a new mask of atom k, over the groups before it held
+    fixed, meeting the group's tops: in run_program for find_valuation, in
+    a generated scan for find_jtree_model.  eval_kripke runs the whole
+    program once in run_program.
     """
     code: Tuple[Tuple[int, int, int], ...]
     atoms: Tuple[int, ...]          # variable indices, ascending

@@ -75,7 +75,8 @@ class Ordinal:
         self.terms = terms
         self.key = key
         self.depth = 0 if not terms else 1 + max([e.depth for e, _ in terms])
-        # a finite ordinal hashes as its int, since it compares equal to it
+        # a finite ordinal hashes as its int: a hash that changed would change
+        # the order in which sets of ordinals iterate
         finite = not terms or (len(terms) == 1 and not terms[0][0].terms)
         self._hash = hash(terms[0][1] if terms else 0) if finite else hash(key)
         ref = _Ref(self, _forget)
@@ -115,38 +116,22 @@ class Ordinal:
         return self.terms[0][1]
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Ordinal):
-            return self is other
-        if isinstance(other, int):
-            return self is Ordinal.from_int(other)
-        return NotImplemented
+        return self is other if isinstance(other, Ordinal) else NotImplemented
 
     def __hash__(self):
         return self._hash
 
     def __lt__(self, other) -> bool:
-        if isinstance(other, Ordinal):
-            return self.key < other.key
-        k = _key_of(other)
-        return NotImplemented if k is None else self.key < k
+        return self.key < other.key if isinstance(other, Ordinal) else NotImplemented
 
     def __le__(self, other) -> bool:
-        if isinstance(other, Ordinal):
-            return self.key <= other.key
-        k = _key_of(other)
-        return NotImplemented if k is None else self.key <= k
+        return self.key <= other.key if isinstance(other, Ordinal) else NotImplemented
 
     def __gt__(self, other) -> bool:
-        if isinstance(other, Ordinal):
-            return self.key > other.key
-        k = _key_of(other)
-        return NotImplemented if k is None else self.key > k
+        return self.key > other.key if isinstance(other, Ordinal) else NotImplemented
 
     def __ge__(self, other) -> bool:
-        if isinstance(other, Ordinal):
-            return self.key >= other.key
-        k = _key_of(other)
-        return NotImplemented if k is None else self.key >= k
+        return self.key >= other.key if isinstance(other, Ordinal) else NotImplemented
 
     def __str__(self) -> str:
         return ordinal_to_text(self)
@@ -167,11 +152,6 @@ def _forget(ref: _Ref):
     """Drop a dead ordinal's entry, unless a newer ordinal took its place."""
     if _INTERNED.get(ref.key) is ref:
         del _INTERNED[ref.key]
-
-
-def _key_of(other) -> Optional[tuple]:
-    """The key of an int operand; None for types Ordinal does not compare with."""
-    return Ordinal.from_int(other).key if isinstance(other, int) else None
 
 
 ZERO = Ordinal()

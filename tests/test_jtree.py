@@ -1,6 +1,7 @@
 import bisect
 import itertools
 import random
+import time
 
 import pytest
 
@@ -781,9 +782,8 @@ def oracle_find_valuation(prog, frame, target=None):
 
 
 def same_search(prog, frame, target=None):
-    """The oracle's answer, which both scan paths must give: find_valuation
-    (interpreted until it tiers up) and prog's kernel run from the first
-    step, as find_jtree_model runs it."""
+    """The oracle's answer, which both scan paths must give: find_valuation,
+    interpreted, and prog's kernel, as find_jtree_model runs it."""
     want = oracle_find_valuation(prog, frame, target)
     assert find_valuation(prog, frame, target) == want, (prog, frame, target)
     kernel = _kernel(prog.code, prog.starts, prog.tops)
@@ -800,14 +800,10 @@ def count_kernels(monkeypatch):
     return asked
 
 
-@pytest.mark.parametrize("passes", [0, 1, 3])
-def test_find_valuation_tiers_up_mid_scan(monkeypatch, passes):
-    # a short budget hands the odometer to the kernel after a few steps,
-    # with the interpreter's vals, bound, pick and option index
-    monkeypatch.setattr(jtree_module, "_TIER_UP_PASSES", passes)
+def test_find_valuation_generates_no_kernel(monkeypatch):
+    # random 3-atom programs on every small shape run interpreted to the end
     kernels = count_kernels(monkeypatch)
-    rng = random.Random(31 + passes)
-    cases = 0
+    rng = random.Random(31)
     for n_rels in (1, 2):
         for n in range(1, 5):
             for g in _jtree_shapes(n, n_rels):
@@ -816,8 +812,29 @@ def test_find_valuation_tiers_up_mid_scan(monkeypatch, passes):
                     target = rng.sample(g.nodes, rng.randint(1, n))
                     assert find_valuation(prog, g, target) == \
                         oracle_find_valuation(prog, g, target), (prog, g, target)
-                    cases += 1
-    assert 0 < len(kernels) < cases
+    assert kernels == []
+
+
+def test_find_valuation_scans_a_chain_exhaustively_without_a_kernel(monkeypatch):
+    # the chain-4 scan that CI runs through verify: every one of the 4,096
+    # valuations is tried and none works
+    kernels = count_kernels(monkeypatch)
+    chain = make_jframe(range(4), [[(i, j) for i in range(4) for j in range(4) if i < j]])
+    prog = compile_formula(f("<0>(p0 & p1 & p2) & [0]~(p0 & p1 & p2)"))
+    assert find_valuation(prog, chain, [0]) is None
+    assert oracle_find_valuation(prog, chain, [0]) is None
+    assert kernels == []
+
+
+def test_an_unprunable_scan_of_every_valuation_is_bounded():
+    # 12 atoms on one node under one top-level disjunction: no prefix is
+    # pruned, so all 4,096 valuations are tried
+    one = _jtree_shapes(1, 1)[0]
+    prog = compile_formula(f(" | ".join(f"(p{i} & ~p{i})" for i in range(12))))
+    assert [len(t) for t in prog.tops] == [0] * 12 + [1] and len(_supports(12, 1)) == 2
+    start = time.perf_counter()
+    assert find_valuation(prog, one) is None
+    assert time.perf_counter() - start < 2.0
 
 
 def test_search_generates_one_kernel_per_program_structure(monkeypatch):

@@ -1,5 +1,6 @@
 import copy
 import gc
+import operator
 import pickle
 import random
 
@@ -306,15 +307,14 @@ def test_order_hash_and_compare_agree_with_the_poly_oracle(a, b, n):
     assert hash(helpers.poly_to_ordinal(helpers.poly_of(a))) == hash(a)
     if c == 0:
         assert hash(a) == hash(b)
-    # an int operand compares as the finite ordinal
-    c = helpers.poly_cmp(helpers.poly_of(a), helpers.poly_of(Ordinal.from_int(n)))
-    assert (a < n, a <= n, a > n, a >= n, a == n) == \
-        (c < 0, c <= 0, c > 0, c >= 0, c == 0)
-    assert (n < a, n <= a, n > a, n >= a) == (c > 0, c >= 0, c < 0, c <= 0)
-    # equal to an int, so hashed as it: sets and dict keys mix the two
-    assert hash(Ordinal.from_int(n)) == hash(n) and n in {Ordinal.from_int(n)}
-    if a == n:
-        assert hash(a) == hash(n) and a in {n}
+    # an int is not an ordinal: it cannot be ordered against one and is
+    # never equal to one, although a finite ordinal keeps its int's hash
+    for lhs, rhs in ((a, n), (n, a)):
+        for op in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                op(lhs, rhs)
+        assert lhs != rhs and not lhs == rhs
+    assert hash(Ordinal.from_int(n)) == hash(n) and n not in {Ordinal.from_int(n)}
 
 
 @settings(max_examples=200)

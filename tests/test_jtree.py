@@ -800,10 +800,11 @@ def count_kernels(monkeypatch):
     return asked
 
 
-def test_find_valuation_generates_no_kernel(monkeypatch):
+@pytest.mark.parametrize("seed", [0, 1, 3])
+def test_find_valuation_generates_no_kernel(monkeypatch, seed):
     # random 3-atom programs on every small shape run interpreted to the end
     kernels = count_kernels(monkeypatch)
-    rng = random.Random(31)
+    rng = random.Random(31 + seed)
     for n_rels in (1, 2):
         for n in range(1, 5):
             for g in _jtree_shapes(n, n_rels):

@@ -85,6 +85,7 @@ from .jtree import (
     jframe_from_json,
     jframe_to_json,
     jmap_check,
+    whole_slice,
 )
 
 
@@ -766,8 +767,10 @@ def transfer_truth(cm: Countermodel, phi, t_val: Dict) -> Optional[Tuple[bool, s
 def verify_countermodel(cm: Countermodel, phi,
                         t_val: Optional[Dict] = None) -> JMapReport:
     """Three-stage check: (a) phi holds at the tree root under some (or the
-    given) valuation; (b) the stored root fiber, jmap_check's map
-    conditions (rank preservation exact on all of [1, theta]) and the
+    given) valuation, searched by find_valuation; a miss in a slice that
+    is not whole (jtree.whole_slice) is EXACT-WHERE-DEFINED, names the
+    slice and fails like any miss; (b) the stored root fiber, jmap_check's
+    map conditions (rank preservation exact on all of [1, theta]) and the
     witness table (every node has a witness, which lies in [1, theta] and
     maps to it); (c) theta satisfies phi under the pulled-back valuation.
     Only the root-fiber row reads cm.algebra.
@@ -801,13 +804,18 @@ def verify_countermodel(cm: Countermodel, phi,
     rep = JMapReport()
     root = cm.tree.root
 
+    mode, miss = "EXACT", "no valuation found"
     if t_val is not None:
         found = t_val if root in eval_kripke(phi, cm.tree, t_val) else None
     else:
-        hit = find_valuation(compile_formula(phi), cm.tree, [root])
+        prog = compile_formula(phi)
+        hit = find_valuation(prog, cm.tree, [root])
         found = None if hit is None else hit[0]
-    rep.add("(a) satisfied at the root", "EXACT", found is not None,
-            "" if found is not None else "no valuation found")
+        if found is None and not whole_slice(len(prog.atoms), len(cm.tree.nodes)):
+            mode = "EXACT-WHERE-DEFINED"
+            miss = "not found among the empty, singleton and full supports"
+    rep.add("(a) satisfied at the root", mode, found is not None,
+            "" if found is not None else miss)
 
     ok_root = (cm.algebra.get(root) is not None
                and sets_equal(cm.algebra[root],

@@ -325,8 +325,9 @@ def eval_topo(phi: Formula, space: PolySpace, v: Dict[int, BandSet]) -> BandSet:
 # --- Kripke semantics on node bitmasks ----------------------------------------------
 #
 # A formula is compiled once into a flat postfix program whose slots hold
-# node sets as int bitmasks: node i of the frame is bit 1 << i.  Each
-# instruction (op, x, y) fills one slot from earlier ones:
+# node sets as int bitmasks: node i of the frame is bit 1 << i (run_program
+# packs several sets, one per block of bits).  Each instruction (op, x, y)
+# fills one slot from earlier ones:
 #
 #   OP_VAR           the mask of atom position x
 #   OP_TOP, OP_BOT   all nodes, no nodes
@@ -351,11 +352,12 @@ class Program:
     (the slots that read atom k and no later atom) is
     code[starts[k]:starts[k + 1]], with starts[len(atoms)] == len(code).
     tops[g] holds the top-level conjuncts in group g, sorted, each once.
-    Valuation search (jtree._scan) runs group 0 once and reruns group
-    k + 1 alone for a new mask of atom k, over the groups before it held
-    fixed, meeting the group's tops: in run_program for find_valuation, in
-    a generated scan for find_jtree_model.  eval_kripke runs the whole
-    program once in run_program.
+    Valuation search (jtree.find_valuation) runs group 0 once and reruns
+    group k + 1 alone for a new mask of a leading atom k, over the groups
+    before it held fixed, meeting the group's tops; then it runs the
+    remaining groups once, packed, over every valuation of the other
+    atoms.  eval_kripke runs the whole program once.  Both run it in
+    run_program, the only relational evaluator.
     """
     code: Tuple[Tuple[int, int, int], ...]
     atoms: Tuple[int, ...]          # variable indices, ascending
@@ -495,32 +497,33 @@ def relation_succ(frame, idx: Ordinal, bit: Dict) -> List[Tuple[int, int]]:
     return list(succ.items())
 
 
-class Diamonds(dict):
-    """<k>A by the mask of A, for one relation given by its relation_succ
-    pairs; each entry is computed on first use, so a frame costs only the
-    masks that evaluations on it meet."""
-
-    def __init__(self, succ):
-        super().__init__()
-        self.succ = succ
-
-    def __missing__(self, a: int) -> int:
-        out = 0
-        for b, s in self.succ:
-            if s & a:
-                out |= b
-        self[a] = out
-        return out
+def relation_preds(frame, idx: Ordinal, bit: Dict) -> Tuple[Tuple[int, int], ...]:
+    """(v, the mask of v's predecessors) for each node position v that has
+    predecessors in frame's relation at modality index idx, ascending;
+    read off relation_succ, so with its errors."""
+    preds: Dict[int, int] = {}
+    for b, s in relation_succ(frame, idx, bit):
+        while s:
+            low = s & -s
+            v = low.bit_length() - 1
+            preds[v] = preds.get(v, 0) | b
+            s ^= low
+    return tuple(sorted(preds.items()))
 
 
-def run_program(code, start: int, stop: int, vals: List[int], atoms, dia,
-                full: int) -> None:
-    """Fill vals[start:stop] with the masks of those slots of code, reading
+def run_program(code, start: int, stop: int, vals, atoms, preds, full: int,
+                rep: int) -> None:
+    """Fill vals[start:stop] with the values of those slots of code, reading
     the earlier slots from vals.
 
-    atoms[k] is the mask of atom position k, dia[m] the Diamonds of
-    modality position m ([k]A is the complement of <k> of A's complement)
-    and full the mask of all nodes.
+    A value packs node sets of n nodes, one per block of n bits: bit j*n + i
+    is node i in block j, and rep has bit j*n set for each block (rep = 1:
+    one node set).  atoms[k] is the value of atom position k, preds[m] the
+    relation_preds of modality position m, and full = rep * (2^n - 1).
+    <k>A is the OR over nodes v of ((A >> v) & rep) * pred_k(v): the first
+    factor has bit j*n set iff v is in block j of A, and pred_k(v) < 2^n,
+    so each product fills block j alone and no carry crosses a block.
+    [k]A is the complement of <k> of A's complement.
     """
     for i in range(start, stop):
         op, x, y = code[i]
@@ -528,10 +531,12 @@ def run_program(code, start: int, stop: int, vals: List[int], atoms, dia,
             vals[i] = vals[x] & vals[y]
         elif op == OP_NOT:
             vals[i] = full ^ vals[x]
-        elif op == OP_DIA:
-            vals[i] = dia[y][vals[x]]
-        elif op == OP_BOX:
-            vals[i] = full ^ dia[y][full ^ vals[x]]
+        elif op == OP_DIA or op == OP_BOX:
+            a = vals[x] if op == OP_DIA else full ^ vals[x]
+            out = 0
+            for v, p in preds[y]:
+                out |= (a >> v & rep) * p
+            vals[i] = out if op == OP_DIA else full ^ out
         elif op == OP_IMP:
             vals[i] = (full ^ vals[x]) | vals[y]
         elif op == OP_OR:
@@ -552,9 +557,9 @@ def eval_kripke(phi: Formula, frame, v: Dict[int, FrozenSet]) -> FrozenSet:
     nodes = tuple(frame.nodes)
     bit = node_bits(nodes)
     atoms = [node_mask(v[a], bit) for a in prog.atoms]
-    dia = [Diamonds(relation_succ(frame, idx, bit)) for idx in prog.mods]
+    preds = [relation_preds(frame, idx, bit) for idx in prog.mods]
     vals = [0] * len(prog.code)
-    run_program(prog.code, 0, len(vals), vals, atoms, dia, (1 << len(nodes)) - 1)
+    run_program(prog.code, 0, len(vals), vals, atoms, preds, (1 << len(nodes)) - 1, 1)
     return mask_nodes(vals[-1], nodes)
 
 

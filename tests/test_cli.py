@@ -710,7 +710,8 @@ def test_flat_chain_exit_contract(tmp_path, op):
 
 
 def test_flat_conjunction_of_distinct_atoms_exit_contract(tmp_path):
-    # one generated scan per atom, 3000 of them, none nested in another
+    # 3000 atoms on one node: the odometer runs all but the packed last ones,
+    # and the only model is the last valuation
     text = " & ".join(f"p{i}" for i in range(3000))
     found = tmp_path / "found.json"
     code, _, err = run_quiet(["search", "--max-nodes", "1", "--out", str(found), "--", text])

@@ -50,6 +50,7 @@ from ordtopo.logic import (
     PolySpace,
     _random_formula,
     endpoint_pool,
+    eval_kripke,
     eval_topo,
     parse_formula,
     tree_formula,
@@ -967,12 +968,14 @@ def test_verify_stage_a_valuation_on_the_five_chain():
 
 
 def test_verify_stage_a_on_a_twenty_node_chain():
-    # 20 atoms on 20 nodes: the search meets a few hundred masks of the
-    # chain's relation, and the diamond memo holds only those, not 2^20
+    # 20 atoms on 20 nodes: an odometer runs the leading atoms and packs
+    # the rest; the relation keeps one predecessor mask per node, not a
+    # memo of the sets the search meets
     chain = frame(range(20), [(i, j) for i in range(20) for j in range(20) if i < j])
     rep = verify_countermodel(embed(chain, (1,)), tree_formula(chain))
     assert rep.checks[0] == ("(a) satisfied at the root", "EXACT", True, "")
-    assert len(jtree_module._diamonds(chain, ZERO)) < 1000
+    assert jtree_module._packing(20, 20)[0] > 0
+    assert jtree_module._preds(chain, ZERO) == tuple((v, (1 << v) - 1) for v in range(1, 20))
 
 
 def test_verify_an_atom_free_formula_on_a_twenty_four_node_chain():
@@ -988,16 +991,30 @@ def test_verify_an_atom_free_formula_on_a_twenty_four_node_chain():
 
 
 def test_verify_of_a_tree_formula_generates_no_kernel():
-    # stage (a) on a small tree scans too few valuations to repay a kernel
-    jtree_module._kernel.cache_clear()
+    # stage (a) on small trees, where the searched slice is whole
     trees = [make_jframe(kf.nodes, kf.rels) for kf, _ in helpers.all_trees(4)]
     trees.append(frame(range(5), [(i, j) for i in range(5) for j in range(5) if i < j]))
     for t in trees:
         rep = verify_countermodel(embed(t, (1,)), tree_formula(t))
         assert rep.checks[0] == ("(a) satisfied at the root", "EXACT", True, ""), t
         rep = verify_countermodel(embed(t, (1,)), f("<0>p0 & [0]~p0"))
-        assert rep.checks[0][2:] == (False, "no valuation found"), t
-    assert jtree_module._kernel.cache_info().misses == 0
+        assert rep.checks[0][1:] == ("EXACT", False, "no valuation found"), t
+
+
+def test_verify_names_a_cut_slice_that_missed():
+    # 3 atoms on 5 nodes: stage (a) tries only the empty, singleton and
+    # full supports, and the model p0 = {0, 2} is not among them
+    chain = frame(range(5), [(i, j) for i in range(5) for j in range(5) if i < j])
+    phi = f("p0 & <0>(~p0 & <0>p0) & (p1 | ~p1) & (p2 | ~p2)")
+    rep = verify_countermodel(embed(chain, (1,)), phi)
+    assert rep.checks[0] == ("(a) satisfied at the root", "EXACT-WHERE-DEFINED", False,
+                             "not found among the empty, singleton and full supports")
+    assert not rep.ok
+    assert 0 in eval_kripke(phi, chain, {0: {0, 2}, 1: set(), 2: set()})
+    # the same miss with the slice whole reads EXACT
+    rep = verify_countermodel(embed(chain, (1,)), f("p0 & <0>(~p0 & <0>p0) & ~<0>T"))
+    assert rep.checks[0] == ("(a) satisfied at the root", "EXACT", False,
+                             "no valuation found")
 
 
 @pytest.mark.parametrize("tree", [

@@ -47,7 +47,7 @@ from ordtopo.jtree import (
     make_jframe,
     validate_jframe,
     _jtree_shapes,
-    _kernel,
+    _packing,
     _shapes,
     _supports,
 )
@@ -653,13 +653,13 @@ def test_search_tries_each_shape_once(monkeypatch, text, calls):
     # with two relations and 1 + 1 + 2 + 4 + 9 with one, against 273 and 34
     # labelled frames
     tried = []
-    real = jtree_module._scan
+    real = jtree_module.find_valuation
 
-    def counted(prog, frame, target, kernel):
+    def counted(prog, frame, target=None):
         tried.append(frame)
-        return real(prog, frame, target, kernel)
+        return real(prog, frame, target)
 
-    monkeypatch.setattr(jtree_module, "_scan", counted)
+    monkeypatch.setattr(jtree_module, "find_valuation", counted)
     assert find_jtree_model(f(text), 5) is None
     assert len(tried) == calls
 
@@ -690,7 +690,7 @@ def test_find_valuation_order_on_the_five_chain():
     assert find_valuation(compile_formula(f(pair + " & p2")), chain, [0]) is None
 
 
-# --- the generated search kernel against the interpreter ---------------------------
+# --- the packed valuation search against the interpreter ---------------------------
 
 
 def oracle_run(code, start, stop, vals, masks, succ, full):
@@ -782,28 +782,16 @@ def oracle_find_valuation(prog, frame, target=None):
 
 
 def same_search(prog, frame, target=None):
-    """The oracle's answer, which both scan paths must give: find_valuation,
-    interpreted, and prog's kernel, as find_jtree_model runs it."""
+    """The oracle's answer, which find_valuation must give."""
     want = oracle_find_valuation(prog, frame, target)
     assert find_valuation(prog, frame, target) == want, (prog, frame, target)
-    kernel = _kernel(prog.code, prog.starts, prog.tops)
-    assert jtree_module._scan(prog, frame, target, kernel) == want, (prog, frame, target)
     return want
 
 
-def count_kernels(monkeypatch):
-    """The list of the programs whose kernels find_valuation and
-    find_jtree_model ask for from now on."""
-    asked, real = [], jtree_module._kernel
-    monkeypatch.setattr(jtree_module, "_kernel",
-                        lambda code, starts, tops: asked.append(code) or real(code, starts, tops))
-    return asked
-
-
 @pytest.mark.parametrize("seed", [0, 1, 3])
-def test_find_valuation_generates_no_kernel(monkeypatch, seed):
-    # random 3-atom programs on every small shape run interpreted to the end
-    kernels = count_kernels(monkeypatch)
+def test_find_valuation_generates_no_kernel(seed):
+    # random 3-atom programs on every small shape and random targets, each
+    # in one packed pass; the package generates no code
     rng = random.Random(31 + seed)
     for n_rels in (1, 2):
         for n in range(1, 5):
@@ -813,18 +801,15 @@ def test_find_valuation_generates_no_kernel(monkeypatch, seed):
                     target = rng.sample(g.nodes, rng.randint(1, n))
                     assert find_valuation(prog, g, target) == \
                         oracle_find_valuation(prog, g, target), (prog, g, target)
-    assert kernels == []
 
 
-def test_find_valuation_scans_a_chain_exhaustively_without_a_kernel(monkeypatch):
+def test_find_valuation_scans_a_chain_exhaustively_without_a_kernel():
     # the chain-4 scan that CI runs through verify: every one of the 4,096
-    # valuations is tried and none works
-    kernels = count_kernels(monkeypatch)
+    # valuations is tried, in packed passes, and none works
     chain = make_jframe(range(4), [[(i, j) for i in range(4) for j in range(4) if i < j]])
     prog = compile_formula(f("<0>(p0 & p1 & p2) & [0]~(p0 & p1 & p2)"))
     assert find_valuation(prog, chain, [0]) is None
     assert oracle_find_valuation(prog, chain, [0]) is None
-    assert kernels == []
 
 
 def test_an_unprunable_scan_of_every_valuation_is_bounded():
@@ -838,15 +823,34 @@ def test_an_unprunable_scan_of_every_valuation_is_bounded():
     assert time.perf_counter() - start < 2.0
 
 
-def test_search_generates_one_kernel_per_program_structure(monkeypatch):
-    # one kernel lookup per search, not one per frame, and one generation
-    # per program structure: renumbered atoms share a kernel
-    _kernel.cache_clear()
-    asked = count_kernels(monkeypatch)
+def test_search_packs_once_per_atom_and_node_count():
+    # the packed patterns depend on the numbers of atoms and nodes alone:
+    # renumbered atoms share them, and a formula without atoms packs none
+    _packing.cache_clear()
     for text in ("<0>p0 & <1>[0]~p0", "<0>p3 & <1>[0]~p3", "<0>T & [0]F"):
         assert find_jtree_model(f(text), 4) is None
-    assert len(asked) == 3
-    assert _kernel.cache_info().misses == 2
+    assert _packing.cache_info().misses == 4
+
+
+def test_packed_patterns_follow_the_odometer():
+    # block j of packed atom t's pattern is opts[digit t of j in base S],
+    # the last atom the fastest digit, and the packed atoms are as many as
+    # fit under PACK_BITS
+    for n_atoms in range(1, 7):
+        for n in range(1, 6):
+            lead, rep, patterns = _packing(n_atoms, n)
+            opts = _supports(n_atoms, n)
+            s, tail = len(opts), n_atoms - lead
+            assert len(patterns) == tail and 0 <= lead <= n_atoms
+            assert s ** tail * n <= jtree_module.PACK_BITS
+            assert tail == n_atoms or s ** (tail + 1) * n > jtree_module.PACK_BITS
+            blocks = s ** tail
+            assert rep == sum(1 << j * n for j in range(blocks))
+            for t, pattern in enumerate(patterns):
+                assert pattern >> blocks * n == 0, (n_atoms, n, t)
+                for j in range(blocks):
+                    digit = j // s ** (tail - 1 - t) % s
+                    assert pattern >> j * n & (1 << n) - 1 == opts[digit], (n_atoms, n, t, j)
 
 
 def test_find_valuation_matches_the_oracle_on_every_small_shape():
@@ -868,9 +872,15 @@ def test_find_valuation_matches_the_oracle_past_twelve():
     # full sets, and on one node the oracle tries the singleton twice
     rng = random.Random(29)
     outcomes = set()
-    for n_rels, n, n_atoms in [(1, 1, 15), (2, 1, 13), (1, 3, 5), (2, 4, 4), (3, 4, 4)]:
+    # (1, 4, 8) and (2, 5, 8) run an odometer over the leading atoms and a
+    # packed pass over the rest on frames of several nodes; fewer draws
+    # keep the oracle's odometer short
+    cases = [(1, 1, 15, 6), (2, 1, 13, 6), (1, 3, 5, 6), (2, 4, 4, 6), (3, 4, 4, 6),
+             (1, 4, 8, 3), (2, 5, 8, 1)]
+    assert all(_packing(n_atoms, n)[0] for _, n, n_atoms, _ in cases[-2:])
+    for n_rels, n, n_atoms, draws in cases:
         for g in _jtree_shapes(n, n_rels):
-            for _ in range(6):
+            for _ in range(draws):
                 # one top-level conjunct per literal, so that prefixes are pruned
                 lits = [f(f"p{i}" if rng.random() < 0.5 else f"~p{i}") for i in range(n_atoms)]
                 phi = And(_random_formula(rng, n_atoms, n_rels, 3), conj(lits))
@@ -890,7 +900,7 @@ def test_supports_are_duplicate_free():
             assert opts == tuple(dict.fromkeys(oracle_supports(n_atoms, n)))
 
 
-def test_kernel_without_atoms():
+def test_find_valuation_without_atoms():
     chain = make_jframe(range(5), [[(i, j) for i in range(5) for j in range(5) if i < j]])
     for text in ("T", "F", "<0>T", "~<0>T", "<0>T & [0][0]F", "<0>T & [0]F"):
         same_search(compile_formula(f(text)), chain)
@@ -899,11 +909,12 @@ def test_kernel_without_atoms():
     assert find_valuation(compile_formula(f("F")), chain) is None
 
 
-def test_kernel_on_twenty_five_atoms():
-    # more atoms than Python allows nested blocks in one function
+def test_find_valuation_on_twenty_five_atoms():
+    # on one node the odometer runs the leading atoms and packs the rest
     one = _jtree_shapes(1, 1)[0]
     text = " & ".join(f"p{i}" if i % 2 else f"~p{i}" for i in range(25))
     prog = compile_formula(f(text))
+    assert 0 < _packing(25, 1)[0] < 25
     assert same_search(prog, one) == \
         ({i: frozenset({0} if i % 2 else ()) for i in range(25)}, frozenset({0}))
     assert same_search(compile_formula(f(text + " & p0")), one) is None

@@ -23,7 +23,7 @@ import collections
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from .ordinal import ONE, Ordinal, ZERO
 from .logic import (
@@ -391,20 +391,24 @@ def _supports(n_atoms: int, n: int) -> Tuple[int, ...]:
 @lru_cache(maxsize=256)
 def _preds(frame: JFrame, idx: Ordinal) -> Tuple[Tuple[int, int], ...]:
     """The relation_preds of frame's relation at modality index idx, shared
-    by every search on frame; the 256 most recent pairs are kept, more than
-    the 187 of the shape tables up to 5 nodes and 2 relations.  Raises
-    IndexOutOfRange for an index past the relations and LogicError for an
-    edge leaving the frame."""
+    by every find_valuation on frame: verify's stage (a) on a countermodel's
+    tree, and one-frame searches.  find_jtree_model does not read it, as
+    _passes keeps the diamond tables of its frames.  The 256 most recent
+    pairs are kept, each at most n entries.  Raises IndexOutOfRange for an
+    index past the relations and LogicError for an edge leaving the frame."""
     return relation_preds(frame, idx, node_bits(frame.nodes))
 
 
-# The most bits a packed value holds (valuations x nodes).  Measured on the
-# benchmark's search and cli inputs (2-CPU container, Python 3.11, best of
-# several runs): at 2^12 two atoms on 5 nodes (5,120 bits) fall to the
-# odometer, and search's 165 formulas of seeds 1-3 take 169 ms, against
-# 100-105 ms at 2^13 to 2^16 (156 ms with the generated kernel it
-# replaced); above 2^13, stage (a) on the 5-chain's tree formula packs
-# four atoms where pruning one more pays (0.4-0.8 ms, 0.16-0.29 at 2^13).
+# The most bits a packed value holds (frames x valuations x nodes).
+# Measured on the benchmark's search and cli inputs (2-CPU container,
+# Python 3.11, best of several runs): at 2^12 two atoms on 5 nodes (5,120
+# bits) fall to the odometer, and search's 165 formulas of seeds 1-3 take
+# 169 ms, against 100-105 ms at 2^13 to 2^16 (156 ms with the generated
+# kernel it replaced); above 2^13, stage (a) on the 5-chain's tree formula
+# packs four atoms where pruning one more pays (0.4-0.8 ms, 0.16-0.29 at
+# 2^13).  With several frames per pass, find_jtree_model over ten seed-1
+# search rounds is again fastest at 2^13: 17.0 ms a round, against 41.6
+# at 2^12, 20.3 at 2^14 and 24.5 at 2^16 (best of four).
 PACK_BITS = 1 << 13
 
 
@@ -413,19 +417,27 @@ def _ones(count: int, width: int) -> int:
     return ((1 << count * width) - 1) // ((1 << width) - 1)
 
 
+def _fit(n_atoms: int, n: int) -> Tuple[int, int]:
+    """(t, S^t * n) for n_atoms atoms on n nodes, S = len(_supports): the
+    number t of atoms, the last ones, that a packed value holds, the most
+    with S^t * n <= PACK_BITS, and the bits a frame then takes in a pass."""
+    s, tail = len(_supports(n_atoms, n)), 0
+    while tail < n_atoms and s ** (tail + 1) * n <= PACK_BITS:
+        tail += 1
+    return tail, s ** tail * n
+
+
 @lru_cache(maxsize=32)
 def _packing(n_atoms: int, n: int) -> Tuple[int, int, Tuple[int, ...]]:
     """(lead, rep, patterns) for n_atoms atoms on n nodes: the atoms from
-    position lead on are packed, as many as fit, with V = S^(n_atoms - lead)
+    position lead on are packed (_fit), with V = S^(n_atoms - lead)
     valuations of S = len(_supports) options each, in V * n <= PACK_BITS
     bits; rep = _ones(V, n).  Block j of a value is the j-th valuation of
     the packed atoms in odometer order (the last atom fastest), so block j
     of the pattern of packed atom t is opts[digit t of j in base S].  The
     32 most recent pairs are kept, each at most 13 patterns of PACK_BITS."""
     opts = _supports(n_atoms, n)
-    s, tail = len(opts), 0
-    while tail < n_atoms and s ** (tail + 1) * n <= PACK_BITS:
-        tail += 1
+    s, tail = len(opts), _fit(n_atoms, n)[0]
     patterns = []
     for t in range(tail):
         run = s ** (tail - 1 - t)           # the blocks that share a digit
@@ -434,36 +446,103 @@ def _packing(n_atoms: int, n: int) -> Tuple[int, int, Tuple[int, ...]]:
     return n_atoms - tail, _ones(s ** tail, n), tuple(patterns)
 
 
-def find_valuation(prog: Program, frame: JFrame, target=None
-                   ) -> Optional[Tuple[Dict[int, FrozenSet], FrozenSet]]:
-    """The first valuation under which prog's formula holds at some node of
-    target (default: anywhere in frame), with the nodes where it holds.
+def _diamonds(pairs, width: int, scale: int) -> Tuple[Tuple[int, int, int], ...]:
+    """run_program's (v, mask, p) diamond table of one relation over the
+    frames of a pass, pairs[f] the relation_preds of frame f: one triple
+    per distinct (v, p), ascending, whose mask is scale times the sum of
+    2^(f * width) over the frames f that give node v the predecessors p."""
+    if len(pairs) == 1:     # relation_preds are distinct and ascending
+        return tuple((v, scale, p) for v, p in pairs[0])
+    masks: Dict[Tuple[int, int], int] = {}
+    for f, frame_pairs in enumerate(pairs):
+        for vp in frame_pairs:
+            masks[vp] = masks.get(vp, 0) | 1 << f * width
+    return tuple((v, m * scale, p) for (v, p), m in sorted(masks.items()))
 
-    Valuations are tried in a fixed order: the atoms, ascending, count
-    like the digits of an odometer, the last one fastest, each through
-    _supports.  None means that no valuation in that order works, which
-    is "unsatisfiable on this frame" only when whole_slice holds.
 
-    An odometer runs the leading atoms (those before _packing's lead) on
-    single node sets: the atom-free slots run once, each step reruns only
-    the slot group of the atom that changed, and a prefix under which a
-    top-level conjunct (prog.tops) misses target is not extended, as no
-    completion can hit it.  At each full prefix, one packed pass runs the
-    remaining groups over every valuation of the packed atoms at once:
-    bit j*n + i of a value is node i under the j-th of them in odometer
-    order, the earlier slots copied to every block (times rep), and
-    run_program's diamond carries nothing across a block.  The pass stops
-    at a group whose conjuncts leave no block hitting target.  The lowest
-    set bit of the conjuncts' meet & want * rep lies in the least block j
-    that hits target, the first valuation in order under this prefix, so
-    the first hit is the one the full enumeration finds.  No code is
-    generated.
+class _Pass(NamedTuple):
+    """A packed pass over count frames of n nodes, the frames from first on
+    in their table, each taking width = V * n bits (_packing's V
+    valuations of the packed atoms).
+
+    In the packed layout bit (f * V + j) * n + i is node i of frame f under
+    valuation j, and tables holds each relation's diamond over every block.
+    The prefix layout, in which the atom-free slots and the odometer's
+    leading atoms run, has the blocks rep0 and the diamonds tables0; a
+    value goes from it to the packed layout times spread.  One frame keeps
+    its prefix on n bits (rep0 = 1), so that the odometer steps on small
+    ints, and copies it to every valuation block (spread = _ones(V, n),
+    _packing's rep).  Several frames (only when every atom is packed, so
+    without an odometer) run the prefix packed: rep0 is every block and
+    spread = 1.  ext = _ones(count, width) copies a packed pattern to every
+    frame."""
+    first: int
+    count: int
+    rep0: int
+    spread: int
+    ext: int
+    tables0: tuple
+    tables: tuple
+
+
+def _pass(first: int, pairs, count: int, n: int, rep: int) -> _Pass:
+    """The _Pass over count frames, rep = _ones(V, n) (_packing's rep) and
+    pairs[k][f] the relation_preds of relation k (or modality position k)
+    in frame f."""
+    width = rep.bit_length() - 1 + n
+    tables = tuple(_diamonds(p, width, rep) for p in pairs)
+    if count == 1:
+        return _Pass(first, 1, 1, rep, 1, tuple(_diamonds(p, width, 1) for p in pairs),
+                     tables)
+    ext = _ones(count, width)
+    return _Pass(first, count, rep * ext, 1, ext, tables, tables)
+
+
+@lru_cache(maxsize=64)
+def _passes(n: int, n_mods: int, n_atoms: int) -> Tuple[_Pass, ...]:
+    """find_jtree_model's passes over _jtree_shapes(n, n_mods) for n_atoms
+    atoms, in table order: max(1, PACK_BITS // (V * n)) frames each when
+    every atom is packed, else one.  The 64 most recent triples are kept;
+    a pass holds at most n 2^(n-1) diamond triples per relation (a node
+    and a set of the others), whose masks are at most PACK_BITS bits."""
+    frames = _jtree_shapes(n, n_mods)
+    tail, width = _fit(n_atoms, n)
+    per = max(1, PACK_BITS // width) if tail == n_atoms else 1
+    rep, bit = _ones(width // n, n), node_bits(range(n))
+    idxs = [Ordinal.from_int(k) for k in range(n_mods)]
+    out = []
+    for first in range(0, len(frames), per):
+        group = frames[first:first + per]
+        pairs = [[relation_preds(g, idx, bit) for g in group] for idx in idxs]
+        out.append(_pass(first, pairs, len(group), n, rep))
+    return tuple(out)
+
+
+def _first_hit(prog: Program, n: int, want: int, pas: _Pass, preds0, preds
+               ) -> Optional[Tuple[int, List[int], int]]:
+    """The first hit of prog's formula at a node of want in one pass over
+    frames of n nodes, preds0 and preds the pass's tables0 and tables per
+    modality position: (the frame's place in the pass, each atom's node
+    mask, the nodes where the formula holds there), or None.
+
+    An odometer runs the leading atoms (those before _packing's lead; then
+    the pass holds one frame) on single node sets: the atom-free slots run
+    once, each step reruns only the slot group of the atom that changed,
+    and a prefix under which a top-level conjunct (prog.tops) misses want
+    is not extended, as no completion can hit it.  At each full prefix,
+    one packed pass runs the remaining groups over every valuation of the
+    packed atoms in every frame at once: bit (f * V + j) * n + i of a
+    value is node i of frame f under the j-th of them in odometer order,
+    the prefix copied to every block (times spread), and run_program's
+    diamond carries nothing across a block.  The pass stops at a group
+    whose conjuncts leave no block hitting want.  The lowest set bit of
+    the conjuncts' meet & want * (every block) lies in the least frame f
+    with a hit and, in it, in the least block j that hits want, the first
+    valuation in order under this prefix: so the hit is the one that
+    enumerating every valuation of each frame in turn finds first.  No
+    code is generated.
     """
-    nodes = tuple(frame.nodes)
-    n = len(nodes)
     one = (1 << n) - 1
-    want = one if target is None else node_mask(target, node_bits(nodes))
-    preds = tuple(_preds(frame, idx) for idx in prog.mods)
     code, starts, tops, n_atoms = prog.code, prog.starts, prog.tops, len(prog.atoms)
     vals = [0] * len(code)
 
@@ -472,41 +551,44 @@ def find_valuation(prog: Program, frame: JFrame, target=None
             c &= vals[s]
         return c
 
-    run_program(code, 0, starts[0], vals, (), preds, one, 1)
-    bound = [meet(one, 0, vals)]        # bound[k]: the conjuncts up to atom k - 1
-    if not bound[0] & want:
+    full0, want0 = one * pas.rep0, want * pas.rep0
+    run_program(code, 0, starts[0], vals, (), preds0, full0)
+    bound = [meet(full0, 0, vals)]      # bound[k]: the conjuncts up to atom k - 1
+    if not bound[0] & want0:
         return None
     opts = _supports(n_atoms, n)
-    lead, rep, patterns = _packing(n_atoms, n)
-    masks = [0] * lead + list(patterns)
-    full, want_all = one * rep, want * rep
+    lead, _, patterns = _packing(n_atoms, n)
+    masks = [0] * lead + [p * pas.ext for p in patterns]
+    spread = pas.spread
+    full, want_all = full0 * spread, want0 * spread
     pick: List[int] = []
     i = 0
     while True:
         k = len(pick)
         if k == lead:
-            packed, c = [v * rep for v in vals], bound[-1] * rep
+            # spread = 1: the prefix is packed already, and the packed
+            # groups may fill vals, as no odometer step follows (no atom
+            # leads) or there are none (no atom is packed)
+            packed, c = (vals, bound[-1]) if spread == 1 else \
+                ([v * spread for v in vals], bound[-1] * spread)
             for g in range(k + 1, n_atoms + 1):
                 if c & want_all:
-                    run_program(code, starts[g - 1], starts[g], packed, masks, preds,
-                                full, rep)
+                    run_program(code, starts[g - 1], starts[g], packed, masks, preds, full)
                     c = meet(c, g, packed)
             hit = c & want_all
             if hit:
-                j = ((hit & -hit).bit_length() - 1) // n
-                holds = c >> j * n & one
+                b = ((hit & -hit).bit_length() - 1) // n
+                f, j = divmod(b, len(opts) ** (n_atoms - lead))
                 tail: List[int] = []        # the packed atoms' digits, last first
                 for _ in range(n_atoms - lead):
                     j, d = divmod(j, len(opts))
                     tail.append(d)
-                return ({a: mask_nodes(opts[p], nodes)
-                         for a, p in zip(prog.atoms, pick + tail[::-1])},
-                        mask_nodes(holds, nodes))
+                return f, [opts[d] for d in pick + tail[::-1]], c >> b * n & one
         elif i < len(opts):
-            masks[k] = opts[i]
-            run_program(code, starts[k], starts[k + 1], vals, masks, preds, one, 1)
+            masks[k] = opts[i]              # rep0 = 1: the pass holds one frame
+            run_program(code, starts[k], starts[k + 1], vals, masks, preds0, full0)
             c = meet(bound[-1], k + 1, vals)
-            if c & want:
+            if c & want0:
                 pick.append(i)
                 bound.append(c)
                 i = 0
@@ -517,6 +599,34 @@ def find_valuation(prog: Program, frame: JFrame, target=None
             return None
         i = pick.pop() + 1
         bound.pop()
+
+
+def find_valuation(prog: Program, frame: JFrame, target=None
+                   ) -> Optional[Tuple[Dict[int, FrozenSet], FrozenSet]]:
+    """The first valuation under which prog's formula holds at some node of
+    target (default: anywhere in frame), with the nodes where it holds.
+
+    Valuations are tried in a fixed order: the atoms, ascending, count
+    like the digits of an odometer, the last one fastest, each through
+    _supports.  None means that no valuation in that order works, which
+    is "unsatisfiable on this frame" only when whole_slice holds.  This is
+    _first_hit's one-frame pass: an odometer over the leading atoms on n
+    bits, then every valuation of the packed atoms as a block of n bits of
+    one int.
+    """
+    nodes = tuple(frame.nodes)
+    n = len(nodes)
+    want = (1 << n) - 1 if target is None else node_mask(target, node_bits(nodes))
+    pairs = [[_preds(frame, idx)] for idx in prog.mods]
+    if not want:                        # no node to hit, as in an empty frame
+        return None
+    pas = _pass(0, pairs, 1, n, _packing(len(prog.atoms), n)[1])
+    hit = _first_hit(prog, n, want, pas, pas.tables0, pas.tables)
+    if hit is None:
+        return None
+    _, masks, holds = hit
+    return ({a: mask_nodes(m, nodes) for a, m in zip(prog.atoms, masks)},
+            mask_nodes(holds, nodes))
 
 
 @dataclass(frozen=True)
@@ -537,13 +647,21 @@ def find_jtree_model(phi: Formula, max_nodes: int) -> Optional[SearchResult]:
     > 12 only the empty, singleton and full supports are tried.  phi must
     use condensed modality indices 0..n-1.
 
+    The frames of one size are searched in passes (_passes), frame-major:
+    bit (f * V + j) * n + i of a packed value is node i of the pass's
+    frame f under valuation j, and a diamond's per-block masks (_diamonds)
+    give each frame its own relation with no carry across a block.  The
+    lowest set bit of a pass's hits lies in its first frame with a hit and
+    there in the first valuation that works (_first_hit), so the frame,
+    node and valuation are those of searching each frame in turn.  The
+    passes' diamond tables are kept from formula to formula.
+
     A model is found iff searching every labelled frame finds one, and at
     the same least size.  Each _supports slice is closed under relabelling
     (a node permutation keeps the size of a subset), so a frame has a
     valuation making phi true somewhere iff every isomorphic copy has one,
     and the table holds a copy of every shape.  Which model is returned
-    depends on the table's order and labels.  The table's frames keep
-    their predecessor masks (_preds) from formula to formula.
+    depends on the table's order and labels.
 
     The result is a JTree built unchecked: the subframe of a treelike
     frame generated at w is a tree with root w.  By induction, it is the
@@ -555,17 +673,22 @@ def find_jtree_model(phi: Formula, max_nodes: int) -> Optional[SearchResult]:
     prog = compile_formula(phi)
     if any(not o.is_finite() for o in prog.mods):
         raise FrameError("modality indices must be condensed naturals")
-    n_mods = 1 + max((o.to_int() for o in prog.mods), default=-1)
+    ks = [o.to_int() for o in prog.mods]
+    n_mods = 1 + max(ks, default=-1)
     for n in range(1, max_nodes + 1):
-        for frame in _jtree_shapes(n, n_mods):
-            hit = find_valuation(prog, frame)
+        frames = _jtree_shapes(n, n_mods)
+        for pas in _passes(n, n_mods, len(prog.atoms)):
+            hit = _first_hit(prog, n, (1 << n) - 1, pas,
+                             [pas.tables0[k] for k in ks], [pas.tables[k] for k in ks])
             if hit is None:
                 continue
-            v, got = hit
-            w = min(got)
+            f, masks, holds = hit
+            frame = frames[pas.first + f]
+            w = (holds & -holds).bit_length() - 1
             sub = generated_subframe(frame, w)
             return SearchResult(JTree(sub.nodes, sub.rels), w,
-                                {i: s.intersection(sub.nodes) for i, s in v.items()})
+                                {a: mask_nodes(m, frame.nodes).intersection(sub.nodes)
+                                 for a, m in zip(prog.atoms, masks)})
     return None
 
 

@@ -326,8 +326,8 @@ def eval_topo(phi: Formula, space: PolySpace, v: Dict[int, BandSet]) -> BandSet:
 #
 # A formula is compiled once into a flat postfix program whose slots hold
 # node sets as int bitmasks: node i of the frame is bit 1 << i (run_program
-# packs several sets, one per block of bits).  Each instruction (op, x, y)
-# fills one slot from earlier ones:
+# packs several sets, one per block of bits, of one frame or of several).
+# Each instruction (op, x, y) fills one slot from earlier ones:
 #
 #   OP_VAR           the mask of atom position x
 #   OP_TOP, OP_BOT   all nodes, no nodes
@@ -352,12 +352,13 @@ class Program:
     (the slots that read atom k and no later atom) is
     code[starts[k]:starts[k + 1]], with starts[len(atoms)] == len(code).
     tops[g] holds the top-level conjuncts in group g, sorted, each once.
-    Valuation search (jtree.find_valuation) runs group 0 once and reruns
-    group k + 1 alone for a new mask of a leading atom k, over the groups
-    before it held fixed, meeting the group's tops; then it runs the
-    remaining groups once, packed, over every valuation of the other
-    atoms.  eval_kripke runs the whole program once.  Both run it in
-    run_program, the only relational evaluator.
+    Valuation search (jtree._first_hit, under find_valuation and
+    find_jtree_model) runs group 0 once and reruns group k + 1 alone for a
+    new mask of a leading atom k, over the groups before it held fixed,
+    meeting the group's tops; then it runs the remaining groups once,
+    packed, over every valuation of the other atoms, in one frame or in
+    several frames of a size at once.  eval_kripke runs the whole program
+    once.  Both run it in run_program, the only relational evaluator.
     """
     code: Tuple[Tuple[int, int, int], ...]
     atoms: Tuple[int, ...]          # variable indices, ascending
@@ -511,19 +512,21 @@ def relation_preds(frame, idx: Ordinal, bit: Dict) -> Tuple[Tuple[int, int], ...
     return tuple(sorted(preds.items()))
 
 
-def run_program(code, start: int, stop: int, vals, atoms, preds, full: int,
-                rep: int) -> None:
+def run_program(code, start: int, stop: int, vals, atoms, preds, full: int) -> None:
     """Fill vals[start:stop] with the values of those slots of code, reading
     the earlier slots from vals.
 
-    A value packs node sets of n nodes, one per block of n bits: bit j*n + i
-    is node i in block j, and rep has bit j*n set for each block (rep = 1:
-    one node set).  atoms[k] is the value of atom position k, preds[m] the
-    relation_preds of modality position m, and full = rep * (2^n - 1).
-    <k>A is the OR over nodes v of ((A >> v) & rep) * pred_k(v): the first
-    factor has bit j*n set iff v is in block j of A, and pred_k(v) < 2^n,
-    so each product fills block j alone and no carry crosses a block.
-    [k]A is the complement of <k> of A's complement.
+    A value packs node sets of n nodes, one per block of n bits: bit b*n + i
+    is node i in block b (one block: one node set).  atoms[k] is the value
+    of atom position k and full has every bit of every block set.  preds[m]
+    holds the diamond of modality position m as (v, mask, p) triples: p is
+    the mask of v's predecessors, and mask has bit b*n set for each block b
+    in which v has the predecessors p (mask = 1: one node set), so blocks
+    may read different frames.  <k>A is the OR over the triples of
+    ((A >> v) & mask) * p: the first factor has bit b*n set iff v is in
+    block b of A and block b's frame gives v the predecessors p, and
+    p < 2^n, so each product fills block b alone and no carry crosses a
+    block.  [k]A is the complement of <k> of A's complement.
     """
     for i in range(start, stop):
         op, x, y = code[i]
@@ -534,8 +537,8 @@ def run_program(code, start: int, stop: int, vals, atoms, preds, full: int,
         elif op == OP_DIA or op == OP_BOX:
             a = vals[x] if op == OP_DIA else full ^ vals[x]
             out = 0
-            for v, p in preds[y]:
-                out |= (a >> v & rep) * p
+            for v, m, p in preds[y]:
+                out |= (a >> v & m) * p
             vals[i] = out if op == OP_DIA else full ^ out
         elif op == OP_IMP:
             vals[i] = (full ^ vals[x]) | vals[y]
@@ -557,9 +560,10 @@ def eval_kripke(phi: Formula, frame, v: Dict[int, FrozenSet]) -> FrozenSet:
     nodes = tuple(frame.nodes)
     bit = node_bits(nodes)
     atoms = [node_mask(v[a], bit) for a in prog.atoms]
-    preds = [relation_preds(frame, idx, bit) for idx in prog.mods]
+    preds = [tuple((v, 1, p) for v, p in relation_preds(frame, idx, bit))
+             for idx in prog.mods]
     vals = [0] * len(prog.code)
-    run_program(prog.code, 0, len(vals), vals, atoms, preds, (1 << len(nodes)) - 1, 1)
+    run_program(prog.code, 0, len(vals), vals, atoms, preds, (1 << len(nodes)) - 1)
     return mask_nodes(vals[-1], nodes)
 
 

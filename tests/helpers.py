@@ -285,7 +285,8 @@ def memos():
             topology._band_intersect, topology._band_complement,
             embed._ell_iter_preimage, embed._otyp_up_preimage,
             embed._pi0_preimage,
-            logic.endpoint_pool, jtree._preds, jtree._packing, jtree._supports)
+            logic.endpoint_pool, jtree._preds, jtree._packing, jtree._passes,
+            jtree._supports)
 
 
 def clear_memos():

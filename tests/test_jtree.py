@@ -651,17 +651,74 @@ def test_search_by_shape_matches_the_search_over_every_frame():
 def test_search_tries_each_shape_once(monkeypatch, text, calls):
     # an unsatisfiable formula meets every frame: 1 + 2 + 6 + 18 + 58 shapes
     # with two relations and 1 + 1 + 2 + 4 + 9 with one, against 273 and 34
-    # labelled frames
-    tried = []
-    real = jtree_module.find_valuation
+    # labelled frames; the passes, each over count frames of its table
+    # from its first on, meet each shape once, in table order, and most
+    # hold several shapes
+    prog = compile_formula(f(text))
+    n_mods = 1 + max(o.to_int() for o in prog.mods)
+    tried, passes = [], []
+    real = jtree_module._first_hit
 
-    def counted(prog, frame, target=None):
-        tried.append(frame)
-        return real(prog, frame, target)
+    def counted(prog, n, want, pas, preds0, preds):
+        tried.extend(_jtree_shapes(n, n_mods)[pas.first:pas.first + pas.count])
+        passes.append(n)
+        return real(prog, n, want, pas, preds0, preds)
 
-    monkeypatch.setattr(jtree_module, "find_valuation", counted)
+    monkeypatch.setattr(jtree_module, "_first_hit", counted)
     assert find_jtree_model(f(text), 5) is None
     assert len(tried) == calls
+    assert tried == [g for n in range(1, 6) for g in _jtree_shapes(n, n_mods)]
+    assert len(passes) < calls and passes == sorted(passes)
+
+
+@pytest.fixture
+def small_packs(monkeypatch):
+    """Set PACK_BITS for a test, with the memos that depend on it cleared
+    before and after."""
+    memos = (_packing, jtree_module._passes)
+
+    def set_bits(bits):
+        monkeypatch.setattr(jtree_module, "PACK_BITS", bits)
+        for fn in memos:
+            fn.cache_clear()
+
+    yield set_bits
+    for fn in memos:
+        fn.cache_clear()
+
+
+def test_pass_boundaries_match_the_search_over_every_frame(monkeypatch, small_packs):
+    # the formulas of the search-by-shape test, each searched at the
+    # default PACK_BITS over every labelled frame, then by passes of
+    # few frames: models that first appear in a later pass of their
+    # table, and one-frame passes with an odometer (lead > 0), give the
+    # same frame, node and valuation
+    phis = [f(text) for text in SEARCH_GOLDENS]
+    phis += [tree_formula(kf) for kf, _ in helpers.all_trees(4)]
+    phis += [condense(f(text))[0] for text in J_UNSAT]
+    rng = random.Random(17)
+    mixed = [condense(_random_formula(rng, 2, 2, 4)) for _ in range(160)]
+    phis += [phi for phi, idxs in mixed if len(idxs) == 2]
+    wants = [every_frame_search(phi, 5) for phi in phis]
+    real = jtree_module._first_hit
+    for bits in (1 << 6, 1 << 8, 1 << 10):
+        small_packs(bits)
+        hits, leads = [], set()
+
+        def spied(prog, n, want, pas, preds0, preds):
+            got = real(prog, n, want, pas, preds0, preds)
+            leads.add(_packing(len(prog.atoms), n)[0] > 0)
+            if got is not None:
+                hits.append(pas.first)
+            return got
+
+        monkeypatch.setattr(jtree_module, "_first_hit", spied)
+        for phi, want in zip(phis, wants):
+            got = find_jtree_model(phi, 5)
+            assert (got is None) == (want is None), (bits, phi)
+            assert got is None or found(got) == found(want), (bits, phi)
+        assert any(first > 0 for first in hits), bits
+        assert leads == {True, False}, bits
 
 
 def test_find_valuation_order_on_the_five_chain():
@@ -907,6 +964,10 @@ def test_find_valuation_without_atoms():
     assert find_valuation(compile_formula(f("<0>T & [0][0]F")), chain) == ({}, {3})
     assert find_valuation(compile_formula(f("<0>T & [0]F")), chain) is None
     assert find_valuation(compile_formula(f("F")), chain) is None
+    # nothing holds in an empty frame or at an empty target
+    for text in ("T", "p0", "<0>p0"):
+        assert find_valuation(compile_formula(f(text)), JFrame((), (frozenset(),))) is None
+        assert find_valuation(compile_formula(f(text)), chain, []) is None
 
 
 def test_find_valuation_on_twenty_five_atoms():

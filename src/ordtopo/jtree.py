@@ -23,7 +23,7 @@ import collections
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .ordinal import ONE, Ordinal, ZERO
 from .logic import (
@@ -224,7 +224,7 @@ def _components(nodes, rels) -> List[FrozenSet]:
             for y in comp:  # comp grows as it is read
                 new = nbrs[y] & todo
                 todo -= new
-                comp.extend(new)
+                comp += new
             out.append(frozenset(comp))
     return out
 
@@ -302,7 +302,7 @@ def as_jtree(f: JFrame) -> JTree:
             stack.append((alpha, k + 1))
         elif len(alpha) != 1:
             raise InvalidFrame("frame is not treelike")
-        stack.extend((c, k) for c in rest)
+        stack += ((c, k) for c in rest)
     return JTree(f.nodes, f.rels)
 
 
@@ -348,7 +348,7 @@ def _label(shape, k: int, rels, first: int) -> int:
         (plane, kids), above = queue.popleft()
         mine = range(first, _label(plane, k + 1, rels, first))
         rels[k].update((x, y) for x in above for y in mine)
-        queue.extend((kid, above + tuple(mine)) for kid in reversed(kids))
+        queue += ((kid, above + tuple(mine)) for kid in reversed(kids))
         first = mine.stop
     return first
 
@@ -388,14 +388,16 @@ def _supports(n_atoms: int, n: int) -> Tuple[int, ...]:
     return tuple(dict.fromkeys((0,) + tuple(1 << i for i in range(n)) + ((1 << n) - 1,)))
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=4096)
 def _preds(frame: JFrame, idx: Ordinal) -> Tuple[Tuple[int, int], ...]:
     """The relation_preds of frame's relation at modality index idx, shared
-    by every find_valuation on frame: verify's stage (a) on a countermodel's
-    tree, and one-frame searches.  find_jtree_model does not read it, as
-    _passes keeps the diamond tables of its frames.  The 256 most recent
-    pairs are kept, each at most n entries.  Raises IndexOutOfRange for an
-    index past the relations and LogicError for an edge leaving the frame."""
+    by every find_valuation on frame (verify's stage (a) on a countermodel's
+    tree, and one-frame searches) and by _passes for the frames of
+    find_jtree_model's tables, so each atom count reads them once.  The
+    4,096 most recent pairs are kept (the two-relation tables up to 7
+    nodes hold 1,830), each at most n entries.  Raises IndexOutOfRange for
+    an index past the relations and LogicError for an edge leaving the
+    frame."""
     return relation_preds(frame, idx, node_bits(frame.nodes))
 
 
@@ -427,122 +429,91 @@ def _fit(n_atoms: int, n: int) -> Tuple[int, int]:
     return tail, s ** tail * n
 
 
-@lru_cache(maxsize=32)
-def _packing(n_atoms: int, n: int) -> Tuple[int, int, Tuple[int, ...]]:
-    """(lead, rep, patterns) for n_atoms atoms on n nodes: the atoms from
-    position lead on are packed (_fit), with V = S^(n_atoms - lead)
-    valuations of S = len(_supports) options each, in V * n <= PACK_BITS
-    bits; rep = _ones(V, n).  Block j of a value is the j-th valuation of
-    the packed atoms in odometer order (the last atom fastest), so block j
-    of the pattern of packed atom t is opts[digit t of j in base S].  The
-    32 most recent pairs are kept, each at most 13 patterns of PACK_BITS."""
+@lru_cache(maxsize=64)
+def _packing(n_atoms: int, n: int, count: int = 1) -> Tuple[int, int, Tuple[int, ...]]:
+    """(lead, rep, patterns) for n_atoms atoms on count frames of n nodes,
+    N = count * n bits: the atoms from position lead on are packed (_fit),
+    with V = S^(n_atoms - lead) valuations of S = len(_supports) options
+    each, in V * N bits; rep = _ones(V, N).  Block j of N bits of a value
+    is the j-th valuation of the packed atoms in odometer order (the last
+    atom fastest), so block j of the pattern of packed atom t is
+    opts[digit t of j in base S] in every frame.  The 64 most recent
+    triples are kept, each at most 13 patterns of PACK_BITS."""
     opts = _supports(n_atoms, n)
-    s, tail = len(opts), _fit(n_atoms, n)[0]
+    s, tail, width = len(opts), _fit(n_atoms, n)[0], count * n
+    frames = _ones(count, n)
     patterns = []
     for t in range(tail):
         run = s ** (tail - 1 - t)           # the blocks that share a digit
-        period = sum(o * _ones(run, n) << d * run * n for d, o in enumerate(opts))
-        patterns.append(period * _ones(s ** t, s * run * n))
-    return n_atoms - tail, _ones(s ** tail, n), tuple(patterns)
+        period = sum(o * frames * _ones(run, width) << d * run * width
+                     for d, o in enumerate(opts))
+        patterns.append(period * _ones(s ** t, s * run * width))
+    return n_atoms - tail, _ones(s ** tail, width), tuple(patterns)
 
 
-def _diamonds(pairs, width: int, scale: int) -> Tuple[Tuple[int, int, int], ...]:
+def _diamonds(pairs, n: int, rep: int) -> Tuple[Tuple[int, int, int], ...]:
     """run_program's (v, mask, p) diamond table of one relation over the
-    frames of a pass, pairs[f] the relation_preds of frame f: one triple
-    per distinct (v, p), ascending, whose mask is scale times the sum of
-    2^(f * width) over the frames f that give node v the predecessors p."""
-    if len(pairs) == 1:     # relation_preds are distinct and ascending
-        return tuple((v, scale, p) for v, p in pairs[0])
+    frames of a pass, pairs[f] the _preds of frame f: one triple per
+    distinct (v, p), ascending, whose mask is rep times the sum of
+    2^(f * n) over the frames f that give node v the predecessors p."""
     masks: Dict[Tuple[int, int], int] = {}
     for f, frame_pairs in enumerate(pairs):
         for vp in frame_pairs:
-            masks[vp] = masks.get(vp, 0) | 1 << f * width
-    return tuple((v, m * scale, p) for (v, p), m in sorted(masks.items()))
-
-
-class _Pass(NamedTuple):
-    """A packed pass over count frames of n nodes, the frames from first on
-    in their table, each taking width = V * n bits (_packing's V
-    valuations of the packed atoms).
-
-    In the packed layout bit (f * V + j) * n + i is node i of frame f under
-    valuation j, and tables holds each relation's diamond over every block.
-    The prefix layout, in which the atom-free slots and the odometer's
-    leading atoms run, has the blocks rep0 and the diamonds tables0; a
-    value goes from it to the packed layout times spread.  One frame keeps
-    its prefix on n bits (rep0 = 1), so that the odometer steps on small
-    ints, and copies it to every valuation block (spread = _ones(V, n),
-    _packing's rep).  Several frames (only when every atom is packed, so
-    without an odometer) run the prefix packed: rep0 is every block and
-    spread = 1.  ext = _ones(count, width) copies a packed pattern to every
-    frame."""
-    first: int
-    count: int
-    rep0: int
-    spread: int
-    ext: int
-    tables0: tuple
-    tables: tuple
-
-
-def _pass(first: int, pairs, count: int, n: int, rep: int) -> _Pass:
-    """The _Pass over count frames, rep = _ones(V, n) (_packing's rep) and
-    pairs[k][f] the relation_preds of relation k (or modality position k)
-    in frame f."""
-    width = rep.bit_length() - 1 + n
-    tables = tuple(_diamonds(p, width, rep) for p in pairs)
-    if count == 1:
-        return _Pass(first, 1, 1, rep, 1, tuple(_diamonds(p, width, 1) for p in pairs),
-                     tables)
-    ext = _ones(count, width)
-    return _Pass(first, count, rep * ext, 1, ext, tables, tables)
+            masks[vp] = masks.get(vp, 0) | 1 << f * n
+    return tuple((v, m * rep, p) for (v, p), m in sorted(masks.items()))
 
 
 @lru_cache(maxsize=64)
-def _passes(n: int, n_mods: int, n_atoms: int) -> Tuple[_Pass, ...]:
+def _passes(n: int, n_mods: int, n_atoms: int) -> Tuple[Tuple[int, int, tuple], ...]:
     """find_jtree_model's passes over _jtree_shapes(n, n_mods) for n_atoms
-    atoms, in table order: max(1, PACK_BITS // (V * n)) frames each when
-    every atom is packed, else one.  The 64 most recent triples are kept;
-    a pass holds at most n 2^(n-1) diamond triples per relation (a node
-    and a set of the others), whose masks are at most PACK_BITS bits."""
+    atoms, in table order, as (first, count, tables): the count frames
+    from first on, max(1, PACK_BITS // (V * n)) when every atom is packed,
+    else one, and each relation's _diamonds over them.  The 64 most recent
+    triples are kept; a pass holds at most n 2^(n-1) diamond triples per
+    relation (a node and a set of the others), whose masks are at most
+    PACK_BITS bits."""
     frames = _jtree_shapes(n, n_mods)
     tail, width = _fit(n_atoms, n)
     per = max(1, PACK_BITS // width) if tail == n_atoms else 1
-    rep, bit = _ones(width // n, n), node_bits(range(n))
     idxs = [Ordinal.from_int(k) for k in range(n_mods)]
     out = []
     for first in range(0, len(frames), per):
         group = frames[first:first + per]
-        pairs = [[relation_preds(g, idx, bit) for g in group] for idx in idxs]
-        out.append(_pass(first, pairs, len(group), n, rep))
+        rep = _packing(n_atoms, n, len(group))[1]
+        out.append((first, len(group),
+                    tuple(_diamonds([_preds(g, idx) for g in group], n, rep) for idx in idxs)))
     return tuple(out)
 
 
-def _first_hit(prog: Program, n: int, want: int, pas: _Pass, preds0, preds
+def _first_hit(prog: Program, n: int, count: int, want: int, preds
                ) -> Optional[Tuple[int, List[int], int]]:
     """The first hit of prog's formula at a node of want in one pass over
-    frames of n nodes, preds0 and preds the pass's tables0 and tables per
-    modality position: (the frame's place in the pass, each atom's node
-    mask, the nodes where the formula holds there), or None.
+    count frames of n nodes, preds the pass's diamond tables per modality
+    position: (the frame's place in the pass, each atom's node mask, the
+    nodes where the formula holds there), or None.
 
-    An odometer runs the leading atoms (those before _packing's lead; then
-    the pass holds one frame) on single node sets: the atom-free slots run
-    once, each step reruns only the slot group of the atom that changed,
-    and a prefix under which a top-level conjunct (prog.tops) misses want
-    is not extended, as no completion can hit it.  At each full prefix,
-    one packed pass runs the remaining groups over every valuation of the
-    packed atoms in every frame at once: bit (f * V + j) * n + i of a
-    value is node i of frame f under the j-th of them in odometer order,
-    the prefix copied to every block (times spread), and run_program's
-    diamond carries nothing across a block.  The pass stops at a group
-    whose conjuncts leave no block hitting want.  The lowest set bit of
-    the conjuncts' meet & want * (every block) lies in the least frame f
-    with a hit and, in it, in the least block j that hits want, the first
-    valuation in order under this prefix: so the hit is the one that
-    enumerating every valuation of each frame in turn finds first.  No
-    code is generated.
+    The pass runs on the frames' disjoint union, of N = count * n nodes:
+    bit f * n + i is node i of frame f.  Its atom-free slots run once on N
+    bits.  An odometer runs the leading atoms (those before _packing's
+    lead; then count = 1) on single node sets: each step reruns only the
+    slot group of the atom that changed, and a prefix under which a
+    top-level conjunct (prog.tops) misses want is not extended, as no
+    completion can hit it.  At each full prefix, one packed pass runs the
+    remaining groups over every valuation of the packed atoms at once:
+    bit (j * count + f) * n + i of a value is node i of frame f under the
+    j-th of them in odometer order, the prefix copied to every block of N
+    bits (times rep), and run_program's diamond carries nothing across a
+    block of n bits.  One table serves both: its masks have bit
+    (j * count + f) * n set (_diamonds), so (a >> v) & mask on a prefix
+    value a < 2^N reads only bits below N, as the masks' bits from N on
+    lie in blocks that such a value does not have.  The pass stops at a
+    group whose conjuncts leave no block hitting want.  The hit is taken
+    in the least frame f with one and, in it, in the least block j that
+    hits want, the first valuation in order under this prefix: so it is
+    the one that enumerating every valuation of each frame in turn finds
+    first.  No code is generated.
     """
-    one = (1 << n) - 1
+    one, width = (1 << n) - 1, count * n
     code, starts, tops, n_atoms = prog.code, prog.starts, prog.tops, len(prog.atoms)
     vals = [0] * len(code)
 
@@ -551,42 +522,40 @@ def _first_hit(prog: Program, n: int, want: int, pas: _Pass, preds0, preds
             c &= vals[s]
         return c
 
-    full0, want0 = one * pas.rep0, want * pas.rep0
-    run_program(code, 0, starts[0], vals, (), preds0, full0)
+    full0, want0 = (1 << width) - 1, want * _ones(count, n)
+    run_program(code, 0, starts[0], vals, (), preds, full0)
     bound = [meet(full0, 0, vals)]      # bound[k]: the conjuncts up to atom k - 1
     if not bound[0] & want0:
         return None
     opts = _supports(n_atoms, n)
-    lead, _, patterns = _packing(n_atoms, n)
-    masks = [0] * lead + [p * pas.ext for p in patterns]
-    spread = pas.spread
-    full, want_all = full0 * spread, want0 * spread
+    lead, rep, patterns = _packing(n_atoms, n, count)
+    masks = [0] * lead + list(patterns)
+    full, want_all = full0 * rep, want0 * rep
     pick: List[int] = []
     i = 0
     while True:
         k = len(pick)
         if k == lead:
-            # spread = 1: the prefix is packed already, and the packed
-            # groups may fill vals, as no odometer step follows (no atom
-            # leads) or there are none (no atom is packed)
-            packed, c = (vals, bound[-1]) if spread == 1 else \
-                ([v * spread for v in vals], bound[-1] * spread)
+            packed, c = [v * rep for v in vals], bound[-1] * rep
             for g in range(k + 1, n_atoms + 1):
                 if c & want_all:
                     run_program(code, starts[g - 1], starts[g], packed, masks, preds, full)
                     c = meet(c, g, packed)
             hit = c & want_all
             if hit:
-                b = ((hit & -hit).bit_length() - 1) // n
-                f, j = divmod(b, len(opts) ** (n_atoms - lead))
+                f = 0                       # the least frame with a hit
+                while not (h := hit >> f * n & one * rep):
+                    f += 1
+                j = ((h & -h).bit_length() - 1) // width
+                holds = c >> (j * count + f) * n & one
                 tail: List[int] = []        # the packed atoms' digits, last first
                 for _ in range(n_atoms - lead):
                     j, d = divmod(j, len(opts))
                     tail.append(d)
-                return f, [opts[d] for d in pick + tail[::-1]], c >> b * n & one
+                return f, [opts[d] for d in pick + tail[::-1]], holds
         elif i < len(opts):
-            masks[k] = opts[i]              # rep0 = 1: the pass holds one frame
-            run_program(code, starts[k], starts[k + 1], vals, masks, preds0, full0)
+            masks[k] = opts[i]              # count = 1 while an atom leads
+            run_program(code, starts[k], starts[k + 1], vals, masks, preds, full0)
             c = meet(bound[-1], k + 1, vals)
             if c & want0:
                 pick.append(i)
@@ -617,11 +586,11 @@ def find_valuation(prog: Program, frame: JFrame, target=None
     nodes = tuple(frame.nodes)
     n = len(nodes)
     want = (1 << n) - 1 if target is None else node_mask(target, node_bits(nodes))
-    pairs = [[_preds(frame, idx)] for idx in prog.mods]
+    pairs = [_preds(frame, idx) for idx in prog.mods]
     if not want:                        # no node to hit, as in an empty frame
         return None
-    pas = _pass(0, pairs, 1, n, _packing(len(prog.atoms), n)[1])
-    hit = _first_hit(prog, n, want, pas, pas.tables0, pas.tables)
+    rep = _packing(len(prog.atoms), n, 1)[1]    # the key _first_hit reads
+    hit = _first_hit(prog, n, 1, want, [_diamonds([p], n, rep) for p in pairs])
     if hit is None:
         return None
     _, masks, holds = hit
@@ -647,14 +616,15 @@ def find_jtree_model(phi: Formula, max_nodes: int) -> Optional[SearchResult]:
     > 12 only the empty, singleton and full supports are tried.  phi must
     use condensed modality indices 0..n-1.
 
-    The frames of one size are searched in passes (_passes), frame-major:
-    bit (f * V + j) * n + i of a packed value is node i of the pass's
-    frame f under valuation j, and a diamond's per-block masks (_diamonds)
-    give each frame its own relation with no carry across a block.  The
-    lowest set bit of a pass's hits lies in its first frame with a hit and
-    there in the first valuation that works (_first_hit), so the frame,
-    node and valuation are those of searching each frame in turn.  The
-    passes' diamond tables are kept from formula to formula.
+    The frames of one size are searched in passes (_passes), each the
+    one-frame search on the disjoint union of count frames, valuation
+    outermost: bit (j * count + f) * n + i of a packed value is node i of
+    the pass's frame f under valuation j, and a diamond's per-block masks
+    (_diamonds) give each frame its own relation with no carry across a
+    block.  A hit is taken in the pass's least frame with one and there in
+    the first valuation that works (_first_hit), so the frame, node and
+    valuation are those of searching each frame in turn.  The passes'
+    diamond tables are kept from formula to formula.
 
     A model is found iff searching every labelled frame finds one, and at
     the same least size.  Each _supports slice is closed under relabelling
@@ -677,13 +647,12 @@ def find_jtree_model(phi: Formula, max_nodes: int) -> Optional[SearchResult]:
     n_mods = 1 + max(ks, default=-1)
     for n in range(1, max_nodes + 1):
         frames = _jtree_shapes(n, n_mods)
-        for pas in _passes(n, n_mods, len(prog.atoms)):
-            hit = _first_hit(prog, n, (1 << n) - 1, pas,
-                             [pas.tables0[k] for k in ks], [pas.tables[k] for k in ks])
+        for first, count, tables in _passes(n, n_mods, len(prog.atoms)):
+            hit = _first_hit(prog, n, count, (1 << n) - 1, [tables[k] for k in ks])
             if hit is None:
                 continue
             f, masks, holds = hit
-            frame = frames[pas.first + f]
+            frame = frames[first + f]
             w = (holds & -holds).bit_length() - 1
             sub = generated_subframe(frame, w)
             return SearchResult(JTree(sub.nodes, sub.rels), w,

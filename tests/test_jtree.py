@@ -1,4 +1,5 @@
 import bisect
+import collections
 import itertools
 import random
 import time
@@ -488,6 +489,9 @@ SEARCH_GOLDENS = {
     "<0>p0 & <0>~p0": ((0, 1, 2), [[(0, 1), (0, 2)]], 0, {0: [1]}),
     "<0>T & [0][0]F": ((0, 1), [[(0, 1)]], 0, {}),
     "<1>p0 & [0]~p0": ((0, 1), [[], [(0, 1)]], 0, {0: [1]}),
+    # one pass holds both 2-node shapes, and the second frame's hit sits
+    # under a lower valuation than the first frame's: the frame comes first
+    "<1>p0 | <0>~p0": ((0, 1), [[], [(0, 1)]], 0, {0: [1]}),
 }
 # tree_formula of each tree of helpers.all_trees(4): the node each p_i
 # names in the model found (the frame is the tree itself, up to labels)
@@ -651,18 +655,23 @@ def test_search_by_shape_matches_the_search_over_every_frame():
 def test_search_tries_each_shape_once(monkeypatch, text, calls):
     # an unsatisfiable formula meets every frame: 1 + 2 + 6 + 18 + 58 shapes
     # with two relations and 1 + 1 + 2 + 4 + 9 with one, against 273 and 34
-    # labelled frames; the passes, each over count frames of its table
-    # from its first on, meet each shape once, in table order, and most
-    # hold several shapes
+    # labelled frames; the passes, each over the next count frames of its
+    # table (its diamond tables are theirs), meet each shape once, in table
+    # order, and most hold several shapes
     prog = compile_formula(f(text))
     n_mods = 1 + max(o.to_int() for o in prog.mods)
     tried, passes = [], []
     real = jtree_module._first_hit
 
-    def counted(prog, n, want, pas, preds0, preds):
-        tried.extend(_jtree_shapes(n, n_mods)[pas.first:pas.first + pas.count])
+    def counted(prog, n, count, want, preds):
+        first = sum(len(g.nodes) == n for g in tried)
+        group = _jtree_shapes(n, n_mods)[first:first + count]
+        rep = _packing(len(prog.atoms), n, count)[1]
+        assert preds == [jtree_module._diamonds([jtree_module._preds(g, idx) for g in group],
+                                                n, rep) for idx in prog.mods]
+        tried.extend(group)
         passes.append(n)
-        return real(prog, n, want, pas, preds0, preds)
+        return real(prog, n, count, want, preds)
 
     monkeypatch.setattr(jtree_module, "_first_hit", counted)
     assert find_jtree_model(f(text), 5) is None
@@ -703,17 +712,19 @@ def test_pass_boundaries_match_the_search_over_every_frame(monkeypatch, small_pa
     real = jtree_module._first_hit
     for bits in (1 << 6, 1 << 8, 1 << 10):
         small_packs(bits)
-        hits, leads = [], set()
+        hits, leads, done = [], set(), collections.Counter()
 
-        def spied(prog, n, want, pas, preds0, preds):
-            got = real(prog, n, want, pas, preds0, preds)
+        def spied(prog, n, count, want, preds):
+            got = real(prog, n, count, want, preds)
             leads.add(_packing(len(prog.atoms), n)[0] > 0)
             if got is not None:
-                hits.append(pas.first)
+                hits.append(done[n])    # the pass's first frame in its table
+            done[n] += count
             return got
 
         monkeypatch.setattr(jtree_module, "_first_hit", spied)
         for phi, want in zip(phis, wants):
+            done.clear()
             got = find_jtree_model(phi, 5)
             assert (got is None) == (want is None), (bits, phi)
             assert got is None or found(got) == found(want), (bits, phi)
@@ -881,12 +892,16 @@ def test_an_unprunable_scan_of_every_valuation_is_bounded():
 
 
 def test_search_packs_once_per_atom_and_node_count():
-    # the packed patterns depend on the numbers of atoms and nodes alone:
-    # renumbered atoms share them, and a formula without atoms packs none
+    # the packed patterns depend on the numbers of atoms, nodes and frames
+    # in a pass alone (here one pass per size): renumbered atoms share
+    # them, and a formula without atoms adds one entry per size, which
+    # holds its passes' rep and no pattern
     _packing.cache_clear()
+    misses = []
     for text in ("<0>p0 & <1>[0]~p0", "<0>p3 & <1>[0]~p3", "<0>T & [0]F"):
         assert find_jtree_model(f(text), 4) is None
-    assert _packing.cache_info().misses == 4
+        misses.append(_packing.cache_info().misses)
+    assert misses == [4, 4, 8]
 
 
 def test_packed_patterns_follow_the_odometer():

@@ -119,10 +119,13 @@ def _load_valuation(path: str, shape, read) -> dict:
     for key, value in obj.items():
         if not (key.isascii() and key.isdigit()):
             raise ValueError(f"valuation key {key!r} must be an atom index in digits")
+        atom = int(key)
+        if atom in out:
+            raise ValueError(f"valuation key {key!r} names atom {atom} twice")
         if not shape[1](value):
             raise ValueError(f"valuation field {key!r} must be {shape[0]}")
         try:
-            out[int(key)] = read(value)
+            out[atom] = read(value)
         except TopologyError as exc:
             raise ValueError(f"valuation field {key!r}: {exc}")
     return out

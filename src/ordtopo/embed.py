@@ -15,7 +15,7 @@ surjectivity, and the fiber algebra (band preimages where they exist).
 Fibers of branching trees are genuinely periodic (every other block,
 say) and fall outside the band algebra; preimage calls on such sets
 raise NotRepresentable.  verify_countermodel runs one map check,
-jtree.jmap_check, on every model; it finds the missing fibers from fmap,
+jmap_check, on every model; it finds the missing fibers from fmap,
 not from the stored algebra, and reports the (j1)-(j4) rows that need
 them as SKIPPED or EXACT-WHERE-DEFINED.  Stage (c) then reads theta's
 truth off the tree a rank map (or a liter lift of one) is built over, at
@@ -25,9 +25,9 @@ f(theta), which the d-map law makes exact.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .ordinal import (
     DEPTH_CAP,
@@ -60,11 +60,15 @@ from .topology import (
     geq_set,
     intersect,
     interval,
+    is_empty,
+    is_open,
     make_band,
     member,
     merge_bound,
+    min_witness,
     parse_bandset,
     sets_equal,
+    subset_of,
     trim_last,
     union,
 )
@@ -77,14 +81,14 @@ from .logic import (
 from .jtree import (
     InvalidFrame,
     JFrame,
-    JMapReport,
     JTree,
     as_jtree,
     find_valuation,
+    frame_dia,
+    frame_ranks,
     is_node_id,
     jframe_from_json,
     jframe_to_json,
-    jmap_check,
     whole_slice,
 )
 
@@ -363,7 +367,15 @@ class ProductStructure:
     x_down: BandSet
     pi0: Pi0Map
     pi1: OtypUpMap
-    s_set: BandSet
+
+    @cached_property
+    def s_set(self) -> BandSet:
+        """The paper's set S: the isolated points of the upper part over
+        limit stages of [1, lam].  Computed on first read."""
+        d1 = derived_set(interval(ONE, self.lam), 1, self.lam)
+        isolated = intersect(self.x_up, complement_within(
+            derived_set(self.x_up, 1, self.theta), ONE, self.theta))
+        return intersect(isolated, self.pi1.preimage_set(d1))
 
     def res(self, iota: int) -> int:
         return self.cells.res(iota)
@@ -387,14 +399,9 @@ def product(kappas, lam: Ordinal) -> ProductStructure:
     x_down = complement_within(x_up, ONE, theta)
     pi1 = OtypUpMap(xi, theta)
     pi0 = Pi0Map(cells, xi, theta, x_down)
-    # isolated points of the upper part sitting over limit stages of [1, lam]
-    d1 = derived_set(interval(ONE, lam), 1, lam)
-    isolated = intersect(
-        x_up, complement_within(derived_set(x_up, 1, theta), ONE, theta))
-    s_set = intersect(isolated, pi1.preimage_set(d1))
     return ProductStructure(xi=xi, theta=theta, lam=lam, w=w, cells=cells,
                             markers=cells.marks[1:], x_up=x_up, x_down=x_down,
-                            pi0=pi0, pi1=pi1, s_set=s_set)
+                            pi0=pi0, pi1=pi1)
 
 
 def density_witness(prod: ProductStructure, i: int, u: Ordinal,
@@ -715,13 +722,7 @@ def embed(t, sigma) -> Countermodel:
     if not sets_equal(fmap.preimage([t.root]), interval(theta, theta), theta):
         raise EmbedError("the root fiber is not {theta}")
 
-    algebra = {}
-    for v in t.nodes:
-        try:
-            algebra[v] = fmap.preimage([v])
-        except NotRepresentable:
-            algebra[v] = None
-    return Countermodel(theta, fmap, t, sigma, wit, algebra)
+    return Countermodel(theta, fmap, t, sigma, wit, _fibers(fmap, t.nodes))
 
 
 def countermodel_valuation(cm: Countermodel, t_val: Dict) -> Dict[int, BandSet]:
@@ -733,6 +734,205 @@ def countermodel_valuation(cm: Countermodel, t_val: Dict) -> Dict[int, BandSet]:
             raise NotRepresentable(
                 f"p{i} over {sorted(map(repr, supp))}: {exc}")
     return out
+
+
+# --- map condition checking ----------------------------------------------------------
+
+
+def _minus(a, b, theta: Ordinal):
+    return intersect(a, complement_within(b, ONE, theta))
+
+
+@dataclass
+class JMapReport:
+    checks: List[Tuple[str, str, bool, str]] = field(default_factory=list)
+
+    def add(self, name: str, mode: str, ok: bool, detail: str = ""):
+        self.checks.append((name, mode, ok, detail))
+
+    @property
+    def ok(self) -> bool:
+        return all(ok for _, _, ok, _ in self.checks)
+
+    def __str__(self):
+        lines = [("PASS" if self.ok else "FAIL") + f" ({len(self.checks)} checks)"]
+        for name, mode, ok, detail in self.checks:
+            tail = f" -- {detail}" if detail else ""
+            lines.append(f"  [{mode}] {name}: {'ok' if ok else 'FAIL'}{tail}")
+        return "\n".join(lines)
+
+
+def _fibers(fmap, nodes) -> Dict:
+    """Each node's fiber fmap.preimage([y]), None where that raises
+    NotRepresentable."""
+    fiber: Dict = {}
+    for y in nodes:
+        try:
+            fiber[y] = fmap.preimage([y])
+        except NotRepresentable:
+            fiber[y] = None
+    return fiber
+
+
+def block_table(fmap, space, t: JTree
+                ) -> Tuple[Dict, List[Tuple[FrozenSet, BandSet]]]:
+    """_fibers(fmap, t.nodes), None at a missing node, and the blocks
+    (nodes, preimage): each band fiber alone, and the missing nodes of each
+    rank rho under the top relation together, with preimage {l^lam = rho}
+    minus the band fibers of rank rho, lam the top level.  Without
+    relations, band fibers only."""
+    theta = space.theta
+    fiber = _fibers(fmap, t.nodes)
+    table = [(frozenset([y]), f) for y, f in fiber.items() if f is not None]
+    missing = [y for y, f in fiber.items() if f is None]
+    if missing and t.rels:
+        top = len(t.rels) - 1
+        lam, rank = space.level_at(Ordinal.from_int(top)), frame_ranks(t, top)
+        for rho in sorted({rank[y] for y in missing}):
+            at_rho = [y for y in t.nodes if rank[y] == rho]
+            cut = bandset(b for y in at_rho for b in (fiber[y] or EMPTY).bands)
+            cut = union(geq_set(lam, Ordinal.from_int(rho + 1), theta), cut)
+            level = _minus(geq_set(lam, Ordinal.from_int(rho), theta), cut, theta)
+            table.append((frozenset(y for y in at_rho if fiber[y] is None), level))
+    return fiber, table
+
+
+def jmap_check(fmap, space, t: JFrame) -> JMapReport:
+    """Check the map conditions (j1)-(j4) for fmap: [1, theta] -> t (a tree).
+
+    fmap must provide preimage(nodes) -> BandSet and is asked for each
+    fiber (block_table) and each rank upset, nothing else; the preimage of
+    a union of blocks is the union of theirs.  lam is the top level.
+
+    Rank preservation (EXACT): f^{-1}(rank >= rho) = {l^lam >= rho} on
+    [1, theta] for rho = 0..h+1, h the top rank (rho = 0: f^{-1}(T) =
+    [1, theta]).  So rank f(x) = l^lam(x): this row licenses the missing
+    blocks' preimages, and a report whose rank row fails is FAIL whatever
+    the other rows say.  An upset without a band preimage fails it.
+
+    (j1) f^{-1}(<>A) = d_lam f^{-1}(A) is checked once per block.  Both
+    sides are finitely additive in A and vanish at the empty set (f^{-1}
+    and <> distribute over unions, and d(P u Q) = dP u dQ), so the block
+    identities hold iff (j1) holds on every union of blocks: on every
+    subset when all blocks are singletons (EXACT).  Otherwise the row is
+    EXACT-WHERE-DEFINED and counts as skipped the blocks B whose <>B
+    splits a block; (j2) is left out, and (j3) rows whose sets split a
+    block and (j4) rows of missing fibers are SKIPPED.
+
+    (j2): f is open from I_{lam_k} to the upsets of R = R_k u ... u R_{n-1}
+    for each level k < n iff, with down_k(y) = {y} u R^{-1}(y),
+
+        f^{-1}(down_k y) <= F_y u d_{lam_k}(F_y)  for every node y.
+
+    R is transitive by (I) and (J), so down_k(y) is the least R-downset
+    holding y; the right side is the closure of F_y.  (=>) Let p be in
+    f^{-1}(down_k y) and U open around p: f(U) is an upset holding f(p),
+    which is y or R-sees y, so y is in f(U) and U meets F_y.  (<=) Let U be
+    open, p in U and f(p) R y: p is in f^{-1}(down_k y), so in the closure
+    of F_y, and U meets F_y, so y is in f(U).
+    """
+    t = as_jtree(t)
+    nn = len(t.rels)
+    if len(space.levels) < nn:
+        raise InvalidFrame("space has fewer levels than the frame has relations")
+    theta = space.theta
+    rep = JMapReport()
+    nodes = tuple(t.nodes)
+    fiber, table = block_table(fmap, space, t)
+    missing = sorted((y for y in nodes if fiber[y] is None), key=repr)
+    if missing:
+        rep.add("fiber representability", "SKIPPED", True,
+                f"no band fibers for {missing}")
+
+    def split(s):  # the first block that s cuts, None for a union of blocks
+        return next((b for b, _ in table if b & s and not b <= s), None)
+
+    def pre(s):
+        return bandset(band for b, pb in table if b <= s for band in pb.bands)
+
+    if nn == 0:
+        if not missing:
+            lam = 1 if not space.levels else space.level_at(ZERO)
+            ok = is_empty(derived_set(pre(frozenset(nodes)), lam, theta))
+            rep.add("(j1) d-map law", "EXACT", ok,
+                    "" if ok else "domain not discrete")
+        return rep
+
+    top = nn - 1
+    lam = space.level_at(Ordinal.from_int(top))
+    rank = frame_ranks(t, top)
+
+    # (j1): f^{-1}(<>B) = d f^{-1}(B) at the top level, once per block B
+    bad, skipped = None, 0
+    for b, pb in table:
+        dia = frame_dia(t, b, top)
+        if split(dia) is not None:
+            skipped += 1
+        elif not sets_equal(pre(dia), derived_set(pb, lam, theta), theta):
+            bad = b
+            break
+    multi = [sorted(b, key=repr) for b, _ in table if len(b) > 1]
+    if multi:
+        name, mode = "(j1) d-map law on representable subsets", "EXACT-WHERE-DEFINED"
+        detail = f"multi-node blocks {', '.join(map(str, multi))}; {skipped} skipped"
+    else:
+        name, mode, detail = "(j1) d-map law", "EXACT", f"{len(nodes)} fibers"
+    if bad is not None:
+        detail = f"A={sorted(map(repr, bad))}"
+    rep.add(name, mode, bad is None, detail)
+
+    # rank preservation: f^{-1}(rank >= rho) = {l^lam >= rho}
+    bad = None
+    for rho in range(max(rank.values()) + 2):
+        try:
+            got = fmap.preimage([y for y in nodes if rank[y] >= rho])
+        except NotRepresentable:
+            bad = f"f^-1(rank >= {rho}) is not a band set"
+            break
+        want = geq_set(lam, Ordinal.from_int(rho), theta)
+        if not sets_equal(got, want, theta):
+            x = min_witness(union(_minus(got, want, theta), _minus(want, got, theta)))
+            bad = f"f^-1(rank >= {rho}) differs from l^{lam} >= {rho} at x={x}"
+            break
+    rep.add("(j1) rank preservation", "EXACT", bad is None, bad or "")
+
+    # (j2): f^{-1}(down_k y) lies in the level-k closure of F_y
+    if not missing:
+        def open_at(k, y):
+            lam_k = space.level_at(Ordinal.from_int(k))
+            down = frozenset({y}.union(x for r in t.rels[k:] for x, z in r if z == y))
+            fib = fiber[y]
+            return subset_of(pre(down), union(fib, derived_set(fib, lam_k, theta)),
+                             theta)
+
+        bad = next((f"level {k}, node {y!r}" for k in range(nn)
+                    for y in sorted(nodes, key=repr) if not open_at(k, y)), None)
+        rep.add("(j2) openness", "EXACT", bad is None, bad or "")
+
+    # (j3)/(j4): hereditary-root conditions at each lower level
+    for k in range(nn - 1):
+        lam_k = space.level_at(Ordinal.from_int(k))
+        for x in sorted(t.hereditary_roots(k), key=repr):
+            below = frozenset(y for r in t.rels[k:] for a, y in r if a == x)
+            name = f"(j3) root {x!r} at level {k}"
+            for s in (below, below | {x}):
+                cut = split(s)
+                ok3 = cut is None and is_open(pre(s), lam_k, theta)
+                if not ok3:
+                    break
+            if cut is not None:
+                rep.add(name, "SKIPPED", True,
+                        f"{sorted(s, key=repr)} splits the block {sorted(cut, key=repr)}")
+            else:
+                rep.add(name, "EXACT", ok3)
+            fib = fiber[x]
+            if fib is None:
+                rep.add(f"(j4) fiber of {x!r} at level {k}", "SKIPPED", True,
+                        "fiber not representable")
+                continue
+            ok4 = is_empty(intersect(derived_set(fib, lam_k, theta), fib))
+            rep.add(f"(j4) fiber of {x!r} discrete at level {k}", "EXACT", ok4)
+    return rep
 
 
 # --- verification ------------------------------------------------------------------

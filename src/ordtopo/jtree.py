@@ -12,9 +12,7 @@ treelike frame on the higher relations.  as_jtree checks a frame once;
 the JTree it returns reads that structure off the in-edges (split), as
 JTrees that are not checked again, and the embedding recurses through it.
 
-The module also checks the map conditions (j1)-(j4) for maps from a band-set
-space onto a treelike frame, and does bounded search for a treelike
-model of a formula.
+The module also does bounded search for a treelike model of a formula.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .ordinal import ONE, Ordinal, ZERO
+from .ordinal import Ordinal
 from .logic import (
     Formula,
     Program,
@@ -35,22 +33,6 @@ from .logic import (
     node_mask,
     relation_preds,
     run_program,
-)
-from .topology import (
-    EMPTY,
-    BandSet,
-    NotRepresentable,
-    bandset,
-    complement_within,
-    derived_set,
-    geq_set,
-    intersect,
-    is_empty,
-    is_open,
-    min_witness,
-    sets_equal,
-    subset_of,
-    union,
 )
 
 
@@ -156,6 +138,21 @@ def generated_subframe(f: JFrame, x) -> JFrame:
                     keep.add(z)
                     frontier.append(z)
     return subframe(f, keep)
+
+
+def frame_dia(f: JFrame, a, k: int) -> FrozenSet:
+    return frozenset(x for x, y in f.rels[k] if y in a)
+
+
+def frame_ranks(f: JFrame, k: int) -> Dict:
+    """Each node's rank under R_k: the length of the longest R_k-path from
+    it.  R_k must be a strict order, as in every J-frame; then a node's
+    successors have fewer successors than it has, so they are ranked first."""
+    succ = _succ_table(f.rels[k])
+    rank: Dict = {}
+    for y in sorted(f.nodes, key=lambda y: len(succ.get(y, ()))):
+        rank[y] = 1 + max((rank[z] for z in succ.get(y, ())), default=-1)
+    return rank
 
 
 # --- validation -----------------------------------------------------------------
@@ -659,210 +656,3 @@ def find_jtree_model(phi: Formula, max_nodes: int) -> Optional[SearchResult]:
                                 {a: mask_nodes(m, frame.nodes).intersection(sub.nodes)
                                  for a, m in zip(prog.atoms, masks)})
     return None
-
-
-# --- map condition checking ----------------------------------------------------------
-
-
-def frame_dia(f: JFrame, a, k: int) -> FrozenSet:
-    return frozenset(x for x, y in f.rels[k] if y in a)
-
-
-def _minus(a, b, theta: Ordinal):
-    return intersect(a, complement_within(b, ONE, theta))
-
-
-def frame_ranks(f: JFrame, k: int) -> Dict:
-    """Each node's rank under R_k: the length of the longest R_k-path from
-    it.  R_k must be a strict order, as in every J-frame; then a node's
-    successors have fewer successors than it has, so they are ranked first."""
-    succ = _succ_table(f.rels[k])
-    rank: Dict = {}
-    for y in sorted(f.nodes, key=lambda y: len(succ.get(y, ()))):
-        rank[y] = 1 + max((rank[z] for z in succ.get(y, ())), default=-1)
-    return rank
-
-
-@dataclass
-class JMapReport:
-    checks: List[Tuple[str, str, bool, str]] = field(default_factory=list)
-
-    def add(self, name: str, mode: str, ok: bool, detail: str = ""):
-        self.checks.append((name, mode, ok, detail))
-
-    @property
-    def ok(self) -> bool:
-        return all(ok for _, _, ok, _ in self.checks)
-
-    def __str__(self):
-        lines = [("PASS" if self.ok else "FAIL") + f" ({len(self.checks)} checks)"]
-        for name, mode, ok, detail in self.checks:
-            tail = f" -- {detail}" if detail else ""
-            lines.append(f"  [{mode}] {name}: {'ok' if ok else 'FAIL'}{tail}")
-        return "\n".join(lines)
-
-
-def block_table(fmap, space, t: JTree
-                ) -> Tuple[Dict, List[Tuple[FrozenSet, BandSet]]]:
-    """Each node's fiber fmap.preimage([y]), None for a missing node (where
-    that raises NotRepresentable), and the blocks (nodes, preimage): each
-    band fiber alone, and the missing nodes of each rank rho under the top
-    relation together, with preimage {l^lam = rho} minus the band fibers of
-    rank rho, lam the top level.  Without relations, band fibers only."""
-    theta = space.theta
-    fiber: Dict = {}
-    for y in t.nodes:
-        try:
-            fiber[y] = fmap.preimage([y])
-        except NotRepresentable:
-            fiber[y] = None
-    table = [(frozenset([y]), f) for y, f in fiber.items() if f is not None]
-    missing = [y for y, f in fiber.items() if f is None]
-    if missing and t.rels:
-        top = len(t.rels) - 1
-        lam, rank = space.level_at(Ordinal.from_int(top)), frame_ranks(t, top)
-        for rho in sorted({rank[y] for y in missing}):
-            at_rho = [y for y in t.nodes if rank[y] == rho]
-            cut = bandset(b for y in at_rho for b in (fiber[y] or EMPTY).bands)
-            cut = union(geq_set(lam, Ordinal.from_int(rho + 1), theta), cut)
-            level = _minus(geq_set(lam, Ordinal.from_int(rho), theta), cut, theta)
-            table.append((frozenset(y for y in at_rho if fiber[y] is None), level))
-    return fiber, table
-
-
-def jmap_check(fmap, space, t: JFrame) -> JMapReport:
-    """Check the map conditions (j1)-(j4) for fmap: [1, theta] -> t (a tree).
-
-    fmap must provide preimage(nodes) -> BandSet and is asked for each
-    fiber (block_table) and each rank upset, nothing else; the preimage of
-    a union of blocks is the union of theirs.  lam is the top level.
-
-    Rank preservation (EXACT): f^{-1}(rank >= rho) = {l^lam >= rho} on
-    [1, theta] for rho = 0..h+1, h the top rank (rho = 0: f^{-1}(T) =
-    [1, theta]).  So rank f(x) = l^lam(x): this row licenses the missing
-    blocks' preimages, and a report whose rank row fails is FAIL whatever
-    the other rows say.  An upset without a band preimage fails it.
-
-    (j1) f^{-1}(<>A) = d_lam f^{-1}(A) is checked once per block.  Both
-    sides are finitely additive in A and vanish at the empty set (f^{-1}
-    and <> distribute over unions, and d(P u Q) = dP u dQ), so the block
-    identities hold iff (j1) holds on every union of blocks: on every
-    subset when all blocks are singletons (EXACT).  Otherwise the row is
-    EXACT-WHERE-DEFINED and counts as skipped the blocks B whose <>B
-    splits a block; (j2) is left out, and (j3) rows whose sets split a
-    block and (j4) rows of missing fibers are SKIPPED.
-
-    (j2): f is open from I_{lam_k} to the upsets of R = R_k u ... u R_{n-1}
-    for each level k < n iff, with down_k(y) = {y} u R^{-1}(y),
-
-        f^{-1}(down_k y) <= F_y u d_{lam_k}(F_y)  for every node y.
-
-    R is transitive by (I) and (J), so down_k(y) is the least R-downset
-    holding y; the right side is the closure of F_y.  (=>) Let p be in
-    f^{-1}(down_k y) and U open around p: f(U) is an upset holding f(p),
-    which is y or R-sees y, so y is in f(U) and U meets F_y.  (<=) Let U be
-    open, p in U and f(p) R y: p is in f^{-1}(down_k y), so in the closure
-    of F_y, and U meets F_y, so y is in f(U).
-    """
-    t = as_jtree(t)
-    nn = len(t.rels)
-    if len(space.levels) < nn:
-        raise InvalidFrame("space has fewer levels than the frame has relations")
-    theta = space.theta
-    rep = JMapReport()
-    nodes = tuple(t.nodes)
-    fiber, table = block_table(fmap, space, t)
-    missing = sorted((y for y in nodes if fiber[y] is None), key=repr)
-    if missing:
-        rep.add("fiber representability", "SKIPPED", True,
-                f"no band fibers for {missing}")
-
-    def split(s):  # the first block that s cuts, None for a union of blocks
-        return next((b for b, _ in table if b & s and not b <= s), None)
-
-    def pre(s):
-        return bandset(band for b, pb in table if b <= s for band in pb.bands)
-
-    if nn == 0:
-        if not missing:
-            lam = 1 if not space.levels else space.level_at(ZERO)
-            ok = is_empty(derived_set(pre(frozenset(nodes)), lam, theta))
-            rep.add("(j1) d-map law", "EXACT", ok,
-                    "" if ok else "domain not discrete")
-        return rep
-
-    top = nn - 1
-    lam = space.level_at(Ordinal.from_int(top))
-    rank = frame_ranks(t, top)
-
-    # (j1): f^{-1}(<>B) = d f^{-1}(B) at the top level, once per block B
-    bad, skipped = None, 0
-    for b, pb in table:
-        dia = frame_dia(t, b, top)
-        if split(dia) is not None:
-            skipped += 1
-        elif not sets_equal(pre(dia), derived_set(pb, lam, theta), theta):
-            bad = b
-            break
-    multi = [sorted(b, key=repr) for b, _ in table if len(b) > 1]
-    if multi:
-        name, mode = "(j1) d-map law on representable subsets", "EXACT-WHERE-DEFINED"
-        detail = f"multi-node blocks {', '.join(map(str, multi))}; {skipped} skipped"
-    else:
-        name, mode, detail = "(j1) d-map law", "EXACT", f"{len(nodes)} fibers"
-    if bad is not None:
-        detail = f"A={sorted(map(repr, bad))}"
-    rep.add(name, mode, bad is None, detail)
-
-    # rank preservation: f^{-1}(rank >= rho) = {l^lam >= rho}
-    bad = None
-    for rho in range(max(rank.values()) + 2):
-        try:
-            got = fmap.preimage([y for y in nodes if rank[y] >= rho])
-        except NotRepresentable:
-            bad = f"f^-1(rank >= {rho}) is not a band set"
-            break
-        want = geq_set(lam, Ordinal.from_int(rho), theta)
-        if not sets_equal(got, want, theta):
-            x = min_witness(union(_minus(got, want, theta), _minus(want, got, theta)))
-            bad = f"f^-1(rank >= {rho}) differs from l^{lam} >= {rho} at x={x}"
-            break
-    rep.add("(j1) rank preservation", "EXACT", bad is None, bad or "")
-
-    # (j2): f^{-1}(down_k y) lies in the level-k closure of F_y
-    if not missing:
-        def open_at(k, y):
-            lam_k = space.level_at(Ordinal.from_int(k))
-            down = frozenset({y}.union(x for r in t.rels[k:] for x, z in r if z == y))
-            fib = fiber[y]
-            return subset_of(pre(down), union(fib, derived_set(fib, lam_k, theta)),
-                             theta)
-
-        bad = next((f"level {k}, node {y!r}" for k in range(nn)
-                    for y in sorted(nodes, key=repr) if not open_at(k, y)), None)
-        rep.add("(j2) openness", "EXACT", bad is None, bad or "")
-
-    # (j3)/(j4): hereditary-root conditions at each lower level
-    for k in range(nn - 1):
-        lam_k = space.level_at(Ordinal.from_int(k))
-        for x in sorted(t.hereditary_roots(k), key=repr):
-            below = frozenset(y for r in t.rels[k:] for a, y in r if a == x)
-            name = f"(j3) root {x!r} at level {k}"
-            for s in (below, below | {x}):
-                cut = split(s)
-                ok3 = cut is None and is_open(pre(s), lam_k, theta)
-                if not ok3:
-                    break
-            if cut is not None:
-                rep.add(name, "SKIPPED", True,
-                        f"{sorted(s, key=repr)} splits the block {sorted(cut, key=repr)}")
-            else:
-                rep.add(name, "EXACT", ok3)
-            fib = fiber[x]
-            if fib is None:
-                rep.add(f"(j4) fiber of {x!r} at level {k}", "SKIPPED", True,
-                        "fiber not representable")
-                continue
-            ok4 = is_empty(intersect(derived_set(fib, lam_k, theta), fib))
-            rep.add(f"(j4) fiber of {x!r} discrete at level {k}", "EXACT", ok4)
-    return rep

@@ -173,6 +173,8 @@ def fan_file(tmp_path):
     ("kripke", [1], "a valuation must be a JSON object"),
     ("kripke", {"0": 5}, "valuation field '0' must be a list of node ids"),
     ("kripke", {"0": [["a"]]}, "valuation field '0' must be a list of node ids"),
+    ("eval", {"0": "[1,1]", "00": "[2,2]"}, "valuation key '00' names atom 0 twice"),
+    ("kripke", {"0": ["a"], "00": ["r"]}, "valuation key '00' names atom 0 twice"),
 ])
 def test_malformed_valuation_files(capsys, tmp_path, cmd, blob, why):
     vf = tmp_path / "val.json"

@@ -26,12 +26,14 @@ from ordtopo.embed import (
     UnsupportedSigma,
     _ord_divmod,
     _split_at,
+    block_table,
     countermodel_from_json,
     countermodel_to_json,
     countermodel_valuation,
     density_witness,
     embed,
     gl_embed,
+    jmap_check,
     product,
     transfer_truth,
     verify_countermodel,
@@ -39,11 +41,9 @@ from ordtopo.embed import (
 from ordtopo.jtree import (
     InvalidFrame,
     JFrame,
-    block_table,
     find_jtree_model,
     frame_ranks,
     as_jtree,
-    jmap_check,
     make_jframe,
 )
 from ordtopo.logic import (

@@ -30,6 +30,7 @@ from ordtopo.logic import (
     relation_succ,
     tree_formula,
 )
+from ordtopo.embed import jmap_check
 from ordtopo import jtree as jtree_module
 from ordtopo.jtree import (
     FrameError,
@@ -44,7 +45,6 @@ from ordtopo.jtree import (
     generated_subframe,
     jframe_from_json,
     jframe_to_json,
-    jmap_check,
     make_jframe,
     validate_jframe,
     _jtree_shapes,

@@ -96,9 +96,19 @@ def _flag(name: str, read, text: str):
 
 
 def _load_json(path: str):
+    """The JSON value in a file; an object that repeats a key is an error,
+    where json.load would keep the last value."""
+    def unique_keys(pairs) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ValueError(f"{path}: JSON object has key {key!r} twice")
+            obj[key] = value
+        return obj
+
     with open(path) as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_keys)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply to read")
 
@@ -187,11 +197,11 @@ def cmd_kripke(args) -> int:
 
 def cmd_embed(args) -> int:
     t = jframe_from_json(_load_json(args.tree))
-    try:
-        sigma = tuple(int(ch) for ch in args.sigma.split(",")) if args.sigma else ()
-    except ValueError:
+    entries = args.sigma.split(",") if args.sigma else []
+    if not all(s.isascii() and s.isdigit() for s in entries):
         raise ValueError("--sigma must be comma-separated integers, "
                          f"not {args.sigma!r}")
+    sigma = tuple(map(int, entries))
     cm = embed(t, sigma)
     _write_out(args, countermodel_to_json(cm))
     return 0

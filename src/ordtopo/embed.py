@@ -8,9 +8,13 @@ top, children repeating along the tiles of their thetas).  product
 assembles the two-projection cell structure, its cells the tiles of
 their lengths, whose upper part carries a prescribed order type.  embed
 checks a frame once (jtree.as_jtree), recurses over the JTree's split
-and a modality sequence sigma, and produces a map expression
-f: [1, Theta] -> T with f(Theta) = root, a witness table certifying
-surjectivity, and the fiber algebra (band preimages where they exist).
+and a modality sequence sigma, and produces a node map
+f: [1, Theta] -> T with f(Theta) = root.  The map carries its Theta
+and its witness table (a point of each fiber, certifying surjectivity);
+embed reads both off it and adds the fiber algebra (band preimages
+where they exist).  The ordinal-valued steps inside a map, l^delta and
+the product's projections pi0 and pi1, are functions and methods whose
+preimages are memoised by value.
 
 Fibers of branching trees are genuinely periodic (every other block,
 say) and fall outside the band algebra; preimage calls on such sets
@@ -38,7 +42,6 @@ from .ordinal import (
     OrdinalError,
     add,
     big_l,
-    e,
     e_iter,
     ell_iter,
     left_subtract,
@@ -191,16 +194,23 @@ def _shift(s: BandSet, g: Ordinal) -> BandSet:
     )
 
 
-# --- map expressions: ordinal-valued (preimage_set) ---------------------------------
+# --- memoised preimages of l^delta, pi0 and pi1 ------------------------------------
 
-# The preimages of the ordinal-valued maps are pure functions of the
-# values their bodies read, so each is memoised by value: verify reads the
-# fibers that embed, or the JSON reader, computed for an equal map.  An
-# exception such as NotRepresentable is never memoised.
+# Each preimage is a pure function of the values its body reads, so it is
+# memoised by value: verify reads the fibers that embed, or the JSON
+# reader, computed for an equal map.  An exception such as
+# NotRepresentable is never memoised.
+
+
+def _liter(delta: int, x: Ordinal) -> Ordinal:
+    """l^delta(x), floored to 1 when the orbit hits 0."""
+    v = ell_iter(_nat(delta), x)
+    return ONE if v.is_zero() else v
 
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _ell_iter_preimage(delta: int, theta: Ordinal, s: BandSet) -> BandSet:
+    """The points of [1, theta] that _liter(delta, .) sends into s."""
     if delta == 0:
         return intersect(s, interval(ONE, theta))
     out = EMPTY
@@ -218,25 +228,6 @@ def _ell_iter_preimage(delta: int, theta: Ordinal, s: BandSet) -> BandSet:
             )
         out = union(out, part)
     return out
-
-
-class EllIter:
-    """x -> l^delta(x) on [1, theta], floored to 1 when the orbit hits 0."""
-
-    def __init__(self, delta: int, theta: Ordinal):
-        self.delta = delta
-        self.theta = theta
-
-    def apply(self, x: Ordinal) -> Ordinal:
-        v = ell_iter(_nat(self.delta), x)
-        return ONE if v.is_zero() else v
-
-    def preimage_set(self, s: BandSet) -> BandSet:
-        return _ell_iter_preimage(self.delta, self.theta, s)
-
-    def to_json(self):
-        return {"map": "liter", "delta": self.delta,
-                "theta": ordinal_to_text(self.theta)}
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -261,21 +252,16 @@ def _otyp_up_preimage(xi: Ordinal, theta: Ordinal, s: BandSet) -> BandSet:
     return out
 
 
-class OtypUpMap:
-    """w^xi * gamma -> gamma: the order type of the upper part below a point."""
-
-    def __init__(self, xi: Ordinal, theta: Ordinal):
-        self.xi = xi
-        self.theta = theta
-
-    def apply(self, x: Ordinal) -> Ordinal:
-        gamma, u = _split_at(x, self.xi)
-        if not u.is_zero() or gamma.is_zero():
-            raise ValueError(f"{x} is not in the upper part")
-        return gamma
-
-    def preimage_set(self, s: BandSet) -> BandSet:
-        return _otyp_up_preimage(self.xi, self.theta, s)
+@lru_cache(maxsize=MEMO_SIZE)
+def _pi0_preimage(kappa: Ordinal, theta: Ordinal, x_down: BandSet,
+                  s: BandSet) -> BandSet:
+    widened = bandset(make_band(ONE, kappa, b.cons_dict()) for b in s.bands)
+    if not sets_equal(s, widened, kappa):
+        raise NotRepresentable(
+            f"{bandset_to_text(s)} is position-dependent on [1,"
+            f"{ordinal_to_text(kappa)}]")
+    lifted = bandset(make_band(ONE, theta, b.cons_dict()) for b in s.bands)
+    return intersect(x_down, lifted)
 
 
 # --- the cell layout and projections -------------------------------------------------
@@ -314,47 +300,6 @@ class _Cells:
         return iota, self.alpha(iota), self.beta(iota)
 
 
-@lru_cache(maxsize=MEMO_SIZE)
-def _pi0_preimage(kappa: Ordinal, theta: Ordinal, x_down: BandSet,
-                  s: BandSet) -> BandSet:
-    widened = bandset(make_band(ONE, kappa, b.cons_dict()) for b in s.bands)
-    if not sets_equal(s, widened, kappa):
-        raise NotRepresentable(
-            f"{bandset_to_text(s)} is position-dependent on [1,"
-            f"{ordinal_to_text(kappa)}]")
-    lifted = bandset(make_band(ONE, theta, b.cons_dict()) for b in s.bands)
-    return intersect(x_down, lifted)
-
-
-class Pi0Map:
-    """Collapse every cell of the lower part onto [1, kappa_1+...+kappa_m]."""
-
-    def __init__(self, cells: _Cells, xi: Ordinal, theta: Ordinal,
-                 x_down: BandSet):
-        self.cells = cells
-        self.xi = xi
-        self.theta = theta
-        self.x_down = x_down
-
-    def apply(self, x: Ordinal) -> Ordinal:
-        _, u = _split_at(x, self.xi)
-        if u.is_zero():
-            raise ValueError(f"{x} is not in the lower part")
-        iota, a, _ = self.cells.locate(u)
-        t = left_subtract(a, u)
-        if t <= self.cells.span0:
-            return add(ONE, t)
-        s = left_subtract(add(self.cells.span0, ONE), t)
-        r = self.cells.res(iota)
-        return add(add(self.cells.marks[r - 1], ONE), s)
-
-    def preimage_set(self, s: BandSet) -> BandSet:
-        """Exact when s does not depend on the position inside [1, kappa]:
-        the projection preserves every l^k pointwise, so position-free sets
-        pull back to their own l-constraints over the lower part."""
-        return _pi0_preimage(self.cells.marks[-1], self.theta, self.x_down, s)
-
-
 @dataclass
 class ProductStructure:
     xi: Ordinal
@@ -365,8 +310,6 @@ class ProductStructure:
     markers: Tuple[Ordinal, ...]
     x_up: BandSet
     x_down: BandSet
-    pi0: Pi0Map
-    pi1: OtypUpMap
 
     @cached_property
     def s_set(self) -> BandSet:
@@ -375,7 +318,7 @@ class ProductStructure:
         d1 = derived_set(interval(ONE, self.lam), 1, self.lam)
         isolated = intersect(self.x_up, complement_within(
             derived_set(self.x_up, 1, self.theta), ONE, self.theta))
-        return intersect(isolated, self.pi1.preimage_set(d1))
+        return intersect(isolated, self.pi1_preimage(d1))
 
     def res(self, iota: int) -> int:
         return self.cells.res(iota)
@@ -383,6 +326,34 @@ class ProductStructure:
     def cell(self, iota: int, gamma: Ordinal = ZERO) -> Tuple[Ordinal, Ordinal]:
         base = multiply(self.w, gamma)
         return add(base, self.cells.alpha(iota)), add(base, self.cells.beta(iota))
+
+    def pi0(self, x: Ordinal) -> Ordinal:
+        """Collapse every cell of the lower part onto [1, kappa_1+...+kappa_m]."""
+        _, u = _split_at(x, self.xi)
+        if u.is_zero():
+            raise ValueError(f"{x} is not in the lower part")
+        iota, a, _ = self.cells.locate(u)
+        t = left_subtract(a, u)
+        if t <= self.cells.span0:
+            return add(ONE, t)
+        s = left_subtract(add(self.cells.span0, ONE), t)
+        return add(add(self.cells.marks[self.res(iota) - 1], ONE), s)
+
+    def pi0_preimage(self, s: BandSet) -> BandSet:
+        """Exact when s does not depend on the position inside [1, kappa]:
+        the projection preserves every l^k pointwise, so position-free sets
+        pull back to their own l-constraints over the lower part."""
+        return _pi0_preimage(self.cells.marks[-1], self.theta, self.x_down, s)
+
+    def pi1(self, x: Ordinal) -> Ordinal:
+        """w^xi * gamma -> gamma: the order type of the upper part below x."""
+        gamma, u = _split_at(x, self.xi)
+        if not u.is_zero() or gamma.is_zero():
+            raise ValueError(f"{x} is not in the upper part")
+        return gamma
+
+    def pi1_preimage(self, s: BandSet) -> BandSet:
+        return _otyp_up_preimage(self.xi, self.theta, s)
 
 
 def product(kappas, lam: Ordinal) -> ProductStructure:
@@ -397,20 +368,15 @@ def product(kappas, lam: Ordinal) -> ProductStructure:
     theta = multiply(w, lam)
     x_up = geq_set(1, xi, theta)
     x_down = complement_within(x_up, ONE, theta)
-    pi1 = OtypUpMap(xi, theta)
-    pi0 = Pi0Map(cells, xi, theta, x_down)
     return ProductStructure(xi=xi, theta=theta, lam=lam, w=w, cells=cells,
-                            markers=cells.marks[1:], x_up=x_up, x_down=x_down,
-                            pi0=pi0, pi1=pi1)
+                            markers=cells.marks[1:], x_up=x_up, x_down=x_down)
 
 
 def density_witness(prod: ProductStructure, i: int, u: Ordinal,
                     v: Ordinal) -> Ordinal:
     """A point x in (v, u) with pi0(x) = the i-th marker, witnessing that
     marker preimages accumulate at every point u of the upper part."""
-    gamma, rem = _split_at(u, prod.xi)
-    if not rem.is_zero() or gamma.is_zero():
-        raise ValueError(f"{u} is not in the upper part")
+    gamma = prod.pi1(u)
     if not v < u:
         raise ValueError("empty neighborhood")
     vg, voff = _split_at(v, prod.xi)
@@ -433,7 +399,12 @@ def density_witness(prod: ProductStructure, i: int, u: Ordinal,
     raise EmbedError("no cell top found past the offset")
 
 
-# --- map expressions: node-valued (preimage) -----------------------------------------
+# --- node maps ------------------------------------------------------------------------
+
+# A node map f: [1, theta] -> T carries theta, apply(x), preimage(nodes)
+# (a band set, or NotRepresentable), to_json() and, except a segments map,
+# which only stands as a product's fstar, witnesses(): one point of each
+# node's fiber, certifying surjectivity.
 
 
 class ConstMap:
@@ -448,29 +419,37 @@ class ConstMap:
     def preimage(self, nodes) -> BandSet:
         return interval(ONE, self.theta) if self.node in set(nodes) else EMPTY
 
+    def witnesses(self) -> Dict:
+        return {self.node: self.theta}
+
     def to_json(self):
         return {"map": "const", "node": self.node,
                 "theta": ordinal_to_text(self.theta)}
 
 
 class ComposeMap:
-    """node_map after ord_map."""
+    """node_map after l^delta (floored to 1) on [1, theta], where theta =
+    e^delta of node_map's theta."""
 
-    def __init__(self, node_map, ord_map):
+    def __init__(self, node_map, delta: int, theta: Ordinal):
         self.node_map = node_map
-        self.ord_map = ord_map
-        self.theta = ord_map.theta
+        self.delta = delta
+        self.theta = theta
 
     def apply(self, x: Ordinal):
         _in_domain(x, self.theta)
-        return self.node_map.apply(self.ord_map.apply(x))
+        return self.node_map.apply(_liter(self.delta, x))
 
     def preimage(self, nodes) -> BandSet:
-        return self.ord_map.preimage_set(self.node_map.preimage(nodes))
+        return _ell_iter_preimage(self.delta, self.theta, self.node_map.preimage(nodes))
+
+    def witnesses(self) -> Dict:
+        return {v: e_iter(self.delta, w) for v, w in self.node_map.witnesses().items()}
 
     def to_json(self):
         return {"map": "compose", "outer": self.node_map.to_json(),
-                "inner": self.ord_map.to_json()}
+                "inner": {"map": "liter", "delta": self.delta,
+                          "theta": ordinal_to_text(self.theta)}}
 
 
 class GLEmbedMap:
@@ -582,16 +561,27 @@ class CaseIIMap:
         _in_domain(x, self.theta)
         _, u = _split_at(x, self.prod.xi)
         if u.is_zero():
-            return self.f0.apply(self.prod.pi1.apply(x))
-        return self.fstar.apply(self.prod.pi0.apply(x))
+            return self.f0.apply(self.prod.pi1(x))
+        return self.fstar.apply(self.prod.pi0(x))
 
     def preimage(self, nodes) -> BandSet:
         nodes = set(nodes)
-        out = self.prod.pi1.preimage_set(
-            self.f0.preimage(nodes & self.alpha_nodes))
+        out = self.prod.pi1_preimage(self.f0.preimage(nodes & self.alpha_nodes))
         down = nodes - self.alpha_nodes
         if down:
-            out = union(out, self.prod.pi0.preimage_set(self.fstar.preimage(down)))
+            out = union(out, self.prod.pi0_preimage(self.fstar.preimage(down)))
+        return out
+
+    def witnesses(self) -> Dict:
+        """f0's witnesses in the first block of the upper part; part i's
+        in the second copy of cell i mod m, which pi0 sends onto part i's
+        segment."""
+        cells = self.prod.cells
+        out = {v: multiply(self.prod.w, w) for v, w in self.f0.witnesses().items()}
+        for i, (fm, _) in enumerate(self.fstar.parts, start=1):
+            base = add(add(cells.alpha(i % cells.m), cells.span0), ONE)
+            for v, w in fm.witnesses().items():
+                out[v] = add(base, _span(w))
         return out
 
     def to_json(self):
@@ -624,50 +614,35 @@ def _rank_map(t: JTree) -> GLEmbedMap:
 # --- the recursive embedding ------------------------------------------------------------
 
 
+def _lift(fm, delta: int) -> ComposeMap:
+    return ComposeMap(fm, delta, e_iter(delta, fm.theta))
+
+
 def _embed(t: JTree, sigma: Tuple[int, ...]):
-    """(theta, fmap, witnesses) for a tree t and a sigma that embed() checked."""
+    """The map f: [1, theta] -> t for a tree t and a sigma that embed() checked."""
     if len(t.nodes) == 1:
-        return ONE, ConstMap(t.root, ONE), {t.root: ONE}
+        return ConstMap(t.root, ONE)
     if sigma[0] > 1:
         delta = sigma[0] - 1
-        th, fm, wit = _embed(t, tuple(s - delta for s in sigma))
-        theta = e_iter(delta, th)
-        return (theta, ComposeMap(fm, EllIter(delta, theta)),
-                {v: e_iter(delta, w) for v, w in wit.items()})
+        return _lift(_embed(t, tuple(s - delta for s in sigma)), delta)
     if len(t.rels) == 1:
-        fm = _rank_map(t)
-        return fm.theta, fm, fm.witnesses()
+        return _rank_map(t)
 
     # the root plane (on R_1 and up), lifted by a logarithm unless one node
     plane, subtrees = t.split
-    lam, f0, wit0 = _embed(plane, tuple(s - 1 for s in sigma[1:]))
+    f0 = _embed(plane, tuple(s - 1 for s in sigma[1:]))
     if len(plane.nodes) > 1:
-        lam = e(lam)
-        f0, wit0 = ComposeMap(f0, EllIter(1, lam)), {v: e(w) for v, w in wit0.items()}
+        f0 = _lift(f0, 1)
     if not subtrees:  # R_0 is empty, and t is its root plane
-        return lam, f0, wit0
+        return f0
 
     # the subtrees below the plane, ordered by their thetas, then by the
     # reprs of their own root planes
-    parts = []
-    for sub in subtrees:
-        th_i, fm_i, wit_i = _embed(sub, sigma)
-        beta = sorted(map(repr, sub.split[0].nodes))
-        parts.append((th_i, beta, fm_i, frozenset(sub.nodes), wit_i))
-    parts.sort(key=lambda p: (p[0], p[1]))
-    prod = product([p[0] for p in parts], lam)
-
-    fstar = SegmentSum([(fm_i, own) for _, _, fm_i, own, _ in parts])
-    fmap = CaseIIMap(prod, fstar, f0, plane.nodes)
-
-    wit = {v: multiply(prod.w, w) for v, w in wit0.items()}
-    m = len(parts)
-    for i, (_, _, _, _, wit_i) in enumerate(parts, start=1):
-        iota = i if i < m else 0
-        base = add(add(prod.cells.alpha(iota), prod.cells.span0), ONE)
-        for v, wv in wit_i.items():
-            wit[v] = add(base, _span(wv))
-    return prod.theta, fmap, wit
+    parts = sorted(((_embed(sub, sigma), sub) for sub in subtrees),
+                   key=lambda p: (p[0].theta, sorted(map(repr, p[1].split[0].nodes))))
+    prod = product([fm.theta for fm, _ in parts], f0.theta)
+    fstar = SegmentSum([(fm, frozenset(sub.nodes)) for fm, sub in parts])
+    return CaseIIMap(prod, fstar, f0, plane.nodes)
 
 
 @dataclass
@@ -684,21 +659,16 @@ class Countermodel:
 
 
 def _check_sigma(sigma, n_rels: int) -> Tuple[int, ...]:
-    out = []
+    sigma = tuple(sigma)
     for s in sigma:
-        if isinstance(s, Ordinal):
-            if not s.is_finite():
-                raise UnsupportedSigma(f"limit modality level {s}")
-            s = s.to_int()
         if type(s) is not int or s < 1:
             raise UnsupportedSigma(f"level {s!r} must be a positive integer")
-        out.append(s)
-    if len(out) != n_rels:
+    if len(sigma) != n_rels:
         raise UnsupportedSigma(
-            f"sigma has {len(out)} levels for {n_rels} relations")
-    if any(b <= a for a, b in zip(out, out[1:])):
+            f"sigma has {len(sigma)} levels for {n_rels} relations")
+    if any(b <= a for a, b in zip(sigma, sigma[1:])):
         raise UnsupportedSigma("sigma must be strictly increasing")
-    return tuple(out)
+    return sigma
 
 
 def embed(t, sigma) -> Countermodel:
@@ -710,7 +680,8 @@ def embed(t, sigma) -> Countermodel:
     except InvalidFrame as exc:
         raise NotAJTree(str(exc))
 
-    theta, fmap, wit = _embed(t, sigma)
+    fmap = _embed(t, sigma)
+    theta, wit = fmap.theta, fmap.witnesses()
 
     # theta stays below the fixed hyperexponential tower for the input size
     bound_height = len(t.nodes) * (max(sigma, default=0) + 1) + 2
@@ -948,7 +919,7 @@ def transfer_truth(cm: Countermodel, phi, t_val: Dict) -> Optional[Tuple[bool, s
     levels = {cm.space().level_at(m) for m in compile_formula(phi).mods}
     rank, lam = cm.fmap, 1  # a rank map read at level 1, or a liter lift of one
     while isinstance(rank, ComposeMap):
-        rank, lam = rank.node_map, lam + rank.ord_map.delta
+        rank, lam = rank.node_map, lam + rank.delta
     on_tree = isinstance(rank, GLEmbedMap) and levels <= {lam}
     if levels and not on_tree:
         return None
@@ -987,7 +958,7 @@ def verify_countermodel(cm: Countermodel, phi,
       positive offsets.  Every punctured neighbourhood of w^h, the root's
       one point, contains whole periods, so it meets every fiber below
       the root.
-    (ii) l^delta, floored to 1 as EllIter does, is a d-map from
+    (ii) l^delta, floored to 1 as a compose map applies it, is a d-map from
       I_{lam+delta} on [1, e^delta(theta)] to I_lam on [1, theta] (the
       paper's lemma; criterion 6 tests delta = 1): the floored points have
       l^{lam+delta} = 0, so they are isolated, as 1 is.  d-maps compose.
@@ -1062,10 +1033,9 @@ def verify_countermodel(cm: Countermodel, phi,
 # --- serialization -----------------------------------------------------------------
 
 
-# the maps that send ordinals to nodes, and the one that sends ordinals to
-# ordinals, which only ever stands as a compose's inner map
+# the tags of node maps; a compose's inner object, tagged liter, is its
+# (delta, theta)
 NODE_MAPS = ("compose", "const", "product", "rank", "segments")
-ORDINAL_MAPS = ("liter",)
 
 # JSON shapes of map fields: (what the error says, test)
 _NODE = ("a node id (a string or an integer)", is_node_id)
@@ -1131,18 +1101,18 @@ def _map_from_json(obj, path: str = "fmap", tags=NODE_MAPS, depth: int = 0):
     if tag == "const":
         return ConstMap(read("node", _NODE), ordinal("theta"))
     if tag == "liter":
-        return EllIter(read("delta", _NAT), ordinal("theta"))
+        return read("delta", _NAT), ordinal("theta")
     if tag == "compose":
         outer = inner(read("outer"), f"{path}.outer")
-        lift = inner(read("inner"), f"{path}.inner", ORDINAL_MAPS)
+        delta, theta = inner(read("inner"), f"{path}.inner", ("liter",))
         try:
-            lifted = lift.theta == e_iter(lift.delta, outer.theta)
+            lifted = theta == e_iter(delta, outer.theta)
         except OrdinalError:
             lifted = False
         if not lifted:
             raise EmbedError(f"countermodel field {path + '.inner.theta'!r} must "
-                             f"be e^{lift.delta} of the outer map's theta")
-        return ComposeMap(outer, lift)
+                             f"be e^{delta} of the outer map's theta")
+        return ComposeMap(outer, delta, theta)
     if tag == "rank":
         fm = GLEmbedMap(read("root", _NODE),
                         [inner(c, f"{path}.children[{i}]", ("rank",))

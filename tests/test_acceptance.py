@@ -193,7 +193,7 @@ def test_criterion_7_product_suite(capsys):
             for i in range(50):
                 cases += 1
                 beta = p.cells.beta(i)
-                if p.pi0.apply(beta) != p.markers[p.res(i) - 1] or \
+                if p.pi0(beta) != p.markers[p.res(i) - 1] or \
                         p.cells.alpha(i + 1) != add(beta, ONE):
                     failures.append(("cell", ks, lam_t, i))
             gs = [Ordinal.from_int(g) for g in range(1, 21)] + [p.lam]
@@ -202,7 +202,7 @@ def test_criterion_7_product_suite(capsys):
                 lows = {ZERO}
                 if u.is_successor():
                     lows.add(left_subtract(ONE, u))
-                g = p.pi1.apply(u)
+                g = p.pi1(u)
                 if g.is_successor():
                     lows.add(multiply(p.w, left_subtract(ONE, g)))
                 for v in lows:
@@ -212,7 +212,7 @@ def test_criterion_7_product_suite(capsys):
                         cases += 1
                         x = density_witness(p, i, u, v)
                         if not (v < x < u and
-                                p.pi0.apply(x) == p.markers[i - 1]):
+                                p.pi0(x) == p.markers[i - 1]):
                             failures.append(("density", ks, lam_t, i, u, v))
     report(capsys, 7, "product suite", cases, failures)
 

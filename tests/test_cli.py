@@ -184,6 +184,32 @@ def test_malformed_valuation_files(capsys, tmp_path, cmd, blob, why):
     assert run(capsys, *argv, "--val", str(vf)) == (2, "", f"error: {why}\n")
 
 
+# each file parses under plain json.load, whose last value of a repeated
+# key wins, to an input the command accepts
+CHAIN = make_jframe(["r", "a"], [[("r", "a")]])
+CHAIN_TEXT = json.dumps(jframe_to_json(CHAIN))
+CHAIN_CM_TEXT = json.dumps(countermodel_to_json(embed(CHAIN, (1,))))
+
+
+@pytest.mark.parametrize("argv,text,key", [
+    (["kripke", "p0", "--frame", "{chain}", "--val"], '{"0": ["a"], "0": ["r"]}', "0"),
+    (["eval", "p0", "--theta", "w", "--levels", "1", "--val"],
+     '{"0": "[1,1]", "0": "[2,2]"}', "0"),
+    (["kripke", "p0", "--frame"], '{"nodes": ["x"], ' + CHAIN_TEXT[1:], "nodes"),
+    (["embed", "--sigma", "1", "--tree"], CHAIN_TEXT[:-1] + ', "rels": [[]]}', "rels"),
+    (["verify", "<0>T", "--cm"],
+     CHAIN_CM_TEXT.replace('{"map": "rank"', '{"map": "const", "map": "rank"', 1), "map"),
+], ids=["kripke-val", "eval-val", "kripke-frame", "embed-tree", "verify-cm"])
+def test_a_repeated_json_key_is_rejected(tmp_path, argv, text, key):
+    chain = tmp_path / "chain.json"
+    chain.write_text(CHAIN_TEXT)
+    dup = tmp_path / "dup.json"
+    dup.write_text(text)
+    json.loads(text)  # plain JSON reads it
+    argv = [a.format(chain=chain) for a in argv] + [str(dup)]
+    assert run_quiet(argv) == (2, "", f"error: {dup}: JSON object has key {key!r} twice\n")
+
+
 # --- embed / verify ----------------------------------------------------------------
 
 
@@ -751,6 +777,11 @@ def test_levels_past_the_depth_cap(argv, want):
      "--theta 'w+': expected a number, 'w' or '(' at position 2"),
     (["search", "T", "--max-nodes", "0"], "--max-nodes must be at least 1, not 0"),
     (["search", "T", "--max-nodes", "-1"], "--max-nodes must be at least 1, not -1"),
+    # int() would read both, as 10 and 1
+    (["embed", "--sigma", "1_0", "--tree", "{frame}"],
+     "--sigma must be comma-separated integers, not '1_0'"),
+    (["embed", "--sigma", "\uff11", "--tree", "{frame}"],
+     "--sigma must be comma-separated integers, not '\uff11'"),
 ])
 def test_bad_option_values_are_named(tmp_path, argv, why):
     frame = fan_file(tmp_path)

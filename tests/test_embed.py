@@ -16,7 +16,6 @@ from ordtopo.embed import (
     CaseIIMap,
     ComposeMap,
     ConstMap,
-    EllIter,
     EmbedError,
     EmptyTree,
     GLEmbedMap,
@@ -24,6 +23,8 @@ from ordtopo.embed import (
     NotRepresentable,
     Tiling,
     UnsupportedSigma,
+    _ell_iter_preimage,
+    _liter,
     _ord_divmod,
     _split_at,
     block_table,
@@ -273,10 +274,10 @@ def test_product_goldens():
     p = product([ONE], ONE)
     assert (p.xi, p.theta) == (ONE, OMEGA)
     assert sets_equal(p.x_up, interval(OMEGA, OMEGA), OMEGA)
-    assert p.pi1.apply(OMEGA) == ONE
+    assert p.pi1(OMEGA) == ONE
     p = product([o("2")], OMEGA)
     assert p.theta == o("w^2")
-    assert p.pi1.apply(o("w*3")) == o("3")
+    assert p.pi1(o("w*3")) == o("3")
     p = product([ONE, o("2")], ONE)
     assert p.theta == OMEGA
     assert [str(k) for k in p.markers] == ["1", "3"]
@@ -309,8 +310,8 @@ def test_product_partition_and_cells():
                 assert p.cells.alpha(i + 1) == add(b, ONE)
                 assert p.cells.locate(a) == (i, a, b)
                 assert p.cells.locate(b) == (i, a, b)
-                assert p.pi0.apply(a) == ONE
-                assert p.pi0.apply(b) == p.markers[p.res(i) - 1]
+                assert p.pi0(a) == ONE
+                assert p.pi0(b) == p.markers[p.res(i) - 1]
 
 
 def test_product_period_translates():
@@ -323,7 +324,7 @@ def test_product_period_translates():
     a0, b0 = p.cells.alpha(1), p.cells.beta(1)
     a1, b1 = p.cell(1, ONE)
     assert (a1, b1) == (add(p.w, a0), add(p.w, b0))
-    assert p.pi0.apply(b1) == p.pi0.apply(b0)
+    assert p.pi0(b1) == p.pi0(b0)
 
 
 def test_pi0_preserves_logarithms_pointwise():
@@ -332,7 +333,7 @@ def test_pi0_preserves_logarithms_pointwise():
         for x in endpoint_pool(p.theta):
             if not member(x, p.x_down):
                 continue
-            y = p.pi0.apply(x)
+            y = p.pi0(x)
             assert ONE <= y <= p.markers[-1]
             for k in ("1", "2", "3"):
                 assert ell_iter(o(k), x) == ell_iter(o(k), y), (ks, x)
@@ -346,33 +347,33 @@ def test_pi0_preimage_matches_pointwise_membership():
     for _ in range(40):
         s = helpers.random_bandset_u(rng, [u for u in uni if u <= p.markers[-1]])
         try:
-            pre = p.pi0.preimage_set(s)
+            pre = p.pi0_preimage(s)
         except NotRepresentable:
             continue
         for x in pts:
-            want = member(x, p.x_down) and member(p.pi0.apply(x), s)
+            want = member(x, p.x_down) and member(p.pi0(x), s)
             assert member(x, pre) == want, (s, x)
 
 
 def test_pi0_position_dependent_set_rejected():
     p = product([ONE, o("2")], ONE)
     helpers.clear_memos()
-    p.pi0.preimage_set(interval(ONE, o("3")))  # position-free: memoised
+    p.pi0_preimage(interval(ONE, o("3")))  # position-free: memoised
     for _ in range(2):  # an exception is not memoised
         with pytest.raises(NotRepresentable):
-            p.pi0.preimage_set(interval(o("2"), o("2")))  # {2} inside [1,3]
+            p.pi0_preimage(interval(o("2"), o("2")))  # {2} inside [1,3]
     assert embed_module._pi0_preimage.cache_info().currsize == 1
 
 
 def test_pi1_preimage_exact():
     p = product([o("2")], OMEGA)
     # whole codomain pulls back to the whole upper part
-    assert sets_equal(p.pi1.preimage_set(interval(ONE, p.lam)), p.x_up, p.theta)
+    assert sets_equal(p.pi1_preimage(interval(ONE, p.lam)), p.x_up, p.theta)
     # limit stages of [1, lam] pull back to the non-isolated upper points
     d1 = derived_set(interval(ONE, p.lam), 1, p.lam)
-    pre = p.pi1.preimage_set(d1)
+    pre = p.pi1_preimage(d1)
     for x in endpoint_pool(p.theta):
-        want = member(x, p.x_up) and member(p.pi1.apply(x), d1)
+        want = member(x, p.x_up) and member(p.pi1(x), d1)
         assert member(x, pre) == want, x
 
 
@@ -385,13 +386,13 @@ def test_density_witnesses():
                    if ONE <= g <= p.lam}
             for u in ups:
                 lows = [ZERO, left_subtract(ONE, u) if u.is_successor() else
-                        multiply(p.w, trim_last(p.pi1.apply(u)))
-                        if p.pi1.apply(u).is_successor() else ZERO]
+                        multiply(p.w, trim_last(p.pi1(u)))
+                        if p.pi1(u).is_successor() else ZERO]
                 for v in {q for q in lows if q < u}:
                     for i in range(1, len(ks) + 1):
                         x = density_witness(p, i, u, v)
                         assert v < x < u
-                        assert p.pi0.apply(x) == p.markers[i - 1]
+                        assert p.pi0(x) == p.markers[i - 1]
 
 
 def test_density_witness_outside_the_neighborhood_raises():
@@ -403,35 +404,33 @@ def test_density_witness_outside_the_neighborhood_raises():
         density_witness(bad, 1, p.theta, ZERO)
 
 
-# --- ordinal-valued map expressions -----------------------------------------------------
+# --- l^delta and its memoised preimage ----------------------------------------------
 
 
 def test_ell_iter_map_matches_oracle():
     rng = random.Random(5)
     theta = o("w^(w^w)")
-    em = EllIter(1, theta)
     uni = helpers.finite_universe()
-    pts = endpoint_pool(theta)
     for _ in range(60):
         s = helpers.random_bandset_u(rng, uni)
-        pre = em.preimage_set(s)
+        pre = _ell_iter_preimage(1, theta, s)
         want = helpers.ell_preimage(s, theta)
         assert sets_equal(pre, want, theta), bandset_to_text(s)
-    for x in pts:
-        assert member(em.apply(x), interval(ONE, theta)) or True
-        # the floor: orbit values of 0 land on 1
-        assert em.apply(ONE) == ONE
+    for x in endpoint_pool(theta):
+        assert ONE <= _liter(1, x) <= theta, x
+    # the floor: orbit values of 0 land on 1
+    assert _liter(1, ONE) == ONE
 
 
 def test_ell_iter_two_steps_pointwise():
-    em = EllIter(2, o("w^(w^w)"))
-    pts = endpoint_pool(o("w^(w^w)"))
+    theta = o("w^(w^w)")
+    pts = endpoint_pool(theta)
     for s_text in ["[1,5]", "[1,w] & l^1 in (0,2]", "[w,w*7]"]:
         from ordtopo.topology import parse_bandset
         s = parse_bandset(s_text)
-        pre = em.preimage_set(s)
+        pre = _ell_iter_preimage(2, theta, s)
         for x in pts:
-            assert member(x, pre) == member(em.apply(x), s), (s_text, x)
+            assert member(x, pre) == member(_liter(2, x), s), (s_text, x)
 
 
 # --- the recursive embedding ------------------------------------------------------------
@@ -1075,6 +1074,22 @@ def test_serialization_round_trip():
                                   cm.theta)
 
 
+def test_a_map_read_back_from_json_carries_the_files_facts():
+    # the theta and witness table that cm.json states are the read-back
+    # map's own: its theta and witnesses()
+    kinds = set()
+    for n_rels, sigmas, n_max in ((1, [(1,), (2,)], 5), (2, [(1, 2), (1, 3), (2, 3)], 4)):
+        for n in range(1, n_max + 1):
+            for rels in helpers.jtree_rels(tuple(range(n)), n_rels):
+                for sigma in sigmas:
+                    cm = embed(JFrame(tuple(range(n)), rels), sigma)
+                    fmap = countermodel_from_json(countermodel_to_json(cm)).fmap
+                    assert fmap.theta == cm.theta, (rels, sigma)
+                    assert fmap.witnesses() == cm.witnesses, (rels, sigma)
+                    kinds.add(type(fmap))
+    assert kinds == {ConstMap, ComposeMap, GLEmbedMap, CaseIIMap}
+
+
 def test_serialization_rejects_garbage():
     from ordtopo.embed import EmbedError
     with pytest.raises(EmbedError):
@@ -1085,12 +1100,7 @@ def test_serialization_rejects_garbage():
 
 
 def test_embed_raises_on_a_broken_witness_table(monkeypatch):
-    real = embed_module._embed
-
-    def broken(t, sigma):
-        theta, fmap, wit = real(t, sigma)
-        return theta, fmap, {v: ZERO for v in wit}
-
-    monkeypatch.setattr(embed_module, "_embed", broken)
+    monkeypatch.setattr(GLEmbedMap, "witnesses",
+                        lambda self: dict.fromkeys(self.node_rank, ZERO))
     with pytest.raises(EmbedError, match="witness 0"):
         embed(frame("ra", [("r", "a")]), (1,))

@@ -5,8 +5,9 @@ period; a Tiling is one such layout, and the only code that sums
 segment lengths or divides by a period.  gl_embed builds the classical
 rank map from [1, w^h] onto a finite single-relation tree (root at the
 top, children repeating along the tiles of their thetas).  product
-assembles the two-projection cell structure, its cells the tiles of
-their lengths, whose upper part carries a prescribed order type.  embed
+assembles the two-projection structure: pi1 sends the upper part onto
+[1, lam] by order type, and pi0 each cell (a tile) of the lower part onto
+the tiles of the kappas, where a product map runs the child maps.  embed
 checks a frame once (jtree.as_jtree), recurses over the JTree's split
 and a modality sequence sigma, and produces a node map
 f: [1, Theta] -> T with f(Theta) = root.  The map carries its Theta
@@ -264,50 +265,27 @@ def _pi0_preimage(kappa: Ordinal, theta: Ordinal, x_down: BandSet,
     return intersect(x_down, lifted)
 
 
-# --- the cell layout and projections -------------------------------------------------
-
-
-class _Cells:
-    """Consecutive cells tiling [1, w^xi): cell iota = m*q + j is a copy of
-    [1, kappa_m] followed by a copy of [1, kappa_res(iota)], of length
-    delta_j.  It is [1 + s, 1 + s + delta_j) for the tile (s, s + delta_j]
-    at s = tiles.start(q, j), so the cell holding u is the tile holding
-    (-1 + u) + 1."""
-
-    def __init__(self, kappas: Tuple[Ordinal, ...]):
-        self.kappas = tuple(kappas)
-        self.m = len(self.kappas)
-        self.span0 = _span(self.kappas[-1])
-        self.marks = Tiling(self.kappas).prefix  # K_0 = 0, K_1, ..., K_m
-        self.tiles = Tiling(
-            add(add(add(self.span0, ONE), _span(self.kappas[self.res(j) - 1])), ONE)
-            for j in range(self.m))
-
-    def res(self, iota: int) -> int:
-        r = iota % self.m
-        return self.m if r == 0 else r
-
-    def alpha(self, iota: int) -> Ordinal:
-        return add(ONE, self.tiles.start(*divmod(iota, self.m)))
-
-    def beta(self, iota: int) -> Ordinal:
-        return trim_last(self.alpha(iota + 1))  # delta_j ends in + 1
-
-    def locate(self, u: Ordinal) -> Tuple[int, Ordinal, Ordinal]:
-        """Cell index and bounds for a base-block offset u in [1, w^xi)."""
-        q, j, _ = self.tiles.locate(add(_span(u), ONE))
-        iota = self.m * q + j
-        return iota, self.alpha(iota), self.beta(iota)
+# --- the product: its cell layout and projections -----------------------------------
 
 
 @dataclass
 class ProductStructure:
+    """[1, w^xi * lam] split into the upper part x_up, the multiples of
+    w^xi, and the lower part x_down, which cells tile in each block: cell
+    iota = m*q + j, a copy of [1, kappa_m] then one of [1, kappa_res(iota)]
+    of length delta_j, is [1 + s, 1 + s + delta_j) for the tile
+    (s, s + delta_j] at s = tiles.start(q, j).  So the cell holding u is
+    the tile holding (-1 + u) + 1; pi0 sends it onto segments' tiles."""
     xi: Ordinal
     theta: Ordinal
     lam: Ordinal
     w: Ordinal
-    cells: _Cells
-    markers: Tuple[Ordinal, ...]
+    kappas: Tuple[Ordinal, ...]
+    m: int
+    span0: Ordinal
+    segments: Tiling  # the kappas side by side
+    markers: Tuple[Ordinal, ...]  # K_1, ..., K_m: segments.prefix[1:]
+    tiles: Tiling
     x_up: BandSet
     x_down: BandSet
 
@@ -321,29 +299,41 @@ class ProductStructure:
         return intersect(isolated, self.pi1_preimage(d1))
 
     def res(self, iota: int) -> int:
-        return self.cells.res(iota)
+        return (iota - 1) % self.m + 1
+
+    def alpha(self, iota: int) -> Ordinal:
+        return add(ONE, self.tiles.start(*divmod(iota, self.m)))
+
+    def beta(self, iota: int) -> Ordinal:
+        return trim_last(self.alpha(iota + 1))  # delta_j ends in + 1
+
+    def locate(self, u: Ordinal) -> Tuple[int, Ordinal, Ordinal]:
+        """Cell index and bounds for a base-block offset u in [1, w^xi)."""
+        q, j, _ = self.tiles.locate(add(_span(u), ONE))
+        iota = self.m * q + j
+        return iota, self.alpha(iota), self.beta(iota)
 
     def cell(self, iota: int, gamma: Ordinal = ZERO) -> Tuple[Ordinal, Ordinal]:
         base = multiply(self.w, gamma)
-        return add(base, self.cells.alpha(iota)), add(base, self.cells.beta(iota))
+        return add(base, self.alpha(iota)), add(base, self.beta(iota))
 
     def pi0(self, x: Ordinal) -> Ordinal:
         """Collapse every cell of the lower part onto [1, kappa_1+...+kappa_m]."""
         _, u = _split_at(x, self.xi)
         if u.is_zero():
             raise ValueError(f"{x} is not in the lower part")
-        iota, a, _ = self.cells.locate(u)
+        iota, a, _ = self.locate(u)
         t = left_subtract(a, u)
-        if t <= self.cells.span0:
+        if t <= self.span0:
             return add(ONE, t)
-        s = left_subtract(add(self.cells.span0, ONE), t)
-        return add(add(self.cells.marks[self.res(iota) - 1], ONE), s)
+        s = left_subtract(add(self.span0, ONE), t)
+        return add(add(self.segments.prefix[self.res(iota) - 1], ONE), s)
 
     def pi0_preimage(self, s: BandSet) -> BandSet:
         """Exact when s does not depend on the position inside [1, kappa]:
         the projection preserves every l^k pointwise, so position-free sets
         pull back to their own l-constraints over the lower part."""
-        return _pi0_preimage(self.cells.marks[-1], self.theta, self.x_down, s)
+        return _pi0_preimage(self.segments.period, self.theta, self.x_down, s)
 
     def pi1(self, x: Ordinal) -> Ordinal:
         """w^xi * gamma -> gamma: the order type of the upper part below x."""
@@ -362,14 +352,17 @@ def product(kappas, lam: Ordinal) -> ProductStructure:
         raise EmbedError("product needs kappas and lambda >= 1")
     if any(b < a for a, b in zip(kappas, kappas[1:])):
         raise EmbedError("kappas must be sorted ascending")
-    cells = _Cells(kappas)
     xi = add(big_l(kappas[-1]), ONE)
     w = omega_pow(xi)
     theta = multiply(w, lam)
+    span0 = _span(kappas[-1])
+    tiles = Tiling(add(add(add(span0, ONE), _span(k)), ONE)
+                   for k in kappas[-1:] + kappas[:-1])  # kappa_res(j), j < m
     x_up = geq_set(1, xi, theta)
-    x_down = complement_within(x_up, ONE, theta)
-    return ProductStructure(xi=xi, theta=theta, lam=lam, w=w, cells=cells,
-                            markers=cells.marks[1:], x_up=x_up, x_down=x_down)
+    segments = Tiling(kappas)
+    return ProductStructure(xi, theta, lam, w, kappas, len(kappas), span0, segments,
+                            segments.prefix[1:], tiles, x_up,
+                            complement_within(x_up, ONE, theta))
 
 
 def density_witness(prod: ProductStructure, i: int, u: Ordinal,
@@ -386,11 +379,11 @@ def density_witness(prod: ProductStructure, i: int, u: Ordinal,
         g = add(vg, ONE)  # gamma is a limit: some block strictly past v
     base = multiply(prod.w, g)
     off_lo = voff if g == vg else ZERO
-    q_off = 0 if off_lo.is_zero() else prod.cells.tiles.locate(off_lo)[0]
-    j = i % prod.cells.m
+    q_off = 0 if off_lo.is_zero() else prod.tiles.locate(off_lo)[0]
+    j = i % prod.m
     for q in (q_off, q_off + 1, q_off + 2):
-        iota = prod.cells.m * q + j
-        beta = prod.cells.beta(iota)
+        iota = prod.m * q + j
+        beta = prod.beta(iota)
         if off_lo < beta:
             x = add(base, beta)
             if not v < x < u:
@@ -402,9 +395,8 @@ def density_witness(prod: ProductStructure, i: int, u: Ordinal,
 # --- node maps ------------------------------------------------------------------------
 
 # A node map f: [1, theta] -> T carries theta, apply(x), preimage(nodes)
-# (a band set, or NotRepresentable), to_json() and, except a segments map,
-# which only stands as a product's fstar, witnesses(): one point of each
-# node's fiber, certifying surjectivity.
+# (a band set, or NotRepresentable), to_json() and witnesses(): one point
+# of each node's fiber, certifying surjectivity.
 
 
 class ConstMap:
@@ -515,44 +507,14 @@ class GLEmbedMap:
                 "children": [c.to_json() for c in self.children]}
 
 
-class SegmentSum:
-    """Maps glued side by side: part i covers tile (0, i) of the tiling by
-    the parts' thetas."""
-
-    def __init__(self, parts):
-        self.parts = list(parts)  # (fmap, own node frozenset)
-        self.tiles = Tiling(fm.theta for fm, _ in self.parts)
-        self.theta = self.tiles.period
-
-    def apply(self, y: Ordinal):
-        _in_domain(y, self.theta)
-        _, i, off = self.tiles.locate(y)
-        return self.parts[i][0].apply(off)
-
-    def preimage(self, nodes) -> BandSet:
-        nodes = set(nodes)
-        out = EMPTY
-        for (fm, own), start in zip(self.parts, self.tiles.prefix):
-            hit = nodes & own
-            if hit:
-                out = union(out, _shift(fm.preimage(hit), start))
-        return out
-
-    def to_json(self):
-        return {"map": "segments",
-                "parts": [{"nodes": sorted(own, key=repr), "fmap": fm.to_json()}
-                          for fm, own in self.parts]}
-
-
 class CaseIIMap:
-    """Dispatch between the cell projection (lower part, onto the child
-    subtrees) and the order-type projection (upper part, onto the root's
-    own plane)."""
+    """The upper part goes through pi1 and f0 onto the root's own plane;
+    the lower part through pi0 onto the kappas laid side by side, segment
+    i through part i, a child subtree's map of theta kappa_i."""
 
-    def __init__(self, prod: ProductStructure, fstar: SegmentSum, f0,
-                 alpha_nodes):
+    def __init__(self, prod: ProductStructure, parts, f0, alpha_nodes):
         self.prod = prod
-        self.fstar = fstar
+        self.parts = list(parts)  # (fmap, own node frozenset)
         self.f0 = f0
         self.alpha_nodes = frozenset(alpha_nodes)
         self.theta = prod.theta
@@ -562,34 +524,41 @@ class CaseIIMap:
         _, u = _split_at(x, self.prod.xi)
         if u.is_zero():
             return self.f0.apply(self.prod.pi1(x))
-        return self.fstar.apply(self.prod.pi0(x))
+        _, i, off = self.prod.segments.locate(self.prod.pi0(x))
+        return self.parts[i][0].apply(off)
 
     def preimage(self, nodes) -> BandSet:
         nodes = set(nodes)
         out = self.prod.pi1_preimage(self.f0.preimage(nodes & self.alpha_nodes))
         down = nodes - self.alpha_nodes
         if down:
-            out = union(out, self.prod.pi0_preimage(self.fstar.preimage(down)))
+            segs = EMPTY
+            for (fm, own), start in zip(self.parts, self.prod.segments.prefix):
+                if hit := down & own:
+                    segs = union(segs, _shift(fm.preimage(hit), start))
+            out = union(out, self.prod.pi0_preimage(segs))
         return out
 
     def witnesses(self) -> Dict:
         """f0's witnesses in the first block of the upper part; part i's
         in the second copy of cell i mod m, which pi0 sends onto part i's
         segment."""
-        cells = self.prod.cells
-        out = {v: multiply(self.prod.w, w) for v, w in self.f0.witnesses().items()}
-        for i, (fm, _) in enumerate(self.fstar.parts, start=1):
-            base = add(add(cells.alpha(i % cells.m), cells.span0), ONE)
+        p = self.prod
+        out = {v: multiply(p.w, w) for v, w in self.f0.witnesses().items()}
+        for i, (fm, _) in enumerate(self.parts, start=1):
+            base = add(add(p.alpha(i % p.m), p.span0), ONE)
             for v, w in fm.witnesses().items():
                 out[v] = add(base, _span(w))
         return out
 
     def to_json(self):
         return {"map": "product",
-                "kappas": [ordinal_to_text(k) for k in self.prod.cells.kappas],
+                "kappas": [ordinal_to_text(k) for k in self.prod.kappas],
                 "lam": ordinal_to_text(self.prod.lam),
                 "alpha": sorted(self.alpha_nodes, key=repr),
-                "f0": self.f0.to_json(), "fstar": self.fstar.to_json()}
+                "f0": self.f0.to_json(), "fstar": {"map": "segments", "parts": [
+                    {"nodes": sorted(own, key=repr), "fmap": fm.to_json()}
+                    for fm, own in self.parts]}}
 
 
 # --- the base embedding ---------------------------------------------------------------
@@ -641,8 +610,8 @@ def _embed(t: JTree, sigma: Tuple[int, ...]):
     parts = sorted(((_embed(sub, sigma), sub) for sub in subtrees),
                    key=lambda p: (p[0].theta, sorted(map(repr, p[1].split[0].nodes))))
     prod = product([fm.theta for fm, _ in parts], f0.theta)
-    fstar = SegmentSum([(fm, frozenset(sub.nodes)) for fm, sub in parts])
-    return CaseIIMap(prod, fstar, f0, plane.nodes)
+    return CaseIIMap(prod, [(fm, frozenset(sub.nodes)) for fm, sub in parts],
+                     f0, plane.nodes)
 
 
 @dataclass
@@ -1034,8 +1003,8 @@ def verify_countermodel(cm: Countermodel, phi,
 
 
 # the tags of node maps; a compose's inner object, tagged liter, is its
-# (delta, theta)
-NODE_MAPS = ("compose", "const", "product", "rank", "segments")
+# (delta, theta), and a product's fstar, tagged segments, its parts
+NODE_MAPS = ("compose", "const", "product", "rank")
 
 # JSON shapes of map fields: (what the error says, test)
 _NODE = ("a node id (a string or an integer)", is_node_id)
@@ -1071,11 +1040,12 @@ def _map_from_json(obj, path: str = "fmap", tags=NODE_MAPS, depth: int = 0):
     """The map expression that a JSON map object describes.
 
     Each field is checked against its tag's JSON shape before it is read,
-    and so is the kind of map: a node-valued map where one belongs, and
-    `liter` only as a compose's inner map.  A `rank` map names each node
-    once, and a compose's `liter` theta is e^delta of its outer map's
-    theta, as embed writes them; stage (c)'s transfer relies on both.  A
-    `product`'s fstar is `segments` with one part per kappa, part i of
+    and so is the kind of map: a node map where one belongs, `liter` only
+    as a compose's inner map, read as its (delta, theta), and `segments`
+    only as a product's fstar, read as its (fmap, nodes) parts.  A `rank`
+    map names each node once, and a compose's `liter` theta is e^delta of
+    its outer map's theta, as embed writes them; stage (c)'s transfer
+    relies on both.  A `product`'s fstar has one part per kappa, part i of
     theta kappa i, so that pi0 lands in its domain, and its f0 has theta
     lam, as pi1 maps the upper part onto [1, lam].  A wrong one raises
     EmbedError naming its path, such as 'fmap.children[0].root'.
@@ -1121,25 +1091,25 @@ def _map_from_json(obj, path: str = "fmap", tags=NODE_MAPS, depth: int = 0):
             raise EmbedError(f"countermodel field {path!r} names a node twice")
         return fm
     if tag == "segments":
-        seg = []
+        parts = []
         for i, part in enumerate(read("parts", _PARTS)):
             at = f"{path}.parts[{i}]"
             if not isinstance(part, dict):
                 raise EmbedError(f"countermodel field {at!r} must be a JSON object")
-            seg.append((inner(_field(part, at, "fmap"), f"{at}.fmap"),
-                        frozenset(_field(part, at, "nodes", _NODES))))
-        return SegmentSum(seg)
+            parts.append((inner(_field(part, at, "fmap"), f"{at}.fmap"),
+                          frozenset(_field(part, at, "nodes", _NODES))))
+        return parts
     kappas = [_parse_at(k, f"{path}.kappas[{i}]")
               for i, k in enumerate(read("kappas", _TEXTS))]
     try:
         prod = product(kappas, ordinal("lam"))
     except EmbedError as exc:
         raise EmbedError(f"countermodel field {path!r}: {exc}")
-    fstar = inner(read("fstar"), f"{path}.fstar", ("segments",))
-    if len(fstar.parts) != len(kappas):
+    parts = inner(read("fstar"), f"{path}.fstar", ("segments",))
+    if len(parts) != len(kappas):
         raise EmbedError(f"countermodel field {path + '.fstar'!r} must have "
                          f"{len(kappas)} parts, one per kappa")
-    for i, ((fm, _), k) in enumerate(zip(fstar.parts, kappas)):
+    for i, ((fm, _), k) in enumerate(zip(parts, kappas)):
         if fm.theta != k:
             at = f"{path}.fstar.parts[{i}]"
             raise EmbedError(f"countermodel field {at!r} must have theta "
@@ -1148,7 +1118,7 @@ def _map_from_json(obj, path: str = "fmap", tags=NODE_MAPS, depth: int = 0):
     if f0.theta != prod.lam:
         raise EmbedError(f"countermodel field {path + '.f0'!r} must have theta "
                          f"{ordinal_to_text(prod.lam)} = lam")
-    return CaseIIMap(prod, fstar, f0, frozenset(read("alpha", _NODES)))
+    return CaseIIMap(prod, parts, f0, frozenset(read("alpha", _NODES)))
 
 
 def countermodel_to_json(cm: Countermodel) -> dict:

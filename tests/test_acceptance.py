@@ -192,9 +192,9 @@ def test_criterion_7_product_suite(capsys):
                 failures.append(("dS nonempty", ks, lam_t))
             for i in range(50):
                 cases += 1
-                beta = p.cells.beta(i)
+                beta = p.beta(i)
                 if p.pi0(beta) != p.markers[p.res(i) - 1] or \
-                        p.cells.alpha(i + 1) != add(beta, ONE):
+                        p.alpha(i + 1) != add(beta, ONE):
                     failures.append(("cell", ks, lam_t, i))
             gs = [Ordinal.from_int(g) for g in range(1, 21)] + [p.lam]
             ups = sorted({multiply(p.w, g) for g in gs if ONE <= g <= p.lam})

@@ -379,12 +379,31 @@ def test_verify_budget_too_small(capsys, tmp_path, nodes, rels):
     assert err.startswith("usage:") and "Traceback" not in err
 
 
+def _const(node):
+    return {"map": "const", "node": node, "theta": "1"}
+
+
+def _segments(*parts):
+    return {"map": "segments", "parts": [{"nodes": n, "fmap": f} for n, f in parts]}
+
+
+def _fan(**fields):
+    """The fan r -> a, r -> b's product map at sigma (1,2), fields replaced."""
+    return {"map": "product", "kappas": ["1", "1"], "lam": "1", "alpha": ["r"],
+            "f0": _const("r"),
+            "fstar": _segments((["a"], _const("a")), (["b"], _const("b"))), **fields}
+
+
+_NOT_SEGMENTS = ("must be a map object tagged 'compose' or 'const' or 'product' or "
+                 "'rank', not 'segments'")
+
+
 @pytest.mark.parametrize("field,value,why", [
     ("fmap", {"map": "liter", "delta": 1, "theta": "w"},
      "countermodel field 'fmap' must be a map object tagged 'compose' or "
-     "'const' or 'product' or 'rank' or 'segments', not 'liter'"),
+     "'const' or 'product' or 'rank', not 'liter'"),
     ("fmap", [1], "countermodel field 'fmap' must be a map object tagged "
-     "'compose' or 'const' or 'product' or 'rank' or 'segments'"),
+     "'compose' or 'const' or 'product' or 'rank'"),
     ("fmap", {"map": "rank"}, "countermodel has no 'fmap.root' field"),
     ("fmap", {"map": "rank", "root": "r", "children": 5},
      "countermodel field 'fmap.children' must be a list"),
@@ -401,9 +420,8 @@ def test_verify_budget_too_small(capsys, tmp_path, nodes, rels):
     ("fmap", {"map": "compose", "outer": {"map": "const", "node": "r", "theta": "w"},
               "inner": {"map": "liter", "delta": True, "theta": "w"}},
      "countermodel field 'fmap.inner.delta' must be a non-negative integer"),
-    ("fmap", {"map": "segments", "parts": [{"nodes": "ra", "fmap": {
-        "map": "const", "node": "r", "theta": "w"}}]},
-     "countermodel field 'fmap.parts[0].nodes' must be a list of node ids"),
+    ("fmap", _fan(fstar=_segments(("a", _const("a")), (["b"], _const("b")))),
+     "countermodel field 'fmap.fstar.parts[0].nodes' must be a list of node ids"),
     ("tree", {"nodes": "ra", "rels": [[["r", "a"]]]},
      "frame field 'tree.nodes' must be a list of node ids (strings or integers)"),
     ("tree", {"nodes": ["r", "a"], "rels": [[["r"]]]},
@@ -441,6 +459,22 @@ def test_verify_budget_too_small(capsys, tmp_path, nodes, rels):
      "  transitivity of R_0: witness ('r', 'a', 'b')"),
     ("tree", {"nodes": ["r", "r", "a"], "rels": [[["r", "a"]]]},
      "frame field 'tree': node 'r' is listed twice"),
+    ("fmap", _fan(fstar=_segments((["a"], _const("a")))),
+     "countermodel field 'fmap.fstar' must have 2 parts, one per kappa"),
+    ("fmap", _fan(fstar={"map": "segments", "parts": [["a"], ["b"]]}),
+     "countermodel field 'fmap.fstar.parts[0]' must be a JSON object"),
+    # segments is read only as a product's fstar, as its parts, never as a
+    # node map: each placement below has the theta a node map there needs
+    ("fmap", _segments((["r"], _const("r"))),
+     f"countermodel field 'fmap' {_NOT_SEGMENTS}"),
+    ("fmap", {"map": "compose", "outer": _segments((["r"], _const("r"))),
+              "inner": {"map": "liter", "delta": 0, "theta": "1"}},
+     f"countermodel field 'fmap.outer' {_NOT_SEGMENTS}"),
+    ("fmap", _fan(f0=_segments((["r"], _const("r")))),
+     f"countermodel field 'fmap.f0' {_NOT_SEGMENTS}"),
+    ("fmap", _fan(fstar=_segments((["a"], _segments((["a"], _const("a")))),
+                                  (["b"], _const("b")))),
+     f"countermodel field 'fmap.fstar.parts[0].fmap' {_NOT_SEGMENTS}"),
 ])
 def test_verify_names_the_bad_map_or_tree_field(capsys, tmp_path, field, value, why):
     cmf = embed_file(capsys, tmp_path, "ra", [("r", "a")])
@@ -782,6 +816,7 @@ def test_levels_past_the_depth_cap(argv, want):
      "--sigma must be comma-separated integers, not '1_0'"),
     (["embed", "--sigma", "\uff11", "--tree", "{frame}"],
      "--sigma must be comma-separated integers, not '\uff11'"),
+    (["ord", "eiter(w, 1)"], "eiter needs a finite iteration count"),
 ])
 def test_bad_option_values_are_named(tmp_path, argv, why):
     frame = fan_file(tmp_path)

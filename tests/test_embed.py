@@ -304,24 +304,24 @@ def test_product_partition_and_cells():
             assert is_open(p.x_up, 2, p.theta)
             assert is_open(p.x_down, 2, p.theta)
             assert is_empty(p.s_set), (ks, lam_t)
-            m = p.cells.m
+            m = p.m
             for i in range(3 * m + 2):
-                a, b = p.cells.alpha(i), p.cells.beta(i)
-                assert p.cells.alpha(i + 1) == add(b, ONE)
-                assert p.cells.locate(a) == (i, a, b)
-                assert p.cells.locate(b) == (i, a, b)
+                a, b = p.alpha(i), p.beta(i)
+                assert p.alpha(i + 1) == add(b, ONE)
+                assert p.locate(a) == (i, a, b)
+                assert p.locate(b) == (i, a, b)
                 assert p.pi0(a) == ONE
                 assert p.pi0(b) == p.markers[p.res(i) - 1]
 
 
 def test_product_period_translates():
     p = product([o("2"), o("w")], o("2"))
-    m = p.cells.m
+    m = p.m
     for q in range(4):
-        assert p.cells.alpha(m * q) == \
-            add(ONE, multiply(p.cells.tiles.period, Ordinal.from_int(q)))
+        assert p.alpha(m * q) == \
+            add(ONE, multiply(p.tiles.period, Ordinal.from_int(q)))
     # block translates: the cell pattern repeats above each multiple of w^xi
-    a0, b0 = p.cells.alpha(1), p.cells.beta(1)
+    a0, b0 = p.alpha(1), p.beta(1)
     a1, b1 = p.cell(1, ONE)
     assert (a1, b1) == (add(p.w, a0), add(p.w, b0))
     assert p.pi0(b1) == p.pi0(b0)

@@ -283,6 +283,8 @@ def memos():
 
     return (cli._build_parser, topology._min_sol_memo, topology._make_band_memo,
             topology._band_intersect, topology._band_complement,
+            topology.intersect, topology.complement_within, topology.subset_of,
+            topology.sets_equal, topology.derived_set,
             embed._ell_iter_preimage, embed._otyp_up_preimage,
             embed._pi0_preimage,
             logic.endpoint_pool, jtree._preds, jtree._packing, jtree._passes,

@@ -72,6 +72,7 @@ from ordtopo.ordinal import (
 from ordtopo.topology import (
     EMPTY,
     bandset_to_text,
+    complement_within,
     derived_set,
     intersect,
     interval,
@@ -81,6 +82,7 @@ from ordtopo.topology import (
     min_witness,
     parse_bandset,
     sets_equal,
+    subset_of,
     trim_last,
     union,
 )
@@ -929,6 +931,19 @@ def test_verify_reports_do_not_depend_on_the_memos(tree, sigma):
     cold = report()
     warm = [verify_countermodel(embed(tree, sigma), phi).checks for _ in range(2)]
     assert warm == [cold, cold]
+
+
+def test_a_warm_verify_is_the_same_verify():
+    # the <0><1>T tree: a warm verify reads every set from the memos, so a
+    # key that hashed equal sets apart would show as a miss
+    tree = frame("abc", [("a", "b"), ("a", "c")], [("b", "c")])
+    cm, phi = embed(tree, (2, 3)), f("<0><1>T")
+    helpers.clear_memos()
+    cold = verify_countermodel(cm, phi)
+    set_memos = (intersect, complement_within, subset_of, sets_equal, derived_set)
+    misses = [fn.cache_info().misses for fn in set_memos]
+    assert verify_countermodel(cm, phi) == cold
+    assert [fn.cache_info().misses for fn in set_memos] == misses
 
 
 def test_verify_detects_swapped_branch():

@@ -1,4 +1,6 @@
 import gc
+import importlib
+import pkgutil
 import random
 
 import pytest
@@ -352,6 +354,27 @@ def test_every_memo_is_bounded():
         assert isinstance(fn.cache_info().maxsize, int), fn.__name__
 
 
+# keyed on small ints, (n, r) and (n, n_mods), for the life of the process
+UNBOUNDED_MEMOS = ("jtree._shapes", "jtree._jtree_shapes")
+
+
+def test_memo_inventory_is_complete():
+    import ordtopo
+
+    listed = set(map(id, helpers.memos()))
+    found = {}
+    for info in pkgutil.iter_modules(ordtopo.__path__):
+        mod = importlib.import_module(f"ordtopo.{info.name}")
+        for owner in [mod] + [c for c in vars(mod).values() if isinstance(c, type)]:
+            for name, fn in vars(owner).items():
+                if hasattr(fn, "cache_info") and getattr(fn, "__module__", None) == mod.__name__:
+                    found[f"{info.name}.{name}"] = fn
+    assert set(UNBOUNDED_MEMOS) <= set(found)
+    missing = sorted(n for n, fn in found.items()
+                     if id(fn) not in listed and n not in UNBOUNDED_MEMOS)
+    assert missing == []
+
+
 def test_endpoint_pool_is_one_shared_tuple():
     pool = endpoint_pool(W2)
     assert isinstance(pool, tuple)
@@ -364,6 +387,31 @@ def test_bad_levels_raise_on_every_call():
             make_band(ONE, OMEGA, {-1: (None, ONE)})
 
 
+def test_derived_set_at_a_bad_level_raises_on_every_call():
+    for _ in range(2):  # an exception is not memoised
+        with pytest.raises(UnsupportedLevel):
+            derived_set(bs("[1,w]"), -1, W2)
+
+
+def test_set_memos_answer_as_their_bodies():
+    rng = random.Random(37)
+    uni = helpers.finite_universe()
+    helpers.clear_memos()
+    for theta in (W2, W3, WW):
+        for _ in range(25):
+            s = helpers.random_bandset_u(rng, uni)
+            t = helpers.random_bandset_u(rng, uni)
+            lam = rng.randint(0, 3)
+            calls = ((intersect, (s, t)), (complement_within, (s, ONE, theta)),
+                     (subset_of, (s, t, theta)), (sets_equal, (s, t, theta)),
+                     (derived_set, (s, lam, theta)))
+            for fn, args in calls:
+                got = fn(*args)
+                assert got == fn.__wrapped__(*args), (fn.__name__, args)
+                assert fn(*args) is got
+    assert all(fn.cache_info().hits for fn, _ in calls)
+
+
 def test_memos_let_go_of_fresh_bands():
     table = ordinal_module._INTERNED
     helpers.clear_memos()
@@ -373,6 +421,16 @@ def test_memos_let_go_of_fresh_bands():
         make_band(ONE, omega_pow(Ordinal.from_int(10 ** 7 + i)))
     gc.collect()
     # each memo keeps at most MEMO_SIZE entries alive, not every band made
+    assert len(table) - before <= 4 * MEMO_SIZE
+    fixed = bs("[1,w^3] & l in (0,inf]")
+    for i in range(10 * MEMO_SIZE):
+        s = interval(ONE, omega_pow(Ordinal.from_int(2 * 10 ** 7 + i)))
+        intersect(s, fixed)
+        derived_set(s, 1, WW)
+    gc.collect()
+    # each memo on the way keeps its last MEMO_SIZE calls, which hold two
+    # fresh ordinals each, n and w^n; unbounded set memos would keep
+    # 20 * MEMO_SIZE
     assert len(table) - before <= 4 * MEMO_SIZE
     helpers.clear_memos()
     gc.collect()

@@ -131,22 +131,14 @@ def _ord_divmod(x: Ordinal, p: Ordinal) -> Tuple[int, Ordinal]:
         raise ValueError("division by zero")
     if x < p:
         return 0, x
-    if p.is_finite():
-        if not x.is_finite():
-            raise EmbedError(f"{x} / {p}: infinite quotient")
-        q, r = divmod(x.to_int(), p.to_int())
-        return q, _nat(r)
     (lp, cp), (lx, cx) = p.terms[0], x.terms[0]
     if lx != lp:
         raise EmbedError(f"{x} / {p}: infinite quotient")
-    lo, hi = 1, cx // cp + 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if multiply(p, _nat(mid)) <= x:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo, left_subtract(multiply(p, _nat(lo)), x)
+    q = cx // cp  # p*q = w^lp * (cp*q) + p's tail: only the tail can pass x
+    pq = multiply(p, _nat(q))
+    if pq > x:
+        q, pq = q - 1, multiply(p, _nat(q - 1))
+    return q, left_subtract(pq, x)
 
 
 class Tiling:
@@ -268,7 +260,6 @@ def _pi0_preimage(kappa: Ordinal, theta: Ordinal, x_down: BandSet,
 # --- the product: its cell layout and projections -----------------------------------
 
 
-@dataclass
 class ProductStructure:
     """[1, w^xi * lam] split into the upper part x_up, the multiples of
     w^xi, and the lower part x_down, which cells tile in each block: cell
@@ -276,18 +267,24 @@ class ProductStructure:
     of length delta_j, is [1 + s, 1 + s + delta_j) for the tile
     (s, s + delta_j] at s = tiles.start(q, j).  So the cell holding u is
     the tile holding (-1 + u) + 1; pi0 sends it onto segments' tiles."""
-    xi: Ordinal
-    theta: Ordinal
-    lam: Ordinal
-    w: Ordinal
-    kappas: Tuple[Ordinal, ...]
-    m: int
-    span0: Ordinal
-    segments: Tiling  # the kappas side by side
-    markers: Tuple[Ordinal, ...]  # K_1, ..., K_m: segments.prefix[1:]
-    tiles: Tiling
-    x_up: BandSet
-    x_down: BandSet
+
+    def __init__(self, kappas, lam: Ordinal):
+        kappas = tuple(kappas)
+        if not kappas or any(k < ONE for k in kappas) or lam < ONE:
+            raise EmbedError("product needs kappas and lambda >= 1")
+        if any(b < a for a, b in zip(kappas, kappas[1:])):
+            raise EmbedError("kappas must be sorted ascending")
+        self.kappas, self.lam, self.m = kappas, lam, len(kappas)
+        self.xi = add(big_l(kappas[-1]), ONE)
+        self.w = omega_pow(self.xi)
+        self.theta = multiply(self.w, lam)
+        self.span0 = _span(kappas[-1])
+        self.segments = Tiling(kappas)  # the kappas side by side
+        self.markers = self.segments.prefix[1:]  # K_1, ..., K_m
+        self.tiles = Tiling(add(add(add(self.span0, ONE), _span(k)), ONE)
+                            for k in kappas[-1:] + kappas[:-1])  # kappa_res(j), j < m
+        self.x_up = geq_set(1, self.xi, self.theta)
+        self.x_down = complement_within(self.x_up, ONE, self.theta)
 
     @cached_property
     def s_set(self) -> BandSet:
@@ -346,23 +343,7 @@ class ProductStructure:
         return _otyp_up_preimage(self.xi, self.theta, s)
 
 
-def product(kappas, lam: Ordinal) -> ProductStructure:
-    kappas = tuple(kappas)
-    if not kappas or any(k < ONE for k in kappas) or lam < ONE:
-        raise EmbedError("product needs kappas and lambda >= 1")
-    if any(b < a for a, b in zip(kappas, kappas[1:])):
-        raise EmbedError("kappas must be sorted ascending")
-    xi = add(big_l(kappas[-1]), ONE)
-    w = omega_pow(xi)
-    theta = multiply(w, lam)
-    span0 = _span(kappas[-1])
-    tiles = Tiling(add(add(add(span0, ONE), _span(k)), ONE)
-                   for k in kappas[-1:] + kappas[:-1])  # kappa_res(j), j < m
-    x_up = geq_set(1, xi, theta)
-    segments = Tiling(kappas)
-    return ProductStructure(xi, theta, lam, w, kappas, len(kappas), span0, segments,
-                            segments.prefix[1:], tiles, x_up,
-                            complement_within(x_up, ONE, theta))
+product = ProductStructure
 
 
 def density_witness(prod: ProductStructure, i: int, u: Ordinal,
@@ -423,10 +404,10 @@ class ComposeMap:
     """node_map after l^delta (floored to 1) on [1, theta], where theta =
     e^delta of node_map's theta."""
 
-    def __init__(self, node_map, delta: int, theta: Ordinal):
+    def __init__(self, node_map, delta: int):
         self.node_map = node_map
         self.delta = delta
-        self.theta = theta
+        self.theta = e_iter(delta, node_map.theta)
 
     def apply(self, x: Ordinal):
         _in_domain(x, self.theta)
@@ -583,17 +564,13 @@ def _rank_map(t: JTree) -> GLEmbedMap:
 # --- the recursive embedding ------------------------------------------------------------
 
 
-def _lift(fm, delta: int) -> ComposeMap:
-    return ComposeMap(fm, delta, e_iter(delta, fm.theta))
-
-
 def _embed(t: JTree, sigma: Tuple[int, ...]):
     """The map f: [1, theta] -> t for a tree t and a sigma that embed() checked."""
     if len(t.nodes) == 1:
         return ConstMap(t.root, ONE)
     if sigma[0] > 1:
         delta = sigma[0] - 1
-        return _lift(_embed(t, tuple(s - delta for s in sigma)), delta)
+        return ComposeMap(_embed(t, tuple(s - delta for s in sigma)), delta)
     if len(t.rels) == 1:
         return _rank_map(t)
 
@@ -601,7 +578,7 @@ def _embed(t: JTree, sigma: Tuple[int, ...]):
     plane, subtrees = t.split
     f0 = _embed(plane, tuple(s - 1 for s in sigma[1:]))
     if len(plane.nodes) > 1:
-        f0 = _lift(f0, 1)
+        f0 = ComposeMap(f0, 1)
     if not subtrees:  # R_0 is empty, and t is its root plane
         return f0
 
@@ -656,13 +633,14 @@ def embed(t, sigma) -> Countermodel:
     bound_height = len(t.nodes) * (max(sigma, default=0) + 1) + 2
     if bound_height < DEPTH_CAP - 1 and not theta < e_iter(bound_height, ONE):
         raise EmbedError(f"theta {theta} is past the tower of height {bound_height}")
-    for v, w in wit.items():
-        if not (ONE <= w <= theta and fmap.apply(w) == v):
-            raise EmbedError(f"witness {w} does not map to {v}")
-    if not sets_equal(fmap.preimage([t.root]), interval(theta, theta), theta):
+    if fault := _witness_fault(fmap, theta, wit, t.nodes):
+        raise EmbedError(fault)
+    fiber = _fibers(fmap, t.nodes)
+    if fiber[t.root] is None or not sets_equal(fiber[t.root],
+                                               interval(theta, theta), theta):
         raise EmbedError("the root fiber is not {theta}")
 
-    return Countermodel(theta, fmap, t, sigma, wit, _fibers(fmap, t.nodes))
+    return Countermodel(theta, fmap, t, sigma, wit, fiber)
 
 
 def countermodel_valuation(cm: Countermodel, t_val: Dict) -> Dict[int, BandSet]:
@@ -700,6 +678,22 @@ class JMapReport:
             tail = f" -- {detail}" if detail else ""
             lines.append(f"  [{mode}] {name}: {'ok' if ok else 'FAIL'}{tail}")
         return "\n".join(lines)
+
+
+def _witness_fault(fmap, theta: Ordinal, witnesses: Dict, nodes) -> Optional[str]:
+    """The first fault of a witness table for fmap on [1, theta]: a witness
+    outside the domain, one that fmap sends to another node, or a node
+    without a witness; None when the table certifies that fmap is onto."""
+    for v, w in witnesses.items():
+        try:
+            _in_domain(w, theta)  # the map's own domain may pass theta
+            got = fmap.apply(w)
+        except ValueError:
+            return f"witness {w} is outside the map's domain"
+        if got != v:
+            return f"witness {w} of node {v!r} maps to {got!r}"
+    lost = [v for v in nodes if v not in witnesses]
+    return f"no witness for node {lost[0]!r}" if lost else None
 
 
 def _fibers(fmap, nodes) -> Dict:
@@ -964,21 +958,9 @@ def verify_countermodel(cm: Countermodel, phi,
     for name, mode, ok, detail in jmap_check(cm.fmap, cm.space(), cm.tree).checks:
         rep.add("(b) " + name, mode, ok, detail)
 
-    wit_ok, detail = True, f"{len(cm.witnesses)} nodes"
-    for v, w in cm.witnesses.items():
-        try:
-            _in_domain(w, cm.theta)  # the map's own domain may pass theta
-            got = cm.fmap.apply(w)
-            if got != v:
-                wit_ok, detail = False, f"witness {w} of node {v!r} maps to {got!r}"
-        except ValueError:
-            wit_ok, detail = False, f"witness {w} is outside the map's domain"
-        if not wit_ok:
-            break
-    lost = [v for v in cm.tree.nodes if v not in cm.witnesses]
-    if wit_ok and lost:
-        wit_ok, detail = False, f"no witness for node {lost[0]!r}"
-    rep.add("(b) witness table", "EXACT", wit_ok, detail)
+    fault = _witness_fault(cm.fmap, cm.theta, cm.witnesses, cm.tree.nodes)
+    rep.add("(b) witness table", "EXACT", fault is None,
+            fault or f"{len(cm.witnesses)} nodes")
 
     if found is None:
         rep.add("(c) semantic check", "SKIPPED", True, "no Kripke valuation")
@@ -1076,13 +1058,13 @@ def _map_from_json(obj, path: str = "fmap", tags=NODE_MAPS, depth: int = 0):
         outer = inner(read("outer"), f"{path}.outer")
         delta, theta = inner(read("inner"), f"{path}.inner", ("liter",))
         try:
-            lifted = theta == e_iter(delta, outer.theta)
+            fm = ComposeMap(outer, delta)
         except OrdinalError:
-            lifted = False
-        if not lifted:
+            fm = None
+        if fm is None or fm.theta != theta:
             raise EmbedError(f"countermodel field {path + '.inner.theta'!r} must "
                              f"be e^{delta} of the outer map's theta")
-        return ComposeMap(outer, delta, theta)
+        return fm
     if tag == "rank":
         fm = GLEmbedMap(read("root", _NODE),
                         [inner(c, f"{path}.children[{i}]", ("rank",))
@@ -1155,11 +1137,14 @@ _FIELD_SHAPES = {
 }
 
 
-def _node_table(obj: dict, key: str, parse) -> dict:
+def _node_table(obj: dict, key: str, parse, nodes) -> dict:
     """{node: parse(text, path)} for the [node, text] pairs of obj[key]; a
-    node listed twice names the field of its second listing."""
+    node outside nodes, or listed twice, names the field of its listing."""
     out: dict = {}
     for i, (v, text) in enumerate(obj[key]):
+        if v not in nodes:
+            raise EmbedError(f"countermodel field '{key}[{i}][0]' names node {v!r}, "
+                             "which is not in the tree")
         if v in out:
             raise EmbedError(f"countermodel field '{key}[{i}][0]' names node {v!r} twice")
         out[v] = parse(text, f"{key}[{i}][1]")
@@ -1182,9 +1167,9 @@ def countermodel_from_json(obj) -> Countermodel:
             raise EmbedError(f"countermodel field 'tree': {exc}")
         sigma = _check_sigma(obj["sigma"], len(tree.rels))
         fmap = _map_from_json(obj["fmap"])
-        wit = _node_table(obj, "witnesses", _parse_at)
+        wit = _node_table(obj, "witnesses", _parse_at, tree.nodes)
         algebra = _node_table(obj, "algebra", lambda s, path: None if s is None
-                              else _parse_at(s, path, parse_bandset))
+                              else _parse_at(s, path, parse_bandset), tree.nodes)
     except (KeyError, TypeError, ValueError) as exc:
         raise EmbedError(f"malformed countermodel object: {exc!r}")
     cm = Countermodel(theta, fmap, tree, sigma, wit, algebra)

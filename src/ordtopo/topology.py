@@ -165,7 +165,16 @@ def merge_bound(a: Bound, b: Bound) -> Bound:
 
 
 def make_band(lo: Ordinal, hi: Ordinal, cons: Dict[int, Bound] = None) -> Optional[Band]:
-    """Normalize and solve; returns None when the band is empty."""
+    """Normalize and solve; returns None when the band is empty.  A level-0
+    constraint is folded into the interval before the memo is asked, so
+    the memo holds one key per band."""
+    if cons and 0 in cons:
+        cons = dict(cons)
+        c, d = cons.pop(0)
+        if c is not None:
+            lo = max(lo, add(c, ONE))
+        if d is not None:
+            hi = min(hi, d)
     return _make_band_memo(lo, hi, _cons_key(cons))
 
 
@@ -176,13 +185,6 @@ def _make_band_memo(lo: Ordinal, hi: Ordinal, cons_key: tuple) -> Optional[Band]
         if k < 0:
             raise UnsupportedLevel(f"level {k}")
         merged[k] = merge_bound(merged.get(k, (None, None)), bound)
-    # fold level-0 constraints into the interval
-    if 0 in merged:
-        c, d = merged.pop(0)
-        if c is not None:
-            lo = max(lo, add(c, ONE))
-        if d is not None:
-            hi = min(hi, d)
     clean = {}
     for k, (c, d) in sorted(merged.items()):
         if c is not None and d is not None and d <= c:
@@ -292,32 +294,18 @@ def _pred(t: Ordinal) -> Ordinal:
     return trim_last(t)
 
 
-def _below(a: Ordinal, dom_lo: Ordinal) -> BandSet:
-    """{x in [dom_lo, _): x < a} as a BandSet."""
-    if a <= dom_lo:
-        return EMPTY
-    if a.is_successor():
-        return interval(dom_lo, _pred(a))
-    nu = trim_last(a)
-    parts = [make_band(dom_lo, nu)] if nu >= dom_lo else []
-    for d in _strict_cons(1, ell(a)):
-        parts.append(make_band(max(dom_lo, add(nu, ONE)), a, d))
-    return bandset(parts)
-
-
 @lru_cache(maxsize=MEMO_SIZE)
 def _band_complement(b: Band, lo: Ordinal, hi: Ordinal) -> BandSet:
-    dom = make_band(lo, hi)
-    parts = list(_below(b.lo, lo).bands)
-    parts.append(make_band(add(b.hi, ONE), hi))
+    """[lo, hi] minus b: the points below b.lo, those above b.hi, and those
+    that break one bound of b's constraints; make_band folds the level-0
+    parts into [lo, hi]."""
+    parts = _strict_cons(0, b.lo) + [{0: (b.hi, None)}]
     for k, c, d in b.cons:
         if c is not None:
-            parts.append(make_band(lo, hi, {k: (None, c)}))
+            parts.append({k: (None, c)})
         if d is not None:
-            parts.append(make_band(lo, hi, {k: (d, None)}))
-    if dom is None:
-        return EMPTY
-    return bandset(_band_intersect(p, dom) for p in parts if p is not None)
+            parts.append({k: (d, None)})
+    return bandset(make_band(lo, hi, p) for p in parts)
 
 
 @lru_cache(maxsize=MEMO_SIZE)

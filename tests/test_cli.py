@@ -322,6 +322,11 @@ def test_verify_witness_of_another_node_fails(capsys, tmp_path):
     ("algebra", [["r", "empty"], ["a", "[1,w] & l^1 in (-1,0]"],
                  ["r", "[1,w] & l^1 in (0,1]"]],
      "'algebra[2][0]' names node 'r' twice"),
+    # a node the tree lacks is rejected as the file is read, before any row
+    ("algebra", [["a", None], ["r", "[w,w]"], ["zz", "[1,1]"]],
+     "'algebra[2][0]' names node 'zz', which is not in the tree"),
+    ("witnesses", [["a", "1"], ["r", "w"], ["zz", "1"]],
+     "'witnesses[2][0]' names node 'zz', which is not in the tree"),
 ])
 def test_verify_names_a_malformed_field(capsys, tmp_path, field, value, why):
     cmf = embed_file(capsys, tmp_path, "ra", [("r", "a")])
@@ -333,6 +338,19 @@ def test_verify_names_a_malformed_field(capsys, tmp_path, field, value, why):
     if not why.startswith("'"):
         why = f"{field!r} must be {why}"
     assert err == f"error: countermodel field {why}\n"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="int() reads any number of digits")
+def test_verify_names_a_theta_that_int_cannot_read(capsys, tmp_path):
+    # past int()'s digit limit: the reader's catch-all names the error
+    cmf = embed_file(capsys, tmp_path, "ra", [("r", "a")])
+    obj = json.loads(cmf.read_text())
+    obj["theta"] = "1" * 5000
+    cmf.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", "<0>T", "--cm", str(cmf))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: malformed countermodel object: ValueError(")
 
 
 def test_verify_theta_outside_the_maps_domain_fails(capsys, tmp_path):
@@ -817,6 +835,9 @@ def test_levels_past_the_depth_cap(argv, want):
     (["embed", "--sigma", "\uff11", "--tree", "{frame}"],
      "--sigma must be comma-separated integers, not '\uff11'"),
     (["ord", "eiter(w, 1)"], "eiter needs a finite iteration count"),
+    (["eval", "p0", "--theta", "w", "--levels", "2,1"],
+     "levels must be strictly increasing"),
+    (["eval", "<0>T", "--theta", "w", "--levels", "w"], "level w"),
 ])
 def test_bad_option_values_are_named(tmp_path, argv, why):
     frame = fan_file(tmp_path)
@@ -839,6 +860,13 @@ def test_malformed_frame_files(tmp_path, blob, argv):
     code, out, err = run_quiet(argv + [str(ff)])
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_a_frame_without_relations_is_one_node(tmp_path):
+    ff = tmp_path / "frame.json"
+    ff.write_text(json.dumps({"nodes": [1, 2], "rels": []}))
+    assert run_quiet(["embed", "--tree", str(ff)]) == (
+        2, "", "error: a frame without relations must be a single node\n")
 
 
 # --- plumbing ----------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import functools
 import hashlib
@@ -114,6 +115,11 @@ def test_ord_divmod_properties():
         q, rem = _ord_divmod(x, p)
         assert add(multiply(p, Ordinal.from_int(q)), rem) == x
         assert rem < p
+    # (w+5)*3 = w*3+5 passes x: p's tail takes the quotient down to 2
+    assert _ord_divmod(o("w*3+2"), o("w+5")) == (2, o("w+2"))
+    assert _ord_divmod(o("17"), o("5")) == (3, o("2"))
+    with pytest.raises(EmbedError, match="infinite quotient"):
+        _ord_divmod(o("w+1"), o("5"))
 
 
 TILINGS = [("1",), ("2", "3"), ("w",), ("1", "w"), ("w", "1"), ("3", "w", "2"),
@@ -401,7 +407,8 @@ def test_density_witness_outside_the_neighborhood_raises():
     p = product([ONE], o("2"))
     assert density_witness(p, 1, p.theta, ZERO) < p.theta
     # blocks of w^2 no longer fit the cells laid out for blocks of w
-    bad = dataclasses.replace(p, w=omega_pow(o("2")))
+    bad = copy.copy(p)
+    bad.w = omega_pow(o("2"))
     with pytest.raises(EmbedError, match="outside"):
         density_witness(bad, 1, p.theta, ZERO)
 
@@ -462,6 +469,12 @@ def test_embed_single_node():
     assert cm.theta == ONE
     assert cm.fmap.apply(ONE) == "r"
     assert jmap_check(cm.fmap, cm.space(), cm.tree).ok
+
+
+def test_jmap_check_needs_a_level_per_relation():
+    cm = embed(frame("abc", [("a", "b"), ("a", "c")], [("b", "c")]), (1, 2))
+    with pytest.raises(InvalidFrame, match="fewer levels"):
+        jmap_check(cm.fmap, PolySpace(cm.theta, (ONE,)), cm.tree)
 
 
 def test_embed_two_chain():

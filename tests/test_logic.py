@@ -296,6 +296,12 @@ def test_tree_formula_single_node():
     assert eval_kripke(phi, frame, {0: frozenset({"r"})}) == {"r"}
 
 
+def test_tree_formula_needs_one_root():
+    forest = KFrame(("a", "b", "c"), (frozenset({("a", "b")}),))
+    with pytest.raises(LogicError, match="unique root"):
+        tree_formula(forest)
+
+
 def test_gamma_fragment_goldens():
     assert [formula_to_text(g) for g in gamma_fragment(0)] == ["<0>p0"]
     assert [formula_to_text(g) for g in gamma_fragment(2)] == [

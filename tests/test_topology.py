@@ -27,6 +27,7 @@ from ordtopo.topology import (
     NonStabilizing,
     TopologyError,
     UnsupportedLevel,
+    _band_complement,
     _band_subsumes,
     _pred,
     band_to_text,
@@ -77,6 +78,43 @@ def test_boolean_goldens():
     assert sets_equal(comp, LIMITS, W2)
     assert is_empty(intersect(SUCCESSORS, EMPTY))
     assert sets_equal(union(SUCCESSORS, LIMITS), interval(ONE, W2), W2)
+
+
+# bands whose lo is a limit, a successor, 1, 0, and deeper limits, with
+# their complements in [1, w^w*2]
+COMPLEMENT_GOLDENS = [
+    ("[w*2,w^2]", "[1,w]; [w+1,w*2] & l^1 in (-1,0]; [w^2+1,w^w*2]"),
+    ("[w+3,w^2] & l in (0,1]", "[1,w+2]; [w^2+1,w^w*2]; [1,w^w*2] & l^1 in (-1,0]; "
+     "[1,w^w*2] & l^1 in (1,inf]"),
+    ("[1,w^2] & l in (0,inf]", "[w^2+1,w^w*2]; [1,w^w*2] & l^1 in (-1,0]"),
+    ("[0,w]", "[w+1,w^w*2]"),
+    ("[w^w,w^w*2] & l^2 in (0,inf]",
+     "[1,w^w] & l^1 in (-1,0]; [1,w^w*2] & l^2 in (-1,0]"),
+    ("[w^2+w,w^3] & l^2 in (-1,0]", "[1,w^2]; [w^2+1,w^2+w] & l^1 in (-1,0]; "
+     "[w^3+1,w^w*2]; [1,w^w*2] & l^2 in (0,inf]"),
+]
+
+
+def test_band_complement_partitions_the_domain():
+    """A band and its complement in [1, theta] are disjoint and cover
+    [1, theta], as band sets and point by point."""
+    rng = random.Random(29)
+    uni = helpers.finite_universe()
+    ww2 = o("w^w*2")
+    cases = [(b, W3, uni) for _ in range(40)
+             for b in helpers.random_bandset_u(rng, uni).bands]
+    cases += [(bs(text).bands[0], ww2, endpoint_pool(ww2))
+              for text, _ in COMPLEMENT_GOLDENS]
+    for b, theta, pool in cases:
+        one, comp = BandSet((b,)), _band_complement(b, ONE, theta)
+        why = (band_to_text(b), bandset_to_text(comp))
+        assert is_empty(intersect(one, comp)), why
+        assert sets_equal(union(one, comp), interval(ONE, theta), theta), why
+        for x in pool:
+            if x <= theta:
+                assert member(x, comp) != b.member(x), (why, x)
+    for text, want in COMPLEMENT_GOLDENS:
+        assert bandset_to_text(complement_within(bs(text), ONE, ww2)) == want
 
 
 def test_is_empty_goldens():

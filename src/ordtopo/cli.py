@@ -11,10 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import List, Optional
 
 from .ordinal import (
+    MAX_DIGITS,
     OMEGA,
     Ordinal,
     OrdinalError,
@@ -95,9 +96,16 @@ def _flag(name: str, read, text: str):
         raise ValueError(f"{name} {text!r}: {exc}")
 
 
+def _int(what: str, text: str) -> int:
+    """int(text), where more than MAX_DIGITS digits is an error naming what."""
+    if len(text.lstrip("-")) > MAX_DIGITS:
+        raise ValueError(f"{what} has more than {MAX_DIGITS} digits")
+    return int(text)
+
+
 def _load_json(path: str):
-    """The JSON value in a file; an object that repeats a key is an error,
-    where json.load would keep the last value."""
+    """The JSON value in a file; an object that repeats a key is an error
+    (json.load keeps the last value), and so is an integer past MAX_DIGITS."""
     def unique_keys(pairs) -> dict:
         obj = {}
         for key, value in pairs:
@@ -108,7 +116,8 @@ def _load_json(path: str):
 
     with open(path) as fh:
         try:
-            return json.load(fh, object_pairs_hook=unique_keys)
+            return json.load(fh, object_pairs_hook=unique_keys,
+                             parse_int=partial(_int, f"{path}: a JSON number"))
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply to read")
 
@@ -129,7 +138,7 @@ def _load_valuation(path: str, shape, read) -> dict:
     for key, value in obj.items():
         if not (key.isascii() and key.isdigit()):
             raise ValueError(f"valuation key {key!r} must be an atom index in digits")
-        atom = int(key)
+        atom = _int(f"valuation key starting {key[:8]!r}", key)
         if atom in out:
             raise ValueError(f"valuation key {key!r} names atom {atom} twice")
         if not shape[1](value):
@@ -201,7 +210,7 @@ def cmd_embed(args) -> int:
     if not all(s.isascii() and s.isdigit() for s in entries):
         raise ValueError("--sigma must be comma-separated integers, "
                          f"not {args.sigma!r}")
-    sigma = tuple(map(int, entries))
+    sigma = tuple(_int(f"--sigma entry {i}", s) for i, s in enumerate(entries, 1))
     cm = embed(t, sigma)
     _write_out(args, countermodel_to_json(cm))
     return 0

@@ -292,7 +292,7 @@ def eval_topo(phi: Formula, space: PolySpace, v: Dict[int, BandSet]) -> BandSet:
     prog = compile_formula(phi)
     for a in prog.atoms:
         if a not in v:
-            raise UnboundVariable(f"p{a}")
+            raise UnboundVariable(f"no valuation for atom p{a}")
     levels = [space.level_at(m) for m in prog.mods]
     theta = space.theta
     vals: List[BandSet] = []
@@ -556,7 +556,7 @@ def eval_kripke(phi: Formula, frame, v: Dict[int, FrozenSet]) -> FrozenSet:
     prog = compile_formula(phi)
     for a in prog.atoms:
         if a not in v:
-            raise UnboundVariable(f"p{a}")
+            raise UnboundVariable(f"no valuation for atom p{a}")
     nodes = tuple(frame.nodes)
     bit = node_bits(nodes)
     atoms = [node_mask(v[a], bit) for a in prog.atoms]

@@ -364,6 +364,10 @@ def char_seq(params: CharSeqParams, iota: Ordinal) -> Ordinal:
 # under Python's default recursion limit of 1000.
 MAX_NESTING = 128
 
+# Digits a numeral may have: CPython's default int() limit (3.11+), kept
+# on every Python, so that a longer numeral fails alike everywhere.
+MAX_DIGITS = 4300
+
 _LETTERS = re.compile(r"[A-Za-z]*")
 
 
@@ -414,6 +418,8 @@ class Scanner:
             end += 1
         if end == start:
             self.fail("expected a natural number")
+        if end - start > MAX_DIGITS:
+            self.fail(f"numeral longer than {MAX_DIGITS} digits")
         self.skip(end - start)
         return int(text[start:end])
 

@@ -255,13 +255,9 @@ def _band_intersect(a: Band, b: Band) -> Optional[Band]:
     return make_band(max(a.lo, b.lo), min(a.hi, b.hi), cons)
 
 
-def _intersect(s: BandSet, t: BandSet) -> BandSet:
+@lru_cache(maxsize=MEMO_SIZE)
+def intersect(s: BandSet, t: BandSet) -> BandSet:
     return bandset(_band_intersect(a, b) for a in s.bands for b in t.bands)
-
-
-# keyed on the callers' operands: the loops of complement_within and
-# subset_of call _intersect on their one-use intermediates
-intersect = lru_cache(maxsize=MEMO_SIZE)(_intersect)
 
 
 def trim_last(t: Ordinal) -> Ordinal:
@@ -278,7 +274,7 @@ def _strict_cons(k: int, t: Ordinal) -> list:
     if t.is_zero():
         return []
     if t.is_successor():
-        return [{k: (None, _pred(t))}]
+        return [{k: (None, trim_last(t))}]
     tau = trim_last(t)
     out = [{k: (None, tau)}]
     for deep in _strict_cons(k + 1, ell(t)):
@@ -286,12 +282,6 @@ def _strict_cons(k: int, t: Ordinal) -> list:
         d[k] = merge_bound(d.get(k, (None, None)), (tau, t))
         out.append(d)
     return out
-
-
-def _pred(t: Ordinal) -> Ordinal:
-    if not t.is_successor():
-        raise TopologyError(f"{t} has no predecessor")
-    return trim_last(t)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -312,36 +302,14 @@ def _band_complement(b: Band, lo: Ordinal, hi: Ordinal) -> BandSet:
 def complement_within(s: BandSet, lo: Ordinal, hi: Ordinal) -> BandSet:
     out = interval(lo, hi)
     for b in s.bands:
-        out = _intersect(out, _band_complement(b, lo, hi))
+        out = intersect(out, _band_complement(b, lo, hi))
     return out
 
 
 @lru_cache(maxsize=MEMO_SIZE)
 def subset_of(s: BandSet, t: BandSet, theta: Ordinal) -> bool:
-    """Whether the points of s in [1, theta] all lie in t.
-
-    s <= t on [1, theta] iff, for every band b of s, the rest
-    b n [1, theta] n C(c_1) n ... n C(c_n) is empty, where c_1..c_n are
-    the bands of t and C(c) is the complement of c in [1, theta].  This
-    decides it band by band: a b that some c contains syntactically is
-    skipped, and the others are cut by one memoised C(c) at a time until
-    the rest is empty.  make_band solves emptiness eagerly, so an empty
-    rest is empty and a non-empty one holds a point of s in [1, theta]
-    outside t, whatever the order of the c; the answer is
-    is_empty(intersect(s, complement_within(t, ONE, theta))) exactly.
-    """
-    dom = interval(ONE, theta)
-    for b in s.bands:
-        if any(_band_subsumes(c, b) for c in t.bands):
-            continue
-        rest = _intersect(BandSet((b,)), dom)
-        for c in t.bands:
-            if is_empty(rest):
-                break
-            rest = _intersect(rest, _band_complement(c, ONE, theta))
-        if not is_empty(rest):
-            return False
-    return True
+    """Whether the points of s in [1, theta] all lie in t."""
+    return is_empty(intersect(s, complement_within(t, ONE, theta)))
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -427,10 +395,6 @@ def is_open(s: BandSet, lam: int, theta: Ordinal) -> bool:
 
 def geq_set(k: int, mu: Ordinal, theta: Ordinal) -> BandSet:
     """{x in [1, theta]: l^k(x) >= mu} as a BandSet."""
-    if mu.is_zero():
-        return interval(ONE, theta)
-    if mu.is_successor():
-        return bandset([make_band(ONE, theta, {k: (_pred(mu), None)})])
     strict = bandset(make_band(ONE, theta, d) for d in _strict_cons(k, mu))
     return complement_within(strict, ONE, theta)
 

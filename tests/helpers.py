@@ -196,6 +196,13 @@ def _ukeys():
     return _UKEYS
 
 
+def _enc_member(yk, s_enc) -> bool:
+    """Whether the _ytable() entry yk lies in the encoded band set s_enc."""
+    return any(lo <= yk[0] <= hi and all(c < yk[k] <= (10**9 if d is None else d)
+                                         for k, c, d in cons)
+               for lo, hi, cons in s_enc)
+
+
 def oracle_member_of_derived(x: Ordinal, s_enc, lam: int) -> bool:
     """Brute-force accumulation test: thresholds from the finite universe.
 
@@ -214,17 +221,11 @@ def oracle_member_of_derived(x: Ordinal, s_enc, lam: int) -> bool:
         i = bisect.bisect_left(uk, tx[xi])
         cs.append(uk[i - 1])  # largest universe key strictly below l^xi(x)
 
-    def in_s(yk):
-        for lo, hi, cons in s_enc:
-            if lo <= yk[0] <= hi and all(c < yk[k] <= (10**9 if d is None else d)
-                                         for k, c, d in cons):
-                return True
-        return False
-
     for yk in _ytable():
         if yk[0] == xk:
             continue
-        if all(cs[xi] < yk[xi] <= tx[xi] for xi in range(lam)) and in_s(yk):
+        if (all(cs[xi] < yk[xi] <= tx[xi] for xi in range(lam))
+                and _enc_member(yk, s_enc)):
             return True
     return False
 
@@ -248,11 +249,10 @@ def random_bandset_u(rng: random.Random, universe, max_bands=3, max_level=3):
 
 
 def oracle_subset_of(s, t, theta: Ordinal) -> bool:
-    """s <= t on [1, theta], read off t's whole complement within [1, theta]."""
-    from ordtopo.ordinal import ONE
-    from ordtopo.topology import complement_within, intersect, is_empty
-
-    return is_empty(intersect(s, complement_within(t, ONE, theta)))
+    """s <= t on [1, theta], checked at every _ytable() point up to theta."""
+    s_enc, t_enc, top = encode_bandset(s), encode_bandset(t), enc(theta)
+    return all(_enc_member(yk, t_enc) for yk in _ytable()
+               if yk[0] <= top and _enc_member(yk, s_enc))
 
 
 def oracle_sets_equal(s, t, theta: Ordinal) -> bool:

@@ -175,6 +175,8 @@ def fan_file(tmp_path):
     ("kripke", {"0": [["a"]]}, "valuation field '0' must be a list of node ids"),
     ("eval", {"0": "[1,1]", "00": "[2,2]"}, "valuation key '00' names atom 0 twice"),
     ("kripke", {"0": ["a"], "00": ["r"]}, "valuation key '00' names atom 0 twice"),
+    ("eval", {"1" * 5000: "[1,w]"},
+     "valuation key starting '11111111' has more than 4300 digits"),
 ])
 def test_malformed_valuation_files(capsys, tmp_path, cmd, blob, why):
     vf = tmp_path / "val.json"
@@ -340,17 +342,28 @@ def test_verify_names_a_malformed_field(capsys, tmp_path, field, value, why):
     assert err == f"error: countermodel field {why}\n"
 
 
-@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
-                    reason="int() reads any number of digits")
 def test_verify_names_a_theta_that_int_cannot_read(capsys, tmp_path):
-    # past int()'s digit limit: the reader's catch-all names the error
+    # past MAX_DIGITS, on every Python, the numeral's position is named
     cmf = embed_file(capsys, tmp_path, "ra", [("r", "a")])
     obj = json.loads(cmf.read_text())
     obj["theta"] = "1" * 5000
     cmf.write_text(json.dumps(obj))
     code, out, err = run(capsys, "verify", "<0>T", "--cm", str(cmf))
     assert (code, out) == (2, "")
-    assert err.startswith("error: malformed countermodel object: ValueError(")
+    assert err == ("error: countermodel field 'theta': numeral longer than 4300 "
+                   "digits at position 0\n")
+
+
+@pytest.mark.parametrize("argv,blob", [
+    (["verify", "<0>T", "--cm"], dict(json.loads(CHAIN_CM_TEXT), sigma=[12345])),
+    (["kripke", "p0", "--frame"], {"nodes": [12345], "rels": []}),
+    (["eval", "p0", "--theta", "w", "--levels", "1", "--val"], {"0": 12345}),
+], ids=["verify-cm", "kripke-frame", "eval-val"])
+def test_a_json_number_past_the_digit_cap_names_its_file(capsys, tmp_path, argv, blob):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(blob).replace("12345", "1" * 5000))
+    assert run(capsys, *argv, str(path)) == (
+        2, "", f"error: {path}: a JSON number has more than 4300 digits\n")
 
 
 def test_verify_theta_outside_the_maps_domain_fails(capsys, tmp_path):
@@ -838,6 +851,16 @@ def test_levels_past_the_depth_cap(argv, want):
     (["eval", "p0", "--theta", "w", "--levels", "2,1"],
      "levels must be strictly increasing"),
     (["eval", "<0>T", "--theta", "w", "--levels", "w"], "level w"),
+    # numerals past MAX_DIGITS, which int() would refuse with its own text
+    (["ord", "1" * 5000], "numeral longer than 4300 digits at position 0"),
+    (["band", "[1,w] & l^" + "1" * 5000 + " in (0,inf]"],
+     "numeral longer than 4300 digits at position 10"),
+    (["eval", "p" + "1" * 5000, "--theta", "w", "--levels", "1"],
+     "numeral longer than 4300 digits at position 1"),
+    (["embed", "--tree", "{frame}", "--sigma", "1" * 5000],
+     "--sigma entry 1 has more than 4300 digits"),
+    (["eval", "p0", "--theta", "w", "--levels", "1"], "no valuation for atom p0"),
+    (["kripke", "p0", "--frame", "{frame}"], "no valuation for atom p0"),
 ])
 def test_bad_option_values_are_named(tmp_path, argv, why):
     frame = fan_file(tmp_path)

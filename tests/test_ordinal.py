@@ -15,6 +15,7 @@ from ordtopo.ordinal import (
     CharSeqParams,
     DEPTH_CAP,
     DepthExceeded,
+    MAX_DIGITS,
     MAX_NESTING,
     OMEGA,
     ONE,
@@ -179,6 +180,14 @@ def test_nesting_cap():
     while a.depth < DEPTH_CAP:
         a = omega_pow(add(a, ONE))
     assert o(ordinal_to_text(a)) == a
+
+
+def test_digit_cap():
+    most = 10**MAX_DIGITS - 1  # the largest numeral read
+    assert o("w+" + str(most)) == add(OMEGA, Ordinal.from_int(most))
+    with pytest.raises(OrdinalSyntaxError) as exc:
+        o("w+" + "1" * (MAX_DIGITS + 1))
+    assert str(exc.value) == f"numeral longer than {MAX_DIGITS} digits at position 2"
 
 
 # --- oracle cross-checks ----------------------------------------------------

@@ -29,13 +29,13 @@ from ordtopo.topology import (
     UnsupportedLevel,
     _band_complement,
     _band_subsumes,
-    _pred,
     band_to_text,
     bandset,
     bandset_to_text,
     complement_within,
     derived_iter,
     derived_set,
+    geq_set,
     intersect,
     interval,
     is_empty,
@@ -115,6 +115,29 @@ def test_band_complement_partitions_the_domain():
                 assert member(x, comp) != b.member(x), (why, x)
     for text, want in COMPLEMENT_GOLDENS:
         assert bandset_to_text(complement_within(bs(text), ONE, ww2)) == want
+
+
+# {x in [1, theta]: l^k(x) >= mu} for mu zero, a successor and limits; every
+# (k, mu, theta) not listed is empty
+GEQ_GOLDENS = {
+    (1, "0", "w^2"): "[1,w^2]",
+    (1, "0", "w^3"): "[1,w^3]",
+    (1, "0", "w^w"): "[1,w^w]",
+    (1, "3", "w^3"): "[1,w^3] & l^1 in (2,inf]",
+    (1, "3", "w^w"): "[1,w^w] & l^1 in (2,inf]",
+    (1, "w", "w^w"): "[1,w^w] & l^1 in (0,inf] & l^2 in (0,inf]",
+    (2, "0", "w^2"): "[1,w^2]",
+    (2, "0", "w^3"): "[1,w^3]",
+    (2, "0", "w^w"): "[1,w^w]",
+}
+
+
+def test_geq_set_goldens():
+    for k in (1, 2):
+        for mu in ("0", "3", "w", "w*2", "w^2"):
+            for theta in ("w^2", "w^3", "w^w"):
+                got = bandset_to_text(geq_set(k, o(mu), o(theta)))
+                assert got == GEQ_GOLDENS.get((k, mu, theta), "empty"), (k, mu, theta)
 
 
 def test_is_empty_goldens():
@@ -340,9 +363,9 @@ def test_dmap_law_for_ell():
         assert sets_equal(lhs, rhs, theta), a
 
 
-def test_set_relations_match_the_complement_oracle():
-    """subset_of and sets_equal decide band by band; the oracle reads the
-    whole complement of t within [1, theta]."""
+def test_set_relations_match_the_pointwise_oracle():
+    """subset_of and sets_equal against a check at every ordinal <= w^3 with
+    coefficients <= 9, which shares no code with the band solver."""
     rng = random.Random(14)
     universe = helpers.finite_universe()
     no_containment = 0
@@ -376,12 +399,6 @@ def test_min_of_an_empty_band_raises():
     # make_band drops empty bands, so only a hand-built one gets here
     with pytest.raises(TopologyError):
         Band(OMEGA, ONE, ()).min()
-
-
-def test_pred_of_a_limit_raises():
-    assert _pred(o("w+3")) == o("w+2")
-    with pytest.raises(TopologyError):
-        _pred(OMEGA)
 
 
 # --- the memos ----------------------------------------------------------------------

@@ -50,8 +50,8 @@ from .logic import (
 )
 from .jtree import (
     FrameError,
+    NODE_LIST,
     find_jtree_model,
-    is_node_id,
     jframe_from_json,
     jframe_to_json,
 )
@@ -97,10 +97,13 @@ def _flag(name: str, read, text: str):
 
 
 def _int(what: str, text: str) -> int:
-    """int(text), where more than MAX_DIGITS digits is an error naming what."""
+    """int(text); a non-integer or more than MAX_DIGITS digits is an error naming what."""
     if len(text.lstrip("-")) > MAX_DIGITS:
         raise ValueError(f"{what} has more than {MAX_DIGITS} digits")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{what} must be an integer, not {text!r}")
 
 
 def _load_json(path: str):
@@ -124,8 +127,6 @@ def _load_json(path: str):
 
 # JSON shapes of valuation values: (what the error says, test)
 _BANDSET_TEXT = ("a band-set string", lambda v: isinstance(v, str))
-_NODE_IDS = ("a list of node ids",
-             lambda v: isinstance(v, list) and all(map(is_node_id, v)))
 
 
 def _load_valuation(path: str, shape, read) -> dict:
@@ -174,7 +175,7 @@ def cmd_band(args) -> int:
     if args.derive is not None:
         theta = _flag("--theta", parse_ordinal, args.theta) if args.theta else \
             max((b.hi for b in s.bands), default=OMEGA)
-        s = derived_set(s, args.derive, theta)
+        s = derived_set(s, _int("--derive", args.derive), theta)
     mw = min_witness(s)
     record = {"set": bandset_to_text(s), "empty": is_empty(s),
               "min": None if mw is None else ordinal_to_text(mw)}
@@ -197,7 +198,7 @@ def cmd_eval(args) -> int:
 def cmd_kripke(args) -> int:
     phi = parse_formula(args.formula)
     t = jframe_from_json(_load_json(args.frame))
-    v = _load_valuation(args.val, _NODE_IDS, frozenset) if args.val else {}
+    v = _load_valuation(args.val, NODE_LIST, frozenset) if args.val else {}
     got = eval_kripke(phi, t, v)
     nodes = sorted(got, key=repr)
     _emit(args, {"nodes": nodes}, " ".join(map(str, nodes)) or "(none)")
@@ -228,13 +229,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
-    if args.max_nodes < 1:
-        raise ValueError(f"--max-nodes must be at least 1, not {args.max_nodes}")
+    max_nodes = _int("--max-nodes", args.max_nodes)
+    if max_nodes < 1:
+        raise ValueError(f"--max-nodes must be at least 1, not {max_nodes}")
     phi, idxs = condense(parse_formula(args.formula))
     if any(not i.is_finite() for i in idxs):
         raise ValueError("transfinite modality indices are out of scope")
     sigma = [1 + i.to_int() for i in idxs]
-    res = find_jtree_model(phi, args.max_nodes)
+    res = find_jtree_model(phi, max_nodes)
     if res is None:
         _emit(args, {"result": "unknown"}, "unknown")
         return 2
@@ -271,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("band", parents=[common],
                        help="normalize (and optionally derive) a band set")
     p.add_argument("expr")
-    p.add_argument("--derive", type=int, default=None, metavar="LEVEL")
+    p.add_argument("--derive", default=None, metavar="LEVEL")
     p.add_argument("--theta", default=None)
     p.set_defaults(fn=cmd_band)
 
@@ -306,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", parents=[common],
                        help="bounded search for a treelike model")
     p.add_argument("formula")
-    p.add_argument("--max-nodes", type=int, default=5)
+    p.add_argument("--max-nodes", default="5")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_search)
     return ap

@@ -86,6 +86,7 @@ from .jtree import (
     InvalidFrame,
     JFrame,
     JTree,
+    NODE_LIST,
     as_jtree,
     find_valuation,
     frame_dia,
@@ -376,14 +377,16 @@ def density_witness(prod: ProductStructure, i: int, u: Ordinal,
 # --- node maps ------------------------------------------------------------------------
 
 # A node map f: [1, theta] -> T carries theta, apply(x), preimage(nodes)
-# (a band set, or NotRepresentable), to_json() and witnesses(): one point
-# of each node's fiber, certifying surjectivity.
+# (a band set, or NotRepresentable), to_json(), nesting (how deep map
+# objects nest in to_json(), as _map_from_json counts) and witnesses():
+# one point of each node's fiber, certifying surjectivity.
 
 
 class ConstMap:
     def __init__(self, node, theta: Ordinal):
         self.node = node
         self.theta = theta
+        self.nesting = 0
 
     def apply(self, x: Ordinal):
         _in_domain(x, self.theta)
@@ -408,6 +411,7 @@ class ComposeMap:
         self.node_map = node_map
         self.delta = delta
         self.theta = e_iter(delta, node_map.theta)
+        self.nesting = 1 + node_map.nesting
 
     def apply(self, x: Ordinal):
         _in_domain(x, self.theta)
@@ -439,7 +443,7 @@ class GLEmbedMap:
     def __init__(self, root, children: List["GLEmbedMap"]):
         self.root = root
         self.children = list(children)
-        self.height = 1 + max((c.height for c in self.children), default=-1)
+        self.height = self.nesting = 1 + max((c.height for c in self.children), default=-1)
         self.theta = omega_pow(_nat(self.height))
         self.tiles = Tiling(c.theta for c in self.children)
         self.node_rank: Dict = {root: self.height}
@@ -499,6 +503,7 @@ class CaseIIMap:
         self.f0 = f0
         self.alpha_nodes = frozenset(alpha_nodes)
         self.theta = prod.theta
+        self.nesting = max([1 + f0.nesting] + [2 + fm.nesting for fm, _ in self.parts])
 
     def apply(self, x: Ordinal):
         _in_domain(x, self.theta)
@@ -626,7 +631,13 @@ def embed(t, sigma) -> Countermodel:
     except InvalidFrame as exc:
         raise NotAJTree(str(exc))
 
-    fmap = _embed(t, sigma)
+    try:
+        fmap = _embed(t, sigma)
+    except RecursionError:
+        fmap = None
+    if fmap is None or fmap.nesting > MAX_NESTING:
+        depth = "" if fmap is None else f" {fmap.nesting} deep,"
+        raise EmbedError(f"cm.json would nest maps{depth} deeper than {MAX_NESTING}")
     theta, wit = fmap.theta, fmap.witnesses()
 
     # theta stays below the fixed hyperexponential tower for the input size
@@ -990,8 +1001,6 @@ NODE_MAPS = ("compose", "const", "product", "rank")
 
 # JSON shapes of map fields: (what the error says, test)
 _NODE = ("a node id (a string or an integer)", is_node_id)
-_NODES = ("a list of node ids",
-          lambda v: isinstance(v, list) and all(map(is_node_id, v)))
 _TEXT = ("an ordinal string", lambda v: isinstance(v, str))
 _TEXTS = ("a non-empty list of ordinal strings", lambda v: isinstance(v, list)
           and len(v) > 0 and all(isinstance(x, str) for x in v))
@@ -1079,7 +1088,7 @@ def _map_from_json(obj, path: str = "fmap", tags=NODE_MAPS, depth: int = 0):
             if not isinstance(part, dict):
                 raise EmbedError(f"countermodel field {at!r} must be a JSON object")
             parts.append((inner(_field(part, at, "fmap"), f"{at}.fmap"),
-                          frozenset(_field(part, at, "nodes", _NODES))))
+                          frozenset(_field(part, at, "nodes", NODE_LIST))))
         return parts
     kappas = [_parse_at(k, f"{path}.kappas[{i}]")
               for i, k in enumerate(read("kappas", _TEXTS))]
@@ -1100,7 +1109,7 @@ def _map_from_json(obj, path: str = "fmap", tags=NODE_MAPS, depth: int = 0):
     if f0.theta != prod.lam:
         raise EmbedError(f"countermodel field {path + '.f0'!r} must have theta "
                          f"{ordinal_to_text(prod.lam)} = lam")
-    return CaseIIMap(prod, parts, f0, frozenset(read("alpha", _NODES)))
+    return CaseIIMap(prod, parts, f0, frozenset(read("alpha", NODE_LIST)))
 
 
 def countermodel_to_json(cm: Countermodel) -> dict:

@@ -28,6 +28,7 @@ from .logic import (
     Formula,
     Program,
     compile_formula,
+    diamond_table,
     mask_nodes,
     node_bits,
     node_mask,
@@ -74,6 +75,10 @@ def make_jframe(nodes, rels) -> JFrame:
 def is_node_id(v) -> bool:
     """Node ids in JSON are strings or integers (not booleans)."""
     return isinstance(v, (str, int)) and not isinstance(v, bool)
+
+
+# the JSON shape of a list of node ids: (what an error says, test)
+NODE_LIST = ("a list of node ids", lambda v: isinstance(v, list) and all(map(is_node_id, v)))
 
 
 def jframe_from_json(obj, at: str = "") -> JFrame:
@@ -127,17 +132,12 @@ def _succ_table(rel) -> Dict:
 
 
 def generated_subframe(f: JFrame, x) -> JFrame:
-    """Restriction of f to x and everything reachable from x."""
-    succ = [_succ_table(r) for r in f.rels]
-    keep, frontier = {x}, [x]
-    while frontier:
-        y = frontier.pop()
-        for tab in succ:
-            for z in tab.get(y, ()):
-                if z not in keep:
-                    keep.add(z)
-                    frontier.append(z)
-    return subframe(f, keep)
+    """Restriction of the J-frame f to x and everything reachable from x,
+    which is x and its successors under any relation: the union of a
+    J-frame's relations is transitive.  For x R_m y R_n z, x R_m z when
+    m <= n, by (J) or by transitivity, and z is in R_n(y) = R_n(x) when
+    m > n, by (I)."""
+    return subframe(f, {x} | {b for r in f.rels for a, b in r if a == x})
 
 
 def frame_dia(f: JFrame, a, k: int) -> FrozenSet:
@@ -448,26 +448,14 @@ def _packing(n_atoms: int, n: int, count: int = 1) -> Tuple[int, int, Tuple[int,
     return n_atoms - tail, _ones(s ** tail, width), tuple(patterns)
 
 
-def _diamonds(pairs, n: int, rep: int) -> Tuple[Tuple[int, int, int], ...]:
-    """run_program's (v, mask, p) diamond table of one relation over the
-    frames of a pass, pairs[f] the _preds of frame f: one triple per
-    distinct (v, p), ascending, whose mask is rep times the sum of
-    2^(f * n) over the frames f that give node v the predecessors p."""
-    masks: Dict[Tuple[int, int], int] = {}
-    for f, frame_pairs in enumerate(pairs):
-        for vp in frame_pairs:
-            masks[vp] = masks.get(vp, 0) | 1 << f * n
-    return tuple((v, m * rep, p) for (v, p), m in sorted(masks.items()))
-
-
 @lru_cache(maxsize=64)
 def _passes(n: int, n_mods: int, n_atoms: int) -> Tuple[Tuple[int, int, tuple], ...]:
     """find_jtree_model's passes over _jtree_shapes(n, n_mods) for n_atoms
     atoms, in table order, as (first, count, tables): the count frames
     from first on, max(1, PACK_BITS // (V * n)) when every atom is packed,
-    else one, and each relation's _diamonds over them.  The 64 most recent
-    triples are kept; a pass holds at most n 2^(n-1) diamond triples per
-    relation (a node and a set of the others), whose masks are at most
+    else one, and each relation's diamond_table over them.  The 64 most
+    recent triples are kept; a pass holds at most n 2^(n-1) diamond triples
+    per relation (a node and a set of the others), whose masks are at most
     PACK_BITS bits."""
     frames = _jtree_shapes(n, n_mods)
     tail, width = _fit(n_atoms, n)
@@ -477,8 +465,8 @@ def _passes(n: int, n_mods: int, n_atoms: int) -> Tuple[Tuple[int, int, tuple], 
     for first in range(0, len(frames), per):
         group = frames[first:first + per]
         rep = _packing(n_atoms, n, len(group))[1]
-        out.append((first, len(group),
-                    tuple(_diamonds([_preds(g, idx) for g in group], n, rep) for idx in idxs)))
+        out.append((first, len(group), tuple(
+            diamond_table([_preds(g, idx) for g in group], n, rep) for idx in idxs)))
     return tuple(out)
 
 
@@ -501,7 +489,7 @@ def _first_hit(prog: Program, n: int, count: int, want: int, preds
     j-th of them in odometer order, the prefix copied to every block of N
     bits (times rep), and run_program's diamond carries nothing across a
     block of n bits.  One table serves both: its masks have bit
-    (j * count + f) * n set (_diamonds), so (a >> v) & mask on a prefix
+    (j * count + f) * n set (diamond_table), so (a >> v) & mask on a prefix
     value a < 2^N reads only bits below N, as the masks' bits from N on
     lie in blocks that such a value does not have.  The pass stops at a
     group whose conjuncts leave no block hitting want.  The hit is taken
@@ -587,7 +575,7 @@ def find_valuation(prog: Program, frame: JFrame, target=None
     if not want:                        # no node to hit, as in an empty frame
         return None
     rep = _packing(len(prog.atoms), n, 1)[1]    # the key _first_hit reads
-    hit = _first_hit(prog, n, 1, want, [_diamonds([p], n, rep) for p in pairs])
+    hit = _first_hit(prog, n, 1, want, [diamond_table([p], n, rep) for p in pairs])
     if hit is None:
         return None
     _, masks, holds = hit
@@ -617,7 +605,7 @@ def find_jtree_model(phi: Formula, max_nodes: int) -> Optional[SearchResult]:
     one-frame search on the disjoint union of count frames, valuation
     outermost: bit (j * count + f) * n + i of a packed value is node i of
     the pass's frame f under valuation j, and a diamond's per-block masks
-    (_diamonds) give each frame its own relation with no carry across a
+    (diamond_table) give each frame its own relation with no carry across a
     block.  A hit is taken in the pass's least frame with one and there in
     the first valuation that works (_first_hit), so the frame, node and
     valuation are those of searching each frame in turn.  The passes'

@@ -485,31 +485,30 @@ def mask_nodes(mask: int, nodes) -> FrozenSet:
     return frozenset(x for i, x in enumerate(nodes) if mask >> i & 1)
 
 
-def relation_succ(frame, idx: Ordinal, bit: Dict) -> List[Tuple[int, int]]:
-    """The (node bit, successor mask) pairs of the nodes that have
-    successors in frame's relation at modality index idx."""
+def relation_preds(frame, idx: Ordinal, bit: Dict) -> Tuple[Tuple[int, int], ...]:
+    """(v, the mask of v's predecessors) for each node position v that has
+    predecessors in frame's relation at modality index idx, ascending."""
     if not idx.is_finite() or idx.to_int() >= len(frame.rels):
         raise IndexOutOfRange(f"modality index {idx} (condense first?)")
-    succ: Dict = {}
+    preds: Dict[int, int] = {}
     for a, b in frame.rels[idx.to_int()]:
         if a not in bit or b not in bit:
             raise LogicError(f"edge ({a!r}, {b!r}) leaves the frame")
-        succ[bit[a]] = succ.get(bit[a], 0) | bit[b]
-    return list(succ.items())
-
-
-def relation_preds(frame, idx: Ordinal, bit: Dict) -> Tuple[Tuple[int, int], ...]:
-    """(v, the mask of v's predecessors) for each node position v that has
-    predecessors in frame's relation at modality index idx, ascending;
-    read off relation_succ, so with its errors."""
-    preds: Dict[int, int] = {}
-    for b, s in relation_succ(frame, idx, bit):
-        while s:
-            low = s & -s
-            v = low.bit_length() - 1
-            preds[v] = preds.get(v, 0) | b
-            s ^= low
+        v = bit[b].bit_length() - 1
+        preds[v] = preds.get(v, 0) | bit[a]
     return tuple(sorted(preds.items()))
+
+
+def diamond_table(pairs, n: int, rep: int) -> Tuple[Tuple[int, int, int], ...]:
+    """run_program's (v, mask, p) diamond table of one relation over frames
+    of n nodes, pairs[f] the relation_preds of frame f: one triple per
+    distinct (v, p), ascending, whose mask is rep times the sum of
+    2^(f * n) over the frames f that give node v the predecessors p."""
+    masks: Dict[Tuple[int, int], int] = {}
+    for f, frame_pairs in enumerate(pairs):
+        for vp in frame_pairs:
+            masks[vp] = masks.get(vp, 0) | 1 << f * n
+    return tuple((v, m * rep, p) for (v, p), m in sorted(masks.items()))
 
 
 def run_program(code, start: int, stop: int, vals, atoms, preds, full: int) -> None:
@@ -560,7 +559,7 @@ def eval_kripke(phi: Formula, frame, v: Dict[int, FrozenSet]) -> FrozenSet:
     nodes = tuple(frame.nodes)
     bit = node_bits(nodes)
     atoms = [node_mask(v[a], bit) for a in prog.atoms]
-    preds = [tuple((v, 1, p) for v, p in relation_preds(frame, idx, bit))
+    preds = [diamond_table([relation_preds(frame, idx, bit)], len(nodes), 1)
              for idx in prog.mods]
     vals = [0] * len(prog.code)
     run_program(prog.code, 0, len(vals), vals, atoms, preds, (1 << len(nodes)) - 1)

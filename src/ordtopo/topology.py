@@ -180,21 +180,18 @@ def make_band(lo: Ordinal, hi: Ordinal, cons: Dict[int, Bound] = None) -> Option
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _make_band_memo(lo: Ordinal, hi: Ordinal, cons_key: tuple) -> Optional[Band]:
-    merged: Dict[int, Bound] = {}
-    for k, bound in cons_key:
+    # cons_key holds each level once, ascending: negative levels raise first
+    clean: Dict[int, Bound] = {}
+    for k, (c, d) in cons_key:
         if k < 0:
             raise UnsupportedLevel(f"level {k}")
-        merged[k] = merge_bound(merged.get(k, (None, None)), bound)
-    clean = {}
-    for k, (c, d) in sorted(merged.items()):
         if c is not None and d is not None and d <= c:
             return None
-        if c is None and d is None:
-            continue
-        clean[k] = (c, d)
+        if c is not None or d is not None:
+            clean[k] = (c, d)
     if lo > hi or _min_sol(lo, hi, clean) is None:
         return None
-    return Band(lo, hi, tuple((k, c, d) for k, (c, d) in sorted(clean.items())))
+    return Band(lo, hi, tuple((k, c, d) for k, (c, d) in clean.items()))
 
 
 def _band_subsumes(a: Band, b: Band) -> bool:

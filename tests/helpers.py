@@ -449,6 +449,59 @@ def kripke_oracle(phi, frame, v):
     return sem(phi)
 
 
+# --- the census of small formulas ----------------------------------------------
+
+
+def formulas_upto(size: int, n_mods: int):
+    """Every formula over p0, T, ~, & and <0>..<n_mods-1> with at most size
+    symbols, condensed, one per text (the first by size): a list of
+    (formula, its condensed indices)."""
+    from ordtopo.logic import TOP, And, Dia, Not, Var, condense, formula_to_text
+    from ordtopo.ordinal import Ordinal
+
+    rows = [[], [Var(0), TOP]]  # rows[s]: the formulas of s symbols
+    for s in range(2, size + 1):
+        rows.append([Not(a) for a in rows[s - 1]]
+                    + [Dia(Ordinal.from_int(k), a) for k in range(n_mods) for a in rows[s - 1]]
+                    + [And(a, b) for i in range(1, s - 1)
+                       for a in rows[i] for b in rows[s - 1 - i]])
+    out = {}
+    for phi in itertools.chain(*rows):
+        condensed = condense(phi)
+        out.setdefault(formula_to_text(condensed[0]), condensed)
+    return list(out.values())
+
+
+def census(size: int) -> dict:
+    """Each of formulas_upto(size, 2) through the search workload's chain:
+    find_jtree_model(phi, 5), embed at sigma = 1 + the condensed indices and
+    verify_countermodel with the search valuation.  Counts of 'exact'
+    (PASS, every row EXACT), 'partial' (PASS, some row not) and 'unknown'
+    (no model); the texts of each FAIL only at stage (c) ('fail') and of
+    every other FAIL ('other')."""
+    from ordtopo.embed import embed, verify_countermodel
+    from ordtopo.jtree import find_jtree_model
+    from ordtopo.logic import formula_to_text
+
+    table = {"formulas": 0, "exact": 0, "partial": 0, "unknown": 0, "fail": [], "other": []}
+    for phi, idxs in formulas_upto(size, 2):
+        table["formulas"] += 1
+        res = find_jtree_model(phi, 5)
+        if res is None:
+            table["unknown"] += 1
+            continue
+        cm = embed(res.frame, tuple(1 + i.to_int() for i in idxs))
+        rep = verify_countermodel(cm, phi, t_val=res.valuation)
+        bad = [name for name, _, ok, _ in rep.checks if not ok]
+        if not bad:
+            exact = all(mode == "EXACT" for _, mode, _, _ in rep.checks)
+            table["exact" if exact else "partial"] += 1
+        else:
+            stage_c = all(name.startswith("(c)") for name in bad)
+            table["fail" if stage_c else "other"].append(formula_to_text(phi))
+    return table
+
+
 # --- the map check -------------------------------------------------------------
 
 

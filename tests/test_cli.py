@@ -547,6 +547,30 @@ def test_verify_caps_map_nesting(capsys, tmp_path, depth, code):
             "nests maps deeper than 128" in err
 
 
+@pytest.mark.parametrize("n,code,err", [
+    (129, 0, ""), (130, 2, "error: cm.json would nest maps 129 deep, deeper than 128\n")],
+    ids=["chain129", "chain130"])
+def test_embed_writes_no_map_that_verify_refuses(tmp_path, n, code, err):
+    # an n-node chain's rank map nests n - 1 deep in cm.json, and verify
+    # reads at most 128
+    ff = tmp_path / "chain.json"
+    ff.write_text(json.dumps({"nodes": list(range(n)), "rels": [
+        [[i, j] for i in range(n) for j in range(i + 1, n)]]}))
+    assert run_quiet(["embed", "--tree", str(ff), "--sigma", "1",
+                      "--out", str(tmp_path / "cm.json")]) == (code, "", err)
+
+
+def test_embed_past_the_recursion_limit_is_the_nesting_error(tmp_path):
+    # each empty relation above the last lifts the map once more, until the
+    # embedding recurses past the interpreter's limit
+    k = 1000
+    ff = tmp_path / "deep.json"
+    ff.write_text(json.dumps({"nodes": [0, 1], "rels": [[]] * (k - 1) + [[[0, 1]]]}))
+    sigma = ",".join(map(str, range(1, k + 1)))
+    got, out, err = run_quiet(["embed", "--tree", str(ff), "--sigma", sigma])
+    assert (got, out, err) == (2, "", "error: cm.json would nest maps deeper than 128\n")
+
+
 @pytest.mark.parametrize("argv", [["verify", "T", "--cm"], ["kripke", "T", "--frame"]])
 def test_deeply_nested_json_file(tmp_path, argv):
     ff = tmp_path / "deep.json"
@@ -861,6 +885,10 @@ def test_levels_past_the_depth_cap(argv, want):
      "--sigma entry 1 has more than 4300 digits"),
     (["eval", "p0", "--theta", "w", "--levels", "1"], "no valuation for atom p0"),
     (["kripke", "p0", "--frame", "{frame}"], "no valuation for atom p0"),
+    # integer flags, read as --sigma entries are
+    (["band", "[1,w]", "--derive", "1" * 5000], "--derive has more than 4300 digits"),
+    (["search", "T", "--max-nodes", "1" * 5000], "--max-nodes has more than 4300 digits"),
+    (["search", "T", "--max-nodes", "five"], "--max-nodes must be an integer, not 'five'"),
 ])
 def test_bad_option_values_are_named(tmp_path, argv, why):
     frame = fan_file(tmp_path)

@@ -1132,3 +1132,21 @@ def test_embed_raises_on_a_broken_witness_table(monkeypatch):
                         lambda self: dict.fromkeys(self.node_rank, ZERO))
     with pytest.raises(EmbedError, match="witness 0"):
         embed(frame("ra", [("r", "a")]), (1,))
+
+
+# --- the census of small formulas ----------------------------------------------------
+
+
+def test_census_of_small_formulas():
+    # every formula over p0, T, ~, &, <0> and <1> of at most 5 symbols (514,
+    # 378 condensed texts) through search -> embed -> verify, as the search
+    # workload runs them; each FAIL is at stage (c) alone, on a model where
+    # the Kripke oracle puts the search node in phi's truth set
+    table = helpers.census(5)
+    fails = ["<1>~<0>T", "<0><1>~<0>T", "<1>~<0>~p0", "<1>~<0><0>T", "<1><1>~<0>T"]
+    assert table == {"formulas": 378, "exact": 333, "partial": 0, "unknown": 40,
+                     "fail": fails, "other": []}
+    for text in fails:
+        phi = parse_formula(text)
+        res = find_jtree_model(phi, 5)
+        assert res.node in helpers.kripke_oracle(phi, res.frame, res.valuation), text

@@ -27,7 +27,7 @@ from ordtopo.logic import (
     eval_kripke,
     parse_formula,
     PolySpace,
-    relation_succ,
+    diamond_table,
     tree_formula,
 )
 from ordtopo.embed import jmap_check
@@ -479,6 +479,29 @@ def test_generated_subframes_of_trees_are_trees():
     assert checked > 600
 
 
+def test_generated_subframe_is_the_reachable_closure():
+    # one pass over x's successors under every relation gives the nodes that
+    # a breadth-first search along all the relations reaches from x
+    pairs = 0
+    for n_rels, top in ((1, 6), (2, 5), (3, 5)):
+        for n in range(1, top + 1):
+            for g in _jtree_shapes(n, n_rels):
+                for x in g.nodes:
+                    keep, queue = {x}, collections.deque([x])
+                    while queue:
+                        y = queue.popleft()
+                        new = {b for r in g.rels for a, b in r if a == y} - keep
+                        keep |= new
+                        queue.extend(new)
+                    sub = generated_subframe(g, x)
+                    assert set(sub.nodes) == keep, (g, x)
+                    assert sub.rels == tuple(frozenset((a, b) for a, b in r
+                                                       if a in keep and b in keep)
+                                             for r in g.rels), (g, x)
+                    pairs += 1
+    assert pairs == 1820
+
+
 # The first model in the search order: (frame nodes, relations, node,
 # valuation).  These are what enumerating every frame and every valuation
 # in order finds; the incremental, pruned search must find the same.
@@ -667,8 +690,8 @@ def test_search_tries_each_shape_once(monkeypatch, text, calls):
         first = sum(len(g.nodes) == n for g in tried)
         group = _jtree_shapes(n, n_mods)[first:first + count]
         rep = _packing(len(prog.atoms), n, count)[1]
-        assert preds == [jtree_module._diamonds([jtree_module._preds(g, idx) for g in group],
-                                                n, rep) for idx in prog.mods]
+        assert preds == [diamond_table([jtree_module._preds(g, idx) for g in group], n, rep)
+                         for idx in prog.mods]
         tried.extend(group)
         passes.append(n)
         return real(prog, n, count, want, preds)
@@ -804,7 +827,12 @@ def oracle_find_valuation(prog, frame, target=None):
     bit = {x: 1 << i for i, x in enumerate(nodes)}
     full = (1 << len(nodes)) - 1
     want = full if target is None else sum(bit[x] for x in set(target))
-    succ = [relation_succ(frame, idx, bit) for idx in prog.mods]
+    succ = []                       # (node bit, successor mask) per modality
+    for idx in prog.mods:
+        table = {}
+        for a, b in frame.rels[idx.to_int()]:
+            table[bit[a]] = table.get(bit[a], 0) | bit[b]
+        succ.append(list(table.items()))
     code, starts = prog.code, prog.starts
     n_atoms = len(prog.atoms)
     opts = oracle_supports(n_atoms, len(nodes))

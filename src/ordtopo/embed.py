@@ -39,6 +39,7 @@ from .ordinal import (
     MAX_NESTING,
     ONE,
     ZERO,
+    DepthExceeded,
     Ordinal,
     OrdinalError,
     add,
@@ -635,6 +636,9 @@ def embed(t, sigma) -> Countermodel:
         fmap = _embed(t, sigma)
     except RecursionError:
         fmap = None
+    except DepthExceeded:
+        raise EmbedError(f"theta at sigma's last level {sigma[-1]} would nest "
+                         f"ordinals deeper than {DEPTH_CAP}") from None
     if fmap is None or fmap.nesting > MAX_NESTING:
         depth = "" if fmap is None else f" {fmap.nesting} deep,"
         raise EmbedError(f"cm.json would nest maps{depth} deeper than {MAX_NESTING}")

@@ -242,13 +242,23 @@ def formula_to_text(phi: Formula) -> str:
 
 def condense(phi: Formula) -> Tuple[Formula, Tuple[Ordinal, ...]]:
     """Renumber modality indices to 0..n-1, returning the original sequence
-    (the mods of phi's compiled program); the result is rebuilt bottom-up
-    from phi's instructions."""
+    (the mods of phi's compiled program).  The result is one shared object
+    per condensed structure, so its program is compiled once however often
+    the structure comes back: <3>p0 & [5]~p0 and <1>p0 & [2]~p0 both give
+    the same <0>p0 & [1]~p0."""
     raw = _emit(phi)
     sigma = tuple(sorted({y for op, _, y in raw if op in (OP_DIA, OP_BOX)}))
     table = {lam: Ordinal.from_int(k) for k, lam in enumerate(sigma)}
+    return _build(tuple((op, x, table[y]) if op in (OP_DIA, OP_BOX) else (op, x, y)
+                        for op, x, y in raw)), sigma
+
+
+@lru_cache(maxsize=topology.MEMO_SIZE)
+def _build(code: tuple) -> Formula:
+    """The formula of condense's renumbered instructions, built bottom-up;
+    the memo key is the flat instruction tuple, so no AST is hashed."""
     built: List[Formula] = []
-    for op, x, y in raw:
+    for op, x, y in code:
         kind = _NODE[op]
         if op == OP_VAR:
             f = Var(x)
@@ -257,11 +267,11 @@ def condense(phi: Formula) -> Tuple[Formula, Tuple[Ordinal, ...]]:
         elif op == OP_NOT:
             f = Not(built[x])
         elif op in (OP_DIA, OP_BOX):
-            f = kind(table[y], built[x])
+            f = kind(y, built[x])
         else:
             f = kind(built[x], built[y])
         built.append(f)
-    return built[-1], sigma
+    return built[-1]
 
 
 # --- topological semantics --------------------------------------------------------

@@ -287,8 +287,8 @@ def memos():
             topology.sets_equal, topology.derived_set,
             embed._ell_iter_preimage, embed._otyp_up_preimage,
             embed._pi0_preimage,
-            logic.endpoint_pool, jtree._preds, jtree._packing, jtree._passes,
-            jtree._supports)
+            logic.endpoint_pool, logic._build, jtree._preds, jtree._packing,
+            jtree._passes, jtree._supports)
 
 
 def clear_memos():

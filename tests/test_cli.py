@@ -571,6 +571,20 @@ def test_embed_past_the_recursion_limit_is_the_nesting_error(tmp_path):
     assert (got, out, err) == (2, "", "error: cm.json would nest maps deeper than 128\n")
 
 
+@pytest.mark.parametrize("k,err", [
+    (40, ""), (64, "error: theta at sigma's last level 64 would nest ordinals "
+              "deeper than 64\n")], ids=["rels40", "rels64"])
+def test_embed_past_the_depth_cap_names_sigma(tmp_path, k, err):
+    # each empty relation above the last lifts theta by one e, until its
+    # CNF nests past DEPTH_CAP
+    ff = tmp_path / "deep.json"
+    ff.write_text(json.dumps({"nodes": [0, 1], "rels": [[]] * (k - 1) + [[[0, 1]]]}))
+    sigma = ",".join(map(str, range(1, k + 1)))
+    got, _, got_err = run_quiet(["embed", "--tree", str(ff), "--sigma", sigma,
+                                 "--out", str(tmp_path / "cm.json")])
+    assert (got, got_err) == (2 if err else 0, err)
+
+
 @pytest.mark.parametrize("argv", [["verify", "T", "--cm"], ["kripke", "T", "--frame"]])
 def test_deeply_nested_json_file(tmp_path, argv):
     ff = tmp_path / "deep.json"

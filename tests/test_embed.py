@@ -51,6 +51,7 @@ from ordtopo.jtree import (
 from ordtopo.logic import (
     PolySpace,
     _random_formula,
+    condense,
     endpoint_pool,
     eval_kripke,
     eval_topo,
@@ -846,6 +847,30 @@ def test_search_embed_verify_compiles_once(compiled):
     res = find_jtree_model(phi, 5)
     rep = verify_countermodel(embed(res.frame, (1, 2)), phi)
     assert rep.ok and compiled == [phi]
+
+
+def test_condensed_formulas_share_one_compilation(compiled):
+    helpers.clear_memos()
+    phi, sigma = condense(f("<3>(p0 & <5>T) & ~p0"))
+    psi, tau = condense(f("<1>( p0&<2>T )&~ p0"))
+    assert psi is phi and str(phi) == "<0>(p0 & <1>T) & ~p0"
+    assert [sigma, tau] == [tuple(map(Ordinal.from_int, s)) for s in ((3, 5), (1, 2))]
+    for chi, s in ((phi, (4, 6)), (psi, (2, 3))):
+        res = find_jtree_model(chi, 5)
+        assert verify_countermodel(embed(res.frame, s), chi).ok
+    assert compiled == [phi]
+    # the memo holds the shared object; once cleared, an equal one is built
+    helpers.clear_memos()
+    again, _ = condense(f("<3>(p0 & <5>T) & ~p0"))
+    assert again == phi and again is not phi
+
+
+def test_a_long_chain_condenses_to_one_shared_formula():
+    text = " & ".join(["<4>p0"] * 3000)
+    phi, sigma = condense(f(text))
+    assert condense(f(text.replace("<4>", "< 9 >")))[0] is phi
+    assert sigma == (Ordinal.from_int(4),)
+    assert find_jtree_model(phi, 2) is not None
 
 
 MAP_CHECK_REPORTS = [

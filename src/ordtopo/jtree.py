@@ -119,6 +119,8 @@ def jframe_to_json(f: JFrame) -> dict:
 
 def subframe(f: JFrame, keep) -> JFrame:
     keep = set(keep)
+    if keep.issuperset(f.nodes):        # f whole: share its relations
+        return JFrame(f.nodes, f.rels)
     return JFrame(tuple(n for n in f.nodes if n in keep),
                   tuple(frozenset(p for p in r if p[0] in keep and p[1] in keep)
                         for r in f.rels))
@@ -370,13 +372,12 @@ def whole_slice(n_atoms: int, n: int) -> bool:
     return n_atoms * n <= 12
 
 
-@lru_cache(maxsize=32)
 def _supports(n_atoms: int, n: int) -> Tuple[int, ...]:
     """The node masks each atom runs through, in search order: every subset
     by size, then lexicographically; only the empty, singleton and full
     sets when atoms x nodes > 12, each once (on one node the full set is
-    the singleton); none without atoms, where no scan reads them.  The 32
-    most recent pairs are kept, at most 4,096 masks each."""
+    the singleton); none without atoms, where no scan reads them.  At most
+    4,096 masks; the searches read them through the _packing memo."""
     if not n_atoms:
         return ()
     if whole_slice(n_atoms, n):
@@ -416,28 +417,21 @@ def _ones(count: int, width: int) -> int:
     return ((1 << count * width) - 1) // ((1 << width) - 1)
 
 
-def _fit(n_atoms: int, n: int) -> Tuple[int, int]:
-    """(t, S^t * n) for n_atoms atoms on n nodes, S = len(_supports): the
-    number t of atoms, the last ones, that a packed value holds, the most
-    with S^t * n <= PACK_BITS, and the bits a frame then takes in a pass."""
-    s, tail = len(_supports(n_atoms, n)), 0
+@lru_cache(maxsize=64)
+def _packing(n_atoms: int, n: int, count: int = 1) -> Tuple[int, int, tuple, tuple]:
+    """(lead, rep, patterns, opts) for n_atoms atoms on count frames of n
+    nodes, N = count * n bits, with opts = _supports(n_atoms, n) and
+    S = len(opts): the last atoms, from position lead on, are packed, as
+    many as keep V * n <= PACK_BITS for their V = S^(n_atoms - lead)
+    valuations, which take V * N bits; rep = _ones(V, N).  Block j of N
+    bits of a value is the j-th valuation of the packed atoms in odometer
+    order (the last atom fastest), so block j of the pattern of packed atom
+    t is opts[digit t of j in base S] in every frame.  The 64 most recent
+    entries are kept, each at most 13 patterns of PACK_BITS and 4,096 opts."""
+    opts = _supports(n_atoms, n)
+    s, tail, width = len(opts), 0, count * n
     while tail < n_atoms and s ** (tail + 1) * n <= PACK_BITS:
         tail += 1
-    return tail, s ** tail * n
-
-
-@lru_cache(maxsize=64)
-def _packing(n_atoms: int, n: int, count: int = 1) -> Tuple[int, int, Tuple[int, ...]]:
-    """(lead, rep, patterns) for n_atoms atoms on count frames of n nodes,
-    N = count * n bits: the atoms from position lead on are packed (_fit),
-    with V = S^(n_atoms - lead) valuations of S = len(_supports) options
-    each, in V * N bits; rep = _ones(V, N).  Block j of N bits of a value
-    is the j-th valuation of the packed atoms in odometer order (the last
-    atom fastest), so block j of the pattern of packed atom t is
-    opts[digit t of j in base S] in every frame.  The 64 most recent
-    triples are kept, each at most 13 patterns of PACK_BITS."""
-    opts = _supports(n_atoms, n)
-    s, tail, width = len(opts), _fit(n_atoms, n)[0], count * n
     frames = _ones(count, n)
     patterns = []
     for t in range(tail):
@@ -445,21 +439,20 @@ def _packing(n_atoms: int, n: int, count: int = 1) -> Tuple[int, int, Tuple[int,
         period = sum(o * frames * _ones(run, width) << d * run * width
                      for d, o in enumerate(opts))
         patterns.append(period * _ones(s ** t, s * run * width))
-    return n_atoms - tail, _ones(s ** tail, width), tuple(patterns)
+    return n_atoms - tail, _ones(s ** tail, width), tuple(patterns), opts
 
 
 @lru_cache(maxsize=64)
 def _passes(n: int, n_mods: int, n_atoms: int) -> Tuple[Tuple[int, int, tuple], ...]:
     """find_jtree_model's passes over _jtree_shapes(n, n_mods) for n_atoms
     atoms, in table order, as (first, count, tables): the count frames
-    from first on, max(1, PACK_BITS // (V * n)) when every atom is packed,
-    else one, and each relation's diamond_table over them.  The 64 most
-    recent triples are kept; a pass holds at most n 2^(n-1) diamond triples
-    per relation (a node and a set of the others), whose masks are at most
-    PACK_BITS bits."""
+    from first on, max(1, PACK_BITS // (S^n_atoms * n)) with
+    S = len(_supports), so one unless _packing packs every atom, and each
+    relation's diamond_table over them.  The 64 most recent triples are
+    kept; a pass holds at most n 2^(n-1) diamond triples per relation (a
+    node and a set of the others), whose masks are at most PACK_BITS bits."""
     frames = _jtree_shapes(n, n_mods)
-    tail, width = _fit(n_atoms, n)
-    per = max(1, PACK_BITS // width) if tail == n_atoms else 1
+    per = max(1, PACK_BITS // (len(_supports(n_atoms, n)) ** n_atoms * n))
     idxs = [Ordinal.from_int(k) for k in range(n_mods)]
     out = []
     for first in range(0, len(frames), per):
@@ -512,8 +505,7 @@ def _first_hit(prog: Program, n: int, count: int, want: int, preds
     bound = [meet(full0, 0, vals)]      # bound[k]: the conjuncts up to atom k - 1
     if not bound[0] & want0:
         return None
-    opts = _supports(n_atoms, n)
-    lead, rep, patterns = _packing(n_atoms, n, count)
+    lead, rep, patterns, opts = _packing(n_atoms, n, count)
     masks = [0] * lead + list(patterns)
     full, want_all = full0 * rep, want0 * rep
     pick: List[int] = []

@@ -51,14 +51,14 @@ class NotRepresentable(TopologyError):
 # constraint bounds: None as lower means -1, None as upper means infinity
 Bound = Tuple[Optional[Ordinal], Optional[Ordinal]]
 
-# Entries per memo of a band primitive and of a set operation (intersect,
-# complement_within, subset_of, sets_equal, derived_set).  All are pure
-# and their results immutable, so callers share them; a memo keeps its
-# operands alive, so each one is bounded.  On bench/run.py countermodel
-# (seed 1, 2-CPU container), 512 entries per set memo cost 1.3 MiB of
-# peak RSS (3%) for 39% more items/s; 256 saved 0.5 MiB and 1,024 cost
-# 0.5 MiB more, both for speed within the noise; 4,096 per memo cost
-# 5 MiB (12%) and slowed the cli workload.
+# Entries per memo (make_band, the band complement and the set operations
+# intersect, complement_within, subset_of, sets_equal, derived_set).  All
+# are pure and their results immutable, so callers share them; a memo
+# keeps its operands alive, so each one is bounded.  On bench/run.py
+# countermodel (seed 1, 2-CPU container), 512 entries per set memo cost
+# 1.3 MiB of peak RSS (3%) for 39% more items/s; 256 saved 0.5 MiB and
+# 1,024 cost 0.5 MiB more, both for speed within the noise; 4,096 per
+# memo cost 5 MiB (12%) and slowed the cli workload.
 MEMO_SIZE = 512
 
 
@@ -77,12 +77,8 @@ def _sat(v: Ordinal, cons: Dict[int, Bound]) -> bool:
 
 
 def _min_sol(lo: Ordinal, hi: Optional[Ordinal], cons: Dict[int, Bound]) -> Optional[Ordinal]:
-    return _min_sol_memo(lo, hi, _cons_key(cons))
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _min_sol_memo(lo: Ordinal, hi: Optional[Ordinal], cons_key: tuple) -> Optional[Ordinal]:
-    """Least v >= lo with v <= hi (None = unbounded) meeting every constraint.
+    """Least v >= lo with v <= hi (None = unbounded) meeting every constraint
+    of cons, which it only reads; most calls come from memoised callers.
 
     If lo itself fails, every larger candidate is lo + z with z > 0 and
     l^k(lo + z) = l^k(z), so the least fix is lo + w^w0 where w0 is the least
@@ -90,7 +86,6 @@ def _min_sol_memo(lo: Ordinal, hi: Optional[Ordinal], cons_key: tuple) -> Option
     has CNF depth at most DEPTH_CAP, so l^k is 0 for k >= DEPTH_CAP: a
     constraint there holds everywhere or, with a lower bound, nowhere.
     """
-    cons = dict(cons_key)
     if hi is not None and lo > hi:
         return None
     if any(k >= DEPTH_CAP and c is not None for k, (c, _) in cons.items()):
@@ -244,7 +239,6 @@ def union(s: BandSet, t: BandSet) -> BandSet:
     return bandset(list(s.bands) + list(t.bands))
 
 
-@lru_cache(maxsize=MEMO_SIZE)
 def _band_intersect(a: Band, b: Band) -> Optional[Band]:
     cons = a.cons_dict()
     for k, bound in b._cons.items():

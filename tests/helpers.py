@@ -281,14 +281,13 @@ def memos():
     """The package's memoised functions, for tests that inspect or clear them."""
     from ordtopo import cli, embed, jtree, logic, topology
 
-    return (cli._build_parser, topology._min_sol_memo, topology._make_band_memo,
-            topology._band_intersect, topology._band_complement,
+    return (cli._build_parser, topology._make_band_memo, topology._band_complement,
             topology.intersect, topology.complement_within, topology.subset_of,
             topology.sets_equal, topology.derived_set,
             embed._ell_iter_preimage, embed._otyp_up_preimage,
             embed._pi0_preimage,
             logic.endpoint_pool, logic._build, jtree._preds, jtree._packing,
-            jtree._passes, jtree._supports)
+            jtree._passes)
 
 
 def clear_memos():

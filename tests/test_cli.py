@@ -619,7 +619,10 @@ CM_BLOBS = [countermodel_to_json(embed(make_jframe(nodes, rels), sigma))
             for nodes, rels, sigma in (
                 ("ra", [[("r", "a")]], (1,)),                      # 2-chain
                 ("rab", [[("r", "a"), ("r", "b")]], (1,)),         # fan
-                ("rab", [[("r", "a"), ("r", "b")], []], (1, 2)))]  # its product
+                ("rab", [[("r", "a"), ("r", "b")], []], (1, 2)),   # its product
+                ("ra", [[("r", "a")]], (2,)),                      # a compose map
+                # a product whose f0 is a compose map
+                ("rab", [[("a", "b"), ("r", "b")], [("r", "a")]], (1, 2)))]
 CM_WORDS = ["0", "1", "w", "w+1", "r", "a", "b", "map", "nodes", "rels", "rank",
             "liter", "const", "compose", "segments", "product", "otyp_up"]
 JSON_VALUES = st.recursive(
@@ -645,6 +648,72 @@ def test_cm_json_exit_contract(blob, data, new):
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     assert (code == 2) == err.startswith("error:")
+
+
+MAP_TAGS = ["rank", "const", "compose", "product", "liter", "segments", "otyp_up"]
+RETYPED = [None, True, False, 0, 7, -1, "", "x", "w", [], [1], ["r"], {}, {"map": "rank"}]
+MARK = "@@mutated@@"          # stands for a value whose JSON text is written by hand
+
+
+def _at(value, at):
+    for k in at:
+        value = value[k]
+    return value
+
+
+@st.composite
+def cm_mutations(draw):
+    """One model's cm.json text with one mutation at a drawn path: a key
+    dropped or repeated, a value retyped, a map's tag swapped, a map wrapped
+    in 130 compose layers, or a 5,000-digit numeral put in."""
+    blob = draw(st.sampled_from(CM_BLOBS))
+    paths = list(_json_paths(blob))
+    keyed = [p for p in paths if p and isinstance(p[-1], str)]
+    maps = [p for p in paths if isinstance(_at(blob, p), dict) and "map" in _at(blob, p)]
+    kind = draw(st.sampled_from(["drop", "repeat", "retype", "tag", "wrap", "digits"]))
+    raw = None
+    if kind in ("drop", "repeat"):
+        at = draw(st.sampled_from(keyed))
+        parent = _at(blob, at[:-1])
+        if kind == "drop":
+            new = {k: v for k, v in parent.items() if k != at[-1]}
+        else:
+            new = MARK
+            items = [(k, parent[k]) for k in parent] + [(at[-1], parent[at[-1]])]
+            raw = "{" + ", ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in items) + "}"
+        at = at[:-1]
+    elif kind in ("tag", "wrap"):
+        at = draw(st.sampled_from(maps))
+        new = dict(_at(blob, at))
+        if kind == "tag":
+            new["map"] = draw(st.sampled_from([t for t in MAP_TAGS if t != new["map"]]))
+        else:
+            for _ in range(130):
+                new = {"map": "compose", "outer": new,
+                       "inner": {"map": "liter", "delta": 1, "theta": "w"}}
+    else:
+        at = draw(st.sampled_from(paths))
+        if kind == "retype":
+            new = draw(st.sampled_from(RETYPED))
+        else:
+            new, raw = MARK, draw(st.sampled_from(["9" * 5000, '"' + "9" * 5000 + '"']))
+    text = json.dumps(_replaced(blob, at, new))
+    return text if raw is None else text.replace(json.dumps(MARK), raw, 1)
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(cm_mutations())
+def test_mutated_cm_json_keeps_the_exit_contract(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        cmf = os.path.join(tmp, "cm.json")
+        with open(cmf, "w") as fh:
+            fh.write(text)
+        code, _, err = run_quiet(["verify", "T", "--cm", cmf])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert (code == 2) == (bool(lines) and lines[0].startswith("error:"))
+    assert sum(line.startswith("error:") for line in lines) == (code == 2)
 
 
 FAN = jframe_to_json(make_jframe(["r", "a", "b"], [[("r", "a"), ("r", "b")]]))

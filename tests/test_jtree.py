@@ -375,6 +375,16 @@ def test_root_split_of_the_mixed_frame():
     assert plane.nodes == ("x",) and subtrees == ()
 
 
+def test_a_piece_that_keeps_every_node_shares_the_relations():
+    # with R_0 empty the root plane is the whole tree on R_1: its relation
+    # is the tree's own object, not a copy, and so is a generated
+    # subframe's at the root
+    t = as_jtree(frame("ab", [], [("a", "b")]))
+    plane, subtrees = t.split
+    assert plane.rels[0] is t.rels[1] and subtrees == ()
+    assert all(a is b for a, b in zip(generated_subframe(t, "a").rels, t.rels))
+
+
 # --- tree recognition ------------------------------------------------------------
 
 
@@ -938,8 +948,8 @@ def test_packed_patterns_follow_the_odometer():
     # fit under PACK_BITS
     for n_atoms in range(1, 7):
         for n in range(1, 6):
-            lead, rep, patterns = _packing(n_atoms, n)
-            opts = _supports(n_atoms, n)
+            lead, rep, patterns, opts = _packing(n_atoms, n)
+            assert opts == _supports(n_atoms, n)
             s, tail = len(opts), n_atoms - lead
             assert len(patterns) == tail and 0 <= lead <= n_atoms
             assert s ** tail * n <= jtree_module.PACK_BITS

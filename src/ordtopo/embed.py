@@ -474,7 +474,8 @@ class GLEmbedMap:
         for rho in sorted(ranks):
             cons = {1: (None, ZERO)} if rho == 0 else {1: (_nat(rho - 1), _nat(rho))}
             out.append(make_band(ONE, self.theta, cons))
-        return bandset(out)
+        # the rank bands {l x = rho} are disjoint, and w^rho <= theta lies in each
+        return BandSet(tuple(out))
 
     def below(self) -> List[Tuple]:
         """The pairs (x, y) of the tree with y in x's subtree, y != x."""
@@ -519,11 +520,12 @@ class CaseIIMap:
         out = self.prod.pi1_preimage(self.f0.preimage(nodes & self.alpha_nodes))
         down = nodes - self.alpha_nodes
         if down:
-            segs = EMPTY
+            segs = ()
             for (fm, own), start in zip(self.parts, self.prod.segments.prefix):
-                if hit := down & own:
-                    segs = union(segs, _shift(fm.preimage(hit), start))
-            out = union(out, self.prod.pi0_preimage(segs))
+                if hit := down & own:  # part i lies in (P_i, P_{i+1}]: disjoint
+                    segs += _shift(fm.preimage(hit), start).bands
+            # the upper part lies in x_up, the lower part in x_down
+            out = BandSet(out.bands + self.prod.pi0_preimage(BandSet(segs)).bands)
         return out
 
     def witnesses(self) -> Dict:
@@ -739,7 +741,8 @@ def block_table(fmap, space, t: JTree
         lam, rank = space.level_at(Ordinal.from_int(top)), frame_ranks(t, top)
         for rho in sorted({rank[y] for y in missing}):
             at_rho = [y for y in t.nodes if rank[y] == rho]
-            cut = bandset(b for y in at_rho for b in (fiber[y] or EMPTY).bands)
+            # the fibers of distinct nodes are disjoint
+            cut = BandSet(tuple(b for y in at_rho for b in (fiber[y] or EMPTY).bands))
             cut = union(geq_set(lam, Ordinal.from_int(rho + 1), theta), cut)
             level = _minus(geq_set(lam, Ordinal.from_int(rho), theta), cut, theta)
             table.append((frozenset(y for y in at_rho if fiber[y] is None), level))
@@ -750,8 +753,9 @@ def jmap_check(fmap, space, t: JFrame) -> JMapReport:
     """Check the map conditions (j1)-(j4) for fmap: [1, theta] -> t (a tree).
 
     fmap must provide preimage(nodes) -> BandSet and is asked for each
-    fiber (block_table) and each rank upset, nothing else; the preimage of
-    a union of blocks is the union of theirs.  lam is the top level.
+    fiber (block_table) and each rank upset, nothing else; the block
+    preimages are disjoint, so the preimage of a union of blocks is the
+    concatenation of theirs.  lam is the top level.
 
     Rank preservation (EXACT): f^{-1}(rank >= rho) = {l^lam >= rho} on
     [1, theta] for rho = 0..h+1, h the top rank (rho = 0: f^{-1}(T) =
@@ -796,8 +800,8 @@ def jmap_check(fmap, space, t: JFrame) -> JMapReport:
     def split(s):  # the first block that s cuts, None for a union of blocks
         return next((b for b, _ in table if b & s and not b <= s), None)
 
-    def pre(s):
-        return bandset(band for b, pb in table if b <= s for band in pb.bands)
+    def pre(s):  # disjoint blocks, once the rank row licenses the missing ones
+        return BandSet(tuple(band for b, pb in table if b <= s for band in pb.bands))
 
     if nn == 0:
         if not missing:

@@ -144,6 +144,12 @@ class Band:
 
 @dataclass(frozen=True)
 class BandSet:
+    """A finite union of bands, in normal form: no band contains another
+    (_band_subsumes).  bandset() normalises a list of bands; union() tests
+    only the pairs across its operands, which are normal already; and a
+    union of sets known to be disjoint is their concatenation, as disjoint
+    non-empty bands never contain one another."""
+
     bands: Tuple[Band, ...]
 
     def __repr__(self):
@@ -210,10 +216,15 @@ def bandset(bands: Iterable[Optional[Band]]) -> BandSet:
     for b in bands:
         if b is None:
             continue
-        if any(_band_subsumes(o, b) for o in out):
-            continue
-        out = [o for o in out if not _band_subsumes(b, o)]
-        out.append(b)
+        keep = []
+        for o in out:  # one pass, both directions
+            if _band_subsumes(o, b):
+                break
+            if not _band_subsumes(b, o):
+                keep.append(o)
+        else:
+            keep.append(b)
+            out = keep
     return BandSet(tuple(out))
 
 
@@ -236,7 +247,12 @@ def min_witness(s: BandSet) -> Optional[Ordinal]:
 
 
 def union(s: BandSet, t: BandSet) -> BandSet:
-    return bandset(list(s.bands) + list(t.bands))
+    """bandset(s.bands + t.bands): s and t are normal, so only the pairs
+    across them are tested; a band in both is kept as s's."""
+    return BandSet(
+        tuple(a for a in s.bands
+              if not any(_band_subsumes(b, a) and b != a for b in t.bands))
+        + tuple(b for b in t.bands if not any(_band_subsumes(a, b) for a in s.bands)))
 
 
 def _band_intersect(a: Band, b: Band) -> Optional[Band]:

@@ -13,6 +13,7 @@ import helpers
 from ordtopo import embed as embed_module
 from ordtopo import jtree as jtree_module
 from ordtopo import logic as logic_module
+from ordtopo import topology
 from ordtopo.embed import (
     CaseIIMap,
     ComposeMap,
@@ -73,6 +74,7 @@ from ordtopo.ordinal import (
 )
 from ordtopo.topology import (
     EMPTY,
+    bandset,
     bandset_to_text,
     complement_within,
     derived_set,
@@ -1042,6 +1044,27 @@ def test_verify_an_atom_free_formula_on_a_twenty_four_node_chain():
     assert jtree_module._supports(0, 24) == ()
 
 
+def test_tall_chains_make_a_near_quadratic_number_of_subsumption_checks(monkeypatch):
+    # unions of disjoint fibers are concatenations, so verify on an n-node
+    # chain tests O(n^2) band pairs for subsumption, not O(n^3)
+    calls = 0
+    inner = topology._band_subsumes
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return inner(a, b)
+
+    monkeypatch.setattr(topology, "_band_subsumes", counted)
+    for n in (40, 80):
+        chain = frame(range(n), [(i, j) for i in range(n) for j in range(n) if i < j])
+        cm = countermodel_from_json(countermodel_to_json(embed(chain, (1,))))
+        helpers.clear_memos()
+        calls = 0
+        assert verify_countermodel(cm, f("<0>T")).ok
+    assert calls < 20_000, calls
+
+
 def test_verify_of_a_tree_formula_generates_no_kernel():
     # stage (a) on small trees, where the searched slice is whole
     trees = [make_jframe(kf.nodes, kf.rels) for kf, _ in helpers.all_trees(4)]
@@ -1127,20 +1150,53 @@ def test_serialization_round_trip():
                                   cm.theta)
 
 
-def test_a_map_read_back_from_json_carries_the_files_facts():
-    # the theta and witness table that cm.json states are the read-back
-    # map's own: its theta and witnesses()
-    kinds = set()
+def read_back_models():
+    """(cm, the map read back from its cm.json) for every treelike frame on
+    <= 5 nodes with one relation at sigma (1) and (2), and on <= 4 nodes
+    with two relations at (1, 2), (1, 3) and (2, 3)."""
     for n_rels, sigmas, n_max in ((1, [(1,), (2,)], 5), (2, [(1, 2), (1, 3), (2, 3)], 4)):
         for n in range(1, n_max + 1):
             for rels in helpers.jtree_rels(tuple(range(n)), n_rels):
                 for sigma in sigmas:
                     cm = embed(JFrame(tuple(range(n)), rels), sigma)
-                    fmap = countermodel_from_json(countermodel_to_json(cm)).fmap
-                    assert fmap.theta == cm.theta, (rels, sigma)
-                    assert fmap.witnesses() == cm.witnesses, (rels, sigma)
-                    kinds.add(type(fmap))
+                    yield cm, countermodel_from_json(countermodel_to_json(cm)).fmap
+
+
+def test_a_map_read_back_from_json_carries_the_files_facts():
+    # the theta and witness table that cm.json states are the read-back
+    # map's own: its theta and witnesses()
+    kinds = set()
+    for cm, fmap in read_back_models():
+        assert fmap.theta == cm.theta, cm.tree
+        assert fmap.witnesses() == cm.witnesses, cm.tree
+        kinds.add(type(fmap))
     assert kinds == {ConstMap, ComposeMap, GLEmbedMap, CaseIIMap}
+
+
+def test_disjoint_unions_keep_the_normal_form():
+    # fibers, rank upsets and block preimages are built by concatenating
+    # disjoint parts; each must be what bandset() makes of its own bands,
+    # and no two blocks may share a point
+    def normal(s):
+        return s.bands == bandset(s.bands).bands
+
+    models = 0
+    for cm, fmap in read_back_models():
+        t = as_jtree(cm.tree)
+        fiber, table = block_table(fmap, cm.space(), t)
+        assert all(normal(s) for s in fiber.values() if s is not None), t
+        assert all(normal(pb) for _, pb in table), t
+        for (_, p), (_, q) in itertools.combinations(table, 2):
+            assert is_empty(intersect(p, q)), t
+        rank = frame_ranks(t, len(t.rels) - 1)
+        for rho in range(max(rank.values()) + 2):
+            try:
+                up = fmap.preimage([y for y in t.nodes if rank[y] >= rho])
+            except NotRepresentable:
+                continue
+            assert normal(up), (t, rho)
+        models += 1
+    assert models == 203
 
 
 def test_serialization_rejects_garbage():

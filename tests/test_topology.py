@@ -271,6 +271,31 @@ def test_derived_additive_and_monotone():
         assert subset_of(derived_set(intersect(a, b), lam, W3), da, W3)
 
 
+def test_union_tests_only_the_pairs_across_its_operands():
+    # union(s, t) is bandset(s.bands + t.bands), band for band and in order,
+    # on random pairs and on pairs that share or contain each other's bands;
+    # bandset keeps, in input order, the first copy of each band that no
+    # other band contains
+    def reference(bands):
+        return tuple(b for i, b in enumerate(bands)
+                     if not any(_band_subsumes(c, b) and (c != b or j < i)
+                                for j, c in enumerate(bands) if j != i))
+
+    uni = helpers.finite_universe()
+    dropped = 0
+    for seed in range(5):
+        rng = random.Random(seed)
+        for _ in range(40):
+            s, t = (helpers.random_bandset_u(rng, uni) for _ in range(2))
+            st = intersect(s, t)
+            for a, b in ((s, t), (t, s), (s, s), (s, st), (st, s), (union(s, t), t)):
+                got = union(a, b).bands
+                assert got == bandset(a.bands + b.bands).bands, (a, b)
+                assert got == reference(a.bands + b.bands), (a, b)
+                dropped += len(got) < len(a.bands) + len(b.bands)
+    assert dropped > 100
+
+
 def test_level_monotonicity():
     rng = random.Random(29)
     uni = helpers.finite_universe()
